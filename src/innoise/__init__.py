@@ -30,12 +30,10 @@ from .model import (
     ConfigError,
     DomainError,
     FormatError,
-    InvalidRecordError,
     MeasurementMeta,
     SampleRecord,
     dbm_to_mw,
     mw_to_dbm,
-    validate_record,
 )
 from .stats import (
     MainBurst,
@@ -47,7 +45,7 @@ from .stats import (
     measurement_stats,
     std_dev,
 )
-from .synth import BurstEventSpec, brute_force_segment, generate_wgn, inject_bursts
+from .synth import BurstEventSpec, generate_wgn, inject_bursts
 
 __version__ = "0.1.0"
 
@@ -61,7 +59,6 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "FormatError",
-    "InvalidRecordError",
     "MainBurst",
     "MainBurstAnalysis",
     "MeasurementMeta",
@@ -72,7 +69,6 @@ __all__ = [
     "WgnValidation",
     "aggregate_campaign",
     "apd_pair",
-    "brute_force_segment",
     "combine_pulses",
     "compute_apd",
     "compute_rms_level",
@@ -89,7 +85,6 @@ __all__ = [
     "read_manifest",
     "read_record",
     "std_dev",
-    "validate_record",
     "validate_wgn",
     "write_record",
 ]

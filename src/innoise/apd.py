@@ -17,9 +17,6 @@ from .model import ConfigError, DomainError, SampleRecord
 # Default spacing when evaluation on a uniform dB grid is requested.
 DEFAULT_GRID_DB = 0.1
 
-# Presentation hint for plotting tools; probabilities are stored linearly.
-PROB_SCALE_HINT = "log"
-
 
 @dataclass(frozen=True, eq=False)
 class ApdCurve:
@@ -87,8 +84,6 @@ def compute_apd(record: SampleRecord, grid_db: float | None = None) -> ApdCurve:
     spacing instead (anchored at the minimum sample, extended to cover the
     maximum).
     """
-    if len(record) == 0:
-        raise DomainError("empty record")
     sorted_levels = np.sort(record.levels)
     if grid_db is None:
         grid = np.unique(sorted_levels)
@@ -111,8 +106,6 @@ def apd_pair(
     Sharing the grid makes the two curves directly overlayable. The
     default grid is the union of both records' distinct sample levels.
     """
-    if len(wgn) == 0 or len(in_rec) == 0:
-        raise DomainError("empty record")
     wgn_sorted = np.sort(wgn.levels)
     in_sorted = np.sort(in_rec.levels)
     if grid_db is None:

@@ -7,11 +7,12 @@ the pipeline compare strictly against ``threshold_dbm`` from this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, DomainError, LevelDbm, SampleRecord, mean_power_dbm
+from .model import ConfigError, LevelDbm, SampleRecord, mean_power_dbm
 
 # Crest factor of white Gaussian noise: peaks sit ~13 dB above the r.m.s.
 # level, so anything higher must come from impulses.
@@ -23,18 +24,16 @@ class Baseline:
     """r.m.s. level and the impulse detection threshold derived from it."""
 
     rms_dbm: float
-    threshold_dbm: float
     offset_db: float = DEFAULT_OFFSET_DB
     source_record_id: str = ""
 
     def __post_init__(self) -> None:
-        if not self.offset_db > 0:
-            raise ConfigError(f"offset_db must be > 0, got {self.offset_db}")
-        if self.threshold_dbm != self.rms_dbm + self.offset_db:
-            raise ConfigError(
-                f"threshold_dbm must equal rms_dbm + offset_db "
-                f"({self.rms_dbm} + {self.offset_db} != {self.threshold_dbm})"
-            )
+        if not (math.isfinite(self.offset_db) and self.offset_db > 0):
+            raise ConfigError(f"offset_db must be a positive number, got {self.offset_db}")
+
+    @property
+    def threshold_dbm(self) -> LevelDbm:
+        return self.rms_dbm + self.offset_db
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,6 @@ def compute_rms_level(record: SampleRecord) -> LevelDbm:
     all samples. For envelope level data this is the self-consistent
     reading of the usual sqrt(1/N * sum(v_i^2)) definition.
     """
-    if len(record) == 0:
-        raise DomainError("empty record")
     return mean_power_dbm(record.levels)
 
 
@@ -65,13 +62,8 @@ def derive_threshold(
     source_record_id: str = "",
 ) -> Baseline:
     """Place the impulse detection threshold ``offset_db`` above ``rms``."""
-    rms = float(rms)
-    offset_db = float(offset_db)
     return Baseline(
-        rms_dbm=rms,
-        threshold_dbm=rms + offset_db,
-        offset_db=offset_db,
-        source_record_id=source_record_id,
+        rms_dbm=float(rms), offset_db=float(offset_db), source_record_id=source_record_id
     )
 
 
@@ -86,10 +78,8 @@ def validate_wgn(
     exceedance. By default a single exceedance fails the record;
     ``max_exceed_fraction`` relaxes that for noisy sites.
     """
-    if len(record) == 0:
-        raise DomainError("empty record")
-    if max_exceed_fraction < 0:
-        raise ConfigError(f"max_exceed_fraction must be >= 0, got {max_exceed_fraction}")
+    if not (math.isfinite(max_exceed_fraction) and max_exceed_fraction >= 0):
+        raise ConfigError(f"max_exceed_fraction must be a number >= 0, got {max_exceed_fraction}")
     exceed = np.flatnonzero(record.levels > baseline.threshold_dbm)
     passed = exceed.size <= max_exceed_fraction * len(record)
     return WgnValidation(

@@ -49,47 +49,59 @@ class Burst:
     duration_ms: float
     amplitude_dbm: float
     above_count: int
-    span_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start_idx", int(self.start_idx))
         object.__setattr__(self, "end_idx", int(self.end_idx))
         object.__setattr__(self, "above_count", int(self.above_count))
-        object.__setattr__(self, "span_count", int(self.span_count))
         object.__setattr__(self, "duration_ms", float(self.duration_ms))
         object.__setattr__(self, "amplitude_dbm", float(self.amplitude_dbm))
-        if self.span_count != self.end_idx - self.start_idx + 1:
-            raise DomainError("span_count must equal end_idx - start_idx + 1")
         if not 0 < self.above_count <= self.span_count:
             raise DomainError("above_count must be in 1..span_count")
         if 2 * self.above_count <= self.span_count:
             raise DomainError("burst must have > 50% of samples above threshold")
 
+    @property
+    def span_count(self) -> int:
+        return self.end_idx - self.start_idx + 1
+
 
 @dataclass(frozen=True)
 class BurstSet:
-    """All bursts detected in one record, plus the gaps between them.
+    """All bursts detected in one record, in index order, plus the gaps
+    between them.
 
     ``separations_ms[i]`` is the time from the last sample of burst i to
-    the first sample of burst i+1.
+    the first sample of burst i+1. Construction raises DomainError unless
+    every burst starts after the previous one ends.
     """
 
     bursts: tuple[Burst, ...]
     threshold_dbm: float
     record_id: str
-    separations_ms: tuple[float, ...]
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bursts", tuple(self.bursts))
-        object.__setattr__(self, "separations_ms", tuple(float(s) for s in self.separations_ms))
         object.__setattr__(self, "threshold_dbm", float(self.threshold_dbm))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        if len(self.separations_ms) != max(0, len(self.bursts) - 1):
-            raise DomainError("separations_ms must have len(bursts) - 1 entries")
+        for cur, nxt in zip(self.bursts, self.bursts[1:]):
+            if nxt.start_idx <= cur.end_idx:
+                raise DomainError(
+                    f"bursts must be ordered and disjoint: [{cur.start_idx}, {cur.end_idx}] "
+                    f"then [{nxt.start_idx}, {nxt.end_idx}]"
+                )
 
     def __len__(self) -> int:
         return len(self.bursts)
+
+    @property
+    def separations_ms(self) -> tuple[float, ...]:
+        period_ms = 1000.0 / self.sample_rate_hz
+        return tuple(
+            (nxt.start_idx - cur.end_idx) * period_ms
+            for cur, nxt in zip(self.bursts, self.bursts[1:])
+        )
 
 
 def extract_pulses(record: SampleRecord, threshold_dbm: LevelDbm) -> list[Pulse]:
@@ -97,8 +109,6 @@ def extract_pulses(record: SampleRecord, threshold_dbm: LevelDbm) -> list[Pulse]
 
     Empty list when no sample exceeds the threshold.
     """
-    if len(record) == 0:
-        raise DomainError("empty record")
     above = record.levels > float(threshold_dbm)
     if not above.any():
         return []
@@ -167,7 +177,6 @@ def parameterize_burst(
         duration_ms=span_count * 1000.0 / record.sample_rate_hz,
         amplitude_dbm=mean_power_dbm(segment),
         above_count=above_count,
-        span_count=span_count,
     )
 
 
@@ -179,16 +188,9 @@ def detect_bursts(record: SampleRecord, baseline: Baseline, record_id: str = "")
     threshold = baseline.threshold_dbm
     pulses = extract_pulses(record, threshold)
     spans = combine_pulses(pulses, record, threshold)
-    bursts = tuple(parameterize_burst(record, s, threshold) for s in spans)
-    period_ms = 1000.0 / record.sample_rate_hz
-    separations = tuple(
-        (nxt.start_idx - cur.end_idx) * period_ms
-        for cur, nxt in zip(bursts, bursts[1:])
-    )
     return BurstSet(
-        bursts=bursts,
+        bursts=tuple(parameterize_burst(record, s, threshold) for s in spans),
         threshold_dbm=threshold,
         record_id=record_id,
-        separations_ms=separations,
         sample_rate_hz=record.sample_rate_hz,
     )

@@ -14,8 +14,8 @@ from enum import IntEnum
 from pathlib import Path
 
 from . import io
-from .apd import apd_pair, compute_apd
-from .baseline import compute_rms_level, derive_threshold, validate_wgn
+from .apd import DEFAULT_GRID_DB, apd_pair, compute_apd
+from .baseline import DEFAULT_OFFSET_DB, compute_rms_level, derive_threshold, validate_wgn
 from .bursts import detect_bursts
 from .model import ConfigError, DomainError, FormatError, MeasurementMeta
 from .stats import aggregate_campaign, main_burst, measurement_stats
@@ -154,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="derive the detection threshold from a WGN record")
     p.add_argument("wgn_file", help="record CSV taken with the source off")
-    p.add_argument("--offset-db", type=float, default=13.0, help="threshold offset above r.m.s.")
+    p.add_argument(
+        "--offset-db", type=float, default=DEFAULT_OFFSET_DB, help="threshold offset above r.m.s."
+    )
     p.add_argument(
         "--max-exceed-fraction",
         type=float,
@@ -188,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-db",
         type=float,
         nargs="?",
-        const=0.1,
+        const=DEFAULT_GRID_DB,
         default=None,
-        help="evaluate on a uniform dB grid (default spacing 0.1 when no value given)",
+        help=f"evaluate on a uniform dB grid (spacing {DEFAULT_GRID_DB} when no value given)",
     )
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_apd)

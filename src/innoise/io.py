@@ -22,30 +22,25 @@ CSV tables round to 2 decimals; the JSON keeps full precision.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .apd import ApdCurve
-from .baseline import Baseline, WgnValidation
+from .baseline import DEFAULT_OFFSET_DB, Baseline, WgnValidation
 from .bursts import BurstSet
-from .model import (
-    RECORD_KINDS,
-    FormatError,
-    ConfigError,
-    IN,
-    MeasurementMeta,
-    SampleRecord,
-)
-from .stats import MainBurst, MeasurementStats, SourceCharacterization
+from .model import ConfigError, DomainError, FormatError, IN, MeasurementMeta, SampleRecord
+from .stats import MeasurementStats, SourceCharacterization
 from .synth import BurstEventSpec
-
-DEFAULT_MANIFEST_OFFSET_DB = 13.0
 
 _META_HEADER_KEYS = ("frequency_khz", "event", "location", "source", "started_at")
 
@@ -55,7 +50,8 @@ class CampaignManifest:
     """File layout of one measurement campaign.
 
     Record paths are stored as written in the manifest and resolve
-    relative to the manifest's own directory (``base_dir``).
+    relative to the manifest's own directory (``base_dir``, which is not
+    part of the file).
     """
 
     wgn_record: str
@@ -64,18 +60,17 @@ class CampaignManifest:
     frequency_khz: float
     location: str = ""
     source: str = ""
-    offset_db: float = DEFAULT_MANIFEST_OFFSET_DB
+    offset_db: float = DEFAULT_OFFSET_DB
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "in_records", tuple(self.in_records))
-        object.__setattr__(self, "frequency_khz", float(self.frequency_khz))
-        object.__setattr__(self, "offset_db", float(self.offset_db))
         if not self.in_records:
-            raise FormatError("manifest needs at least one IN record")
+            raise ConfigError("manifest needs at least one IN record")
         paths = (self.wgn_record, *self.in_records)
         if len(set(paths)) != len(paths):
-            raise FormatError("manifest record paths must be distinct")
+            raise ConfigError("manifest record paths must be distinct")
+        if not self.frequency_khz > 0:
+            raise ConfigError(f"frequency_khz must be > 0, got {self.frequency_khz}")
 
     def wgn_path(self) -> Path:
         return self.base_dir / self.wgn_record
@@ -92,15 +87,66 @@ def _write_json(payload: dict, path: Path | str) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _read_json(path: Path | str) -> dict | list:
-    path = Path(path)
+def _read_json(path: Path) -> Any:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path.name}: invalid JSON: {exc}") from exc
-    if not isinstance(data, (dict, list)):
-        raise FormatError(f"{path.name}: expected a JSON object")
-    return data
+
+
+# One codec for every JSON type: a dataclass is an object with one key per
+# field, in field order. None is omitted on write and a missing key reads as
+# the field's default; a field without a default is a required key. Fields
+# with compare=False are run-time context, not content, and are skipped.
+
+
+def _to_json(obj: Any) -> dict:
+    payload = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.compare and value is not None:
+            payload[f.name] = _to_json(value) if dataclasses.is_dataclass(value) else value
+    return payload
+
+
+def _from_json(cls: type, data: Any, where: str) -> Any:
+    if not isinstance(data, dict):
+        raise FormatError(f"{where}: expected a JSON object")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if not f.compare:
+            continue
+        if f.name in data:
+            kwargs[f.name] = _json_value(hints[f.name], data[f.name], f"{where}: {f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise FormatError(f"{where}: missing required key {f.name!r}")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, DomainError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _json_value(hint: Any, value: Any, where: str) -> Any:
+    """Check one decoded JSON value against a field's type hint."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        inner = next(a for a in args if a is not type(None))
+        return None if value is None else _json_value(inner, value, where)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise FormatError(f"{where} must be a list, got {value!r}")
+        return tuple(_json_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, where)
+    if hint is float and type(value) in (int, float):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            if math.isfinite(value):
+                return float(value)
+    elif type(value) is hint:
+        return value
+    expected = "a finite number" if hint is float else hint.__name__
+    raise FormatError(f"{where} must be {expected}, got {value!r}")
 
 
 def _fmt2(value: float | None) -> str:
@@ -145,8 +191,6 @@ def read_record(path: Path | str) -> SampleRecord:
             levels.append(value)
     if "sample_rate_hz" not in header:
         raise FormatError(f"{path.name}: missing '# sample_rate_hz=...' header")
-    if not levels:
-        raise FormatError(f"{path.name}: empty record")
 
     def header_float(key: str) -> float | None:
         if key not in header:
@@ -156,12 +200,6 @@ def read_record(path: Path | str) -> SampleRecord:
         except ValueError:
             raise FormatError(f"{path.name}: header {key}={header[key]!r} is not a number") from None
 
-    rate = header_float("sample_rate_hz")
-    if not rate > 0:
-        raise FormatError(f"{path.name}: sample_rate_hz must be > 0, got {rate}")
-    kind = header.get("kind", IN)
-    if kind not in RECORD_KINDS:
-        raise FormatError(f"{path.name}: kind must be one of {RECORD_KINDS}, got {kind!r}")
     meta = MeasurementMeta(
         frequency_khz=header_float("frequency_khz"),
         event=header.get("event", ""),
@@ -169,7 +207,15 @@ def read_record(path: Path | str) -> SampleRecord:
         source=header.get("source", ""),
         started_at=header.get("started_at"),
     )
-    return SampleRecord(levels=levels, sample_rate_hz=rate, kind=kind, meta=meta)
+    try:
+        return SampleRecord(
+            levels=levels,
+            sample_rate_hz=header_float("sample_rate_hz"),
+            kind=header.get("kind", IN),
+            meta=meta,
+        )
+    except DomainError as exc:
+        raise FormatError(f"{path.name}: {exc}") from exc
 
 
 def write_record(record: SampleRecord, path: Path | str) -> None:
@@ -196,48 +242,12 @@ def read_manifest(path: Path | str) -> CampaignManifest:
     ``source`` default to empty text.
     """
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FormatError(f"{path.name}: expected a JSON object")
-    for key in ("wgn_record", "in_records", "event", "frequency_khz"):
-        if key not in data:
-            raise FormatError(f"{path.name}: missing required key {key!r}")
-    in_records = data["in_records"]
-    if not isinstance(in_records, list) or not all(isinstance(p, str) for p in in_records):
-        raise FormatError(f"{path.name}: in_records must be a list of paths")
-    if not in_records:
-        raise FormatError(f"{path.name}: in_records must not be empty")
-    if not isinstance(data["wgn_record"], str):
-        raise FormatError(f"{path.name}: wgn_record must be a path string")
-    if not isinstance(data["event"], str):
-        raise FormatError(f"{path.name}: event must be text")
-    if not isinstance(data["frequency_khz"], (int, float)) or not data["frequency_khz"] > 0:
-        raise FormatError(f"{path.name}: frequency_khz must be a positive number")
-    return CampaignManifest(
-        wgn_record=data["wgn_record"],
-        in_records=tuple(in_records),
-        event=data["event"],
-        frequency_khz=float(data["frequency_khz"]),
-        location=data.get("location", ""),
-        source=data.get("source", ""),
-        offset_db=float(data.get("offset_db", DEFAULT_MANIFEST_OFFSET_DB)),
-        base_dir=path.parent,
-    )
+    manifest = _from_json(CampaignManifest, _read_json(path), path.name)
+    return dataclasses.replace(manifest, base_dir=path.parent)
 
 
 def write_manifest(manifest: CampaignManifest, path: Path | str) -> None:
-    _write_json(
-        {
-            "wgn_record": manifest.wgn_record,
-            "in_records": list(manifest.in_records),
-            "event": manifest.event,
-            "frequency_khz": manifest.frequency_khz,
-            "location": manifest.location,
-            "source": manifest.source,
-            "offset_db": manifest.offset_db,
-        },
-        path,
-    )
+    _write_json(_to_json(manifest), path)
 
 
 # ---------------------------------------------------------------------------
@@ -249,95 +259,40 @@ def write_baseline_report(
     validation: WgnValidation | None,
     path: Path | str,
 ) -> None:
-    payload: dict = {
-        "rms_dbm": baseline.rms_dbm,
-        "threshold_dbm": baseline.threshold_dbm,
-        "offset_db": baseline.offset_db,
-        "source_record_id": baseline.source_record_id,
-    }
+    # the derived threshold is written second, for readers of the file
+    payload = {"rms_dbm": baseline.rms_dbm, "threshold_dbm": baseline.threshold_dbm}
+    payload.update(_to_json(baseline))
     if validation is not None:
-        payload["validation"] = {
-            "passed": validation.passed,
-            "exceed_count": validation.exceed_count,
-            "exceed_indices": list(validation.exceed_indices),
-            "max_level_dbm": validation.max_level_dbm,
-        }
+        payload["validation"] = _to_json(validation)
     _write_json(payload, path)
 
 
 def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | None]:
+    """Parse a baseline JSON file.
+
+    The stated ``threshold_dbm`` is required and must match ``rms_dbm +
+    offset_db`` to within 1e-9 dB, so a hand-edited level cannot silently
+    disagree with the threshold it implies.
+    """
     path = Path(path)
     data = _read_json(path)
-    for key in ("rms_dbm", "threshold_dbm", "offset_db"):
-        if key not in data:
-            raise FormatError(f"{path.name}: missing required key {key!r}")
-    try:
-        baseline = Baseline(
-            rms_dbm=float(data["rms_dbm"]),
-            threshold_dbm=float(data["threshold_dbm"]),
-            offset_db=float(data["offset_db"]),
-            source_record_id=str(data.get("source_record_id", "")),
+    baseline = _from_json(Baseline, data, path.name)
+    if "threshold_dbm" not in data:
+        raise FormatError(f"{path.name}: missing required key 'threshold_dbm'")
+    stated = _json_value(float, data["threshold_dbm"], f"{path.name}: threshold_dbm")
+    if abs(stated - baseline.threshold_dbm) > 1e-9:
+        raise FormatError(
+            f"{path.name}: threshold_dbm {stated} is not rms_dbm + offset_db "
+            f"= {baseline.threshold_dbm}"
         )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path.name}: {exc}") from exc
     validation = None
     if "validation" in data:
-        v = data["validation"]
-        validation = WgnValidation(
-            passed=bool(v["passed"]),
-            exceed_count=int(v["exceed_count"]),
-            exceed_indices=tuple(int(i) for i in v["exceed_indices"]),
-            max_level_dbm=float(v["max_level_dbm"]),
-        )
+        validation = _from_json(WgnValidation, data["validation"], f"{path.name}: validation")
     return baseline, validation
 
 
 # ---------------------------------------------------------------------------
 # measurement reports
-
-
-def _stats_payload(stats: MeasurementStats) -> dict:
-    payload: dict = {"n_bursts": stats.n_bursts}
-    if stats.avg_duration_ms is not None:
-        payload["avg_duration_ms"] = stats.avg_duration_ms
-    if stats.avg_amplitude_dbm is not None:
-        payload["avg_amplitude_dbm"] = stats.avg_amplitude_dbm
-    if stats.avg_separation_ms is not None:
-        payload["avg_separation_ms"] = stats.avg_separation_ms
-    if stats.main_burst is not None:
-        mb = stats.main_burst
-        main: dict = {
-            "index": mb.index,
-            "duration_ms": mb.duration_ms,
-            "amplitude_dbm": mb.amplitude_dbm,
-        }
-        if mb.ratio_to_second_longest is not None:
-            main["ratio_to_second_longest"] = mb.ratio_to_second_longest
-        payload["main_burst"] = main
-    return payload
-
-
-def _stats_from_payload(data: dict) -> MeasurementStats:
-    main = None
-    if "main_burst" in data:
-        mb = data["main_burst"]
-        main = MainBurst(
-            index=int(mb["index"]),
-            duration_ms=float(mb["duration_ms"]),
-            amplitude_dbm=float(mb["amplitude_dbm"]),
-            ratio_to_second_longest=(
-                float(mb["ratio_to_second_longest"])
-                if "ratio_to_second_longest" in mb
-                else None
-            ),
-        )
-    return MeasurementStats(
-        n_bursts=int(data["n_bursts"]),
-        avg_duration_ms=data.get("avg_duration_ms"),
-        avg_amplitude_dbm=data.get("avg_amplitude_dbm"),
-        avg_separation_ms=data.get("avg_separation_ms"),
-        main_burst=main,
-    )
 
 
 def write_measurement_report(
@@ -359,9 +314,9 @@ def write_measurement_report(
         "threshold_dbm": burst_set.threshold_dbm,
         "sample_rate_hz": burst_set.sample_rate_hz,
     }
-    payload.update(_stats_payload(stats))
+    payload.update(_to_json(stats))
     if stats_excluding_main is not None:
-        payload["stats_excluding_main"] = _stats_payload(stats_excluding_main)
+        payload["stats_excluding_main"] = _to_json(stats_excluding_main)
     payload["bursts"] = [
         {
             "start_ms": b.start_idx * period_ms,
@@ -385,10 +340,7 @@ def write_measurement_report(
 def read_measurement_report(path: Path | str) -> MeasurementStats:
     """Re-parse the summary statistics from a measurement report JSON."""
     path = Path(path)
-    data = _read_json(path)
-    if "n_bursts" not in data:
-        raise FormatError(f"{path.name}: missing required key 'n_bursts'")
-    return _stats_from_payload(data)
+    return _from_json(MeasurementStats, _read_json(path), path.name)
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +350,7 @@ def read_measurement_report(path: Path | str) -> MeasurementStats:
 def write_campaign_report(char: SourceCharacterization, path: Path | str) -> None:
     """Write a source characterization as JSON plus a sibling summary CSV."""
     path = Path(path)
-    payload: dict = {
-        "event": char.event,
-        "frequency_khz": char.frequency_khz,
-        "n_measurements": char.n_measurements,
-        "n_with_bursts": char.n_with_bursts,
-        "n_with_separation": char.n_with_separation,
-        "mean_n_bursts": char.mean_n_bursts,
-    }
-    for key in (
-        "mean_duration_ms",
-        "sd_duration_ms",
-        "mean_amplitude_dbm",
-        "sd_amplitude_db",
-        "mean_separation_ms",
-        "sd_separation_ms",
-    ):
-        value = getattr(char, key)
-        if value is not None:
-            payload[key] = value
-    _write_json(payload, path)
+    _write_json(_to_json(char), path)
 
     lines = [
         "parameter,value",
@@ -434,24 +367,7 @@ def write_campaign_report(char: SourceCharacterization, path: Path | str) -> Non
 
 def read_campaign_report(path: Path | str) -> SourceCharacterization:
     path = Path(path)
-    data = _read_json(path)
-    for key in ("event", "frequency_khz", "n_measurements", "mean_n_bursts"):
-        if key not in data:
-            raise FormatError(f"{path.name}: missing required key {key!r}")
-    return SourceCharacterization(
-        n_measurements=int(data["n_measurements"]),
-        mean_n_bursts=float(data["mean_n_bursts"]),
-        mean_duration_ms=data.get("mean_duration_ms"),
-        sd_duration_ms=data.get("sd_duration_ms"),
-        mean_amplitude_dbm=data.get("mean_amplitude_dbm"),
-        sd_amplitude_db=data.get("sd_amplitude_db"),
-        mean_separation_ms=data.get("mean_separation_ms"),
-        sd_separation_ms=data.get("sd_separation_ms"),
-        n_with_bursts=int(data.get("n_with_bursts", data["n_measurements"])),
-        n_with_separation=int(data.get("n_with_separation", data["n_measurements"])),
-        event=str(data["event"]),
-        frequency_khz=float(data["frequency_khz"]),
-    )
+    return _from_json(SourceCharacterization, _read_json(path), path.name)
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +436,10 @@ def read_event_specs(path: Path | str) -> list[BurstEventSpec]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path.name}: expected a JSON list of events")
-    events = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path.name}: events[{i}] must be an object")
-        for key in ("start_idx", "length_samples", "level_offset_db"):
-            if key not in entry:
-                raise FormatError(f"{path.name}: events[{i}] missing key {key!r}")
-        try:
-            events.append(
-                BurstEventSpec(
-                    start_idx=int(entry["start_idx"]),
-                    length_samples=int(entry["length_samples"]),
-                    level_offset_db=float(entry["level_offset_db"]),
-                    shape=entry.get("shape", "constant"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path.name}: events[{i}]: {exc}") from exc
-    return events
+    return [
+        _from_json(BurstEventSpec, entry, f"{path.name}: events[{i}]")
+        for i, entry in enumerate(data)
+    ]
 
 
 def write_ground_truth(
@@ -552,13 +453,5 @@ def write_ground_truth(
         "spans": [[int(s), int(e)] for s, e in spans],
     }
     if events is not None:
-        payload["events"] = [
-            {
-                "start_idx": e.start_idx,
-                "length_samples": e.length_samples,
-                "level_offset_db": e.level_offset_db,
-                "shape": e.shape,
-            }
-            for e in events
-        ]
+        payload["events"] = [_to_json(e) for e in events]
     _write_json(payload, path)

@@ -33,14 +33,6 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
-class InvalidRecordError(DomainError):
-    """Raised by validate_record; carries one message per violation."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
-
-
 @dataclass(frozen=True)
 class MeasurementMeta:
     """Scenario description attached to a record.
@@ -64,6 +56,11 @@ class SampleRecord:
     Samples are envelope level readings from a zero-span sample detector;
     no phase information is carried. The array is copied and frozen at
     construction so records are safe to share between threads.
+
+    Construction checks every record invariant and raises DomainError for
+    an empty record, a non-finite sample, a sample rate that is not a
+    positive finite number, an unknown ``kind`` or a non-positive
+    ``meta.frequency_khz``.
     """
 
     levels: np.ndarray
@@ -76,6 +73,18 @@ class SampleRecord:
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        if levels.size == 0:
+            raise DomainError("empty record")
+        finite = np.isfinite(levels)
+        if not finite.all():
+            raise DomainError(f"non-finite sample at index {int(np.argmin(finite))}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DomainError(f"sample_rate_hz must be > 0 and finite, got {self.sample_rate_hz}")
+        if self.kind not in RECORD_KINDS:
+            raise DomainError(f"kind must be one of {RECORD_KINDS}, got {self.kind!r}")
+        freq = self.meta.frequency_khz
+        if freq is not None and not freq > 0:
+            raise DomainError(f"frequency_khz must be > 0 when present, got {freq}")
 
     def __len__(self) -> int:
         return int(self.levels.size)
@@ -112,31 +121,3 @@ def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
         raise DomainError("empty record")
     total = math.fsum(np.power(10.0, levels / 10.0).tolist())
     return mw_to_dbm(total / levels.size)
-
-
-def record_errors(record: SampleRecord) -> list[str]:
-    """Collect every invariant violation of ``record``; empty when valid."""
-    errors: list[str] = []
-    if record.levels.size == 0:
-        errors.append("empty record")
-    if not record.sample_rate_hz > 0:
-        errors.append(f"sample_rate_hz must be > 0, got {record.sample_rate_hz}")
-    if record.kind not in RECORD_KINDS:
-        errors.append(f"kind must be one of {RECORD_KINDS}, got {record.kind!r}")
-    bad = np.flatnonzero(~np.isfinite(record.levels))
-    for i in bad[:100]:
-        errors.append(f"non-finite sample at index {int(i)}")
-    if bad.size > 100:
-        errors.append(f"... and {int(bad.size) - 100} more non-finite samples")
-    freq = record.meta.frequency_khz
-    if freq is not None and not freq > 0:
-        errors.append(f"frequency_khz must be > 0 when present, got {freq}")
-    return errors
-
-
-def validate_record(record: SampleRecord) -> SampleRecord:
-    """Return ``record`` unchanged if valid, else raise InvalidRecordError."""
-    errors = record_errors(record)
-    if errors:
-        raise InvalidRecordError(errors)
-    return record

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .bursts import Burst, BurstSet
+from .bursts import BurstSet
 from .model import ConfigError, DomainError, MeasurementMeta
 
 
@@ -22,7 +22,7 @@ class MainBurst:
     index: int
     duration_ms: float
     amplitude_dbm: float
-    ratio_to_second_longest: float | None
+    ratio_to_second_longest: float | None = None
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,9 @@ class MeasurementStats:
     """
 
     n_bursts: int
-    avg_duration_ms: float | None
-    avg_amplitude_dbm: float | None
-    avg_separation_ms: float | None
+    avg_duration_ms: float | None = None
+    avg_amplitude_dbm: float | None = None
+    avg_separation_ms: float | None = None
     main_burst: MainBurst | None = None
 
 
@@ -58,18 +58,18 @@ class SourceCharacterization:
     least two contributing measurements; absent values are None.
     """
 
-    n_measurements: int
-    mean_n_bursts: float
-    mean_duration_ms: float | None
-    sd_duration_ms: float | None
-    mean_amplitude_dbm: float | None
-    sd_amplitude_db: float | None
-    mean_separation_ms: float | None
-    sd_separation_ms: float | None
-    n_with_bursts: int
-    n_with_separation: int
     event: str
     frequency_khz: float
+    n_measurements: int
+    n_with_bursts: int
+    n_with_separation: int
+    mean_n_bursts: float
+    mean_duration_ms: float | None = None
+    sd_duration_ms: float | None = None
+    mean_amplitude_dbm: float | None = None
+    sd_amplitude_db: float | None = None
+    mean_separation_ms: float | None = None
+    sd_separation_ms: float | None = None
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -96,7 +96,7 @@ def measurement_stats(burst_set: BurstSet) -> MeasurementStats:
     bursts = burst_set.bursts
     n = len(bursts)
     if n == 0:
-        return MeasurementStats(0, None, None, None)
+        return MeasurementStats(0)
     durations = [b.duration_ms for b in bursts]
     total_duration = math.fsum(durations)
     avg_duration = total_duration / n
@@ -112,27 +112,6 @@ def measurement_stats(burst_set: BurstSet) -> MeasurementStats:
     )
 
 
-def _sorted_bursts(burst_set: BurstSet) -> list[Burst]:
-    return sorted(burst_set.bursts, key=lambda b: b.start_idx)
-
-
-def _excluding(burst_set: BurstSet, drop_index: int) -> BurstSet:
-    """Rebuild the set without one burst, recomputing the separations."""
-    bursts = [b for i, b in enumerate(_sorted_bursts(burst_set)) if i != drop_index]
-    period_ms = 1000.0 / burst_set.sample_rate_hz
-    separations = tuple(
-        (nxt.start_idx - cur.end_idx) * period_ms
-        for cur, nxt in zip(bursts, bursts[1:])
-    )
-    return BurstSet(
-        bursts=tuple(bursts),
-        threshold_dbm=burst_set.threshold_dbm,
-        record_id=burst_set.record_id,
-        separations_ms=separations,
-        sample_rate_hz=burst_set.sample_rate_hz,
-    )
-
-
 def main_burst(burst_set: BurstSet) -> MainBurstAnalysis | None:
     """Identify the longest burst and restate the measurement without it.
 
@@ -140,7 +119,7 @@ def main_burst(burst_set: BurstSet) -> MainBurstAnalysis | None:
     amplitude. Ties on duration resolve to the earliest start index.
     None when the set is empty.
     """
-    bursts = _sorted_bursts(burst_set)
+    bursts = burst_set.bursts
     if not bursts:
         return None
     index = min(range(len(bursts)), key=lambda i: (-bursts[i].duration_ms, i))
@@ -155,7 +134,8 @@ def main_burst(burst_set: BurstSet) -> MainBurstAnalysis | None:
         amplitude_dbm=best.amplitude_dbm,
         ratio_to_second_longest=ratio,
     )
-    return MainBurstAnalysis(main=main, stats_excluding=measurement_stats(_excluding(burst_set, index)))
+    rest = replace(burst_set, bursts=bursts[:index] + bursts[index + 1 :])
+    return MainBurstAnalysis(main=main, stats_excluding=measurement_stats(rest))
 
 
 def aggregate_campaign(

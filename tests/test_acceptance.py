@@ -20,7 +20,8 @@ from innoise.bursts import combine_pulses, detect_bursts, extract_pulses
 from innoise.cli import ExitStatus, main
 from innoise.model import MeasurementMeta, SampleRecord
 from innoise.stats import MeasurementStats, aggregate_campaign
-from innoise.synth import BurstEventSpec, brute_force_segment, generate_wgn, inject_bursts
+from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from segment_oracle import brute_force_segment
 
 
 def _verdict(criterion: str, detail: str) -> None:

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from innoise.baseline import (
-    Baseline,
-    compute_rms_level,
-    derive_threshold,
-    validate_wgn,
-)
+from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.model import ConfigError, DomainError, SampleRecord
 from innoise.synth import generate_wgn
 
@@ -66,11 +61,6 @@ def test_derive_threshold_rejects_nonpositive_offset():
         derive_threshold(-80.0, -1.0)
 
 
-def test_baseline_threshold_consistency_enforced():
-    with pytest.raises(ConfigError):
-        Baseline(rms_dbm=-80.0, threshold_dbm=-66.0, offset_db=13.0)
-
-
 def test_validate_wgn_all_below_threshold():
     base = derive_threshold(-80.0)
     record = _rec([-80.0, -70.0, -67.1])  # max 0.1 dB below threshold
@@ -101,6 +91,12 @@ def test_validate_wgn_fraction_allows_some_exceedances():
     record = _rec([-66.0] + [-90.0] * 99)
     assert not validate_wgn(record, base, max_exceed_fraction=0.0).passed
     assert validate_wgn(record, base, max_exceed_fraction=0.01).passed
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.01])
+def test_validate_wgn_rejects_bad_fraction(fraction):
+    with pytest.raises(ConfigError, match="max_exceed_fraction"):
+        validate_wgn(_rec([-90.0, -66.0]), derive_threshold(-80.0), max_exceed_fraction=fraction)
 
 
 def test_validate_wgn_passes_iff_max_below_threshold():

@@ -10,8 +10,9 @@ from innoise.bursts import (
     extract_pulses,
     parameterize_burst,
 )
-from innoise.model import SampleRecord
-from innoise.synth import BurstEventSpec, brute_force_segment, generate_wgn, inject_bursts
+from innoise.model import DomainError, SampleRecord
+from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from segment_oracle import brute_force_segment
 
 THRESHOLD = -67.0
 LOW = -90.0  # well below threshold
@@ -106,9 +107,14 @@ def test_parameterize_single_sample_burst():
 
 
 def test_burst_invariants_enforced_at_construction():
-    with pytest.raises(Exception):
+    burst = Burst(start_idx=2, end_idx=5, duration_ms=4.0, amplitude_dbm=-60.0, above_count=3)
+    assert burst.span_count == 4
+    with pytest.raises(DomainError, match="50%"):
         Burst(start_idx=0, end_idx=3, duration_ms=4.0, amplitude_dbm=-60.0,
-              above_count=2, span_count=4)  # exactly 50% above
+              above_count=2)  # exactly 50% above
+    with pytest.raises(DomainError, match="above_count"):
+        Burst(start_idx=0, end_idx=3, duration_ms=4.0, amplitude_dbm=-60.0,
+              above_count=5)
 
 
 def test_detect_no_bursts_in_pure_noise():

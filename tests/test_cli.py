@@ -52,10 +52,14 @@ def test_baseline_missing_file_exits_2(tmp_path):
     assert main(["baseline", str(tmp_path / "nope.csv")]) == ExitStatus.IO_ERROR
 
 
-def test_baseline_bad_offset_exits_3(tmp_path):
+def test_baseline_bad_offset_exits_3(tmp_path, capsys):
     wgn = tmp_path / "wgn.csv"
     _write_wgn(wgn)
     assert main(["baseline", str(wgn), "--offset-db", "0", "--out", str(tmp_path / "o")]) == ExitStatus.BAD_INPUT
+    for fraction in ("nan", "inf", "-0.1"):
+        argv = ["baseline", str(wgn), "--max-exceed-fraction", fraction, "--out", str(tmp_path / "o")]
+        assert main(argv) == ExitStatus.BAD_INPUT, fraction
+        assert "max_exceed_fraction" in capsys.readouterr().err
 
 
 # --- analyze -----------------------------------------------------------------
@@ -92,12 +96,29 @@ def test_analyze_pure_wgn_record_reports_zero_bursts(tmp_path):
     assert payload["n_bursts"] == 0
 
 
-def test_analyze_malformed_baseline_exits_3(tmp_path):
+def test_analyze_malformed_baseline_exits_3(tmp_path, capsys):
     bad = tmp_path / "baseline.json"
     bad.write_text("{broken")
     record = tmp_path / "in.csv"
     _write_wgn(record)
     assert main(["analyze", str(record), "--baseline", str(bad)]) == ExitStatus.BAD_INPUT
+    bad.write_text(
+        '{"rms_dbm": -100.0, "offset_db": 13.0, "threshold_dbm": -87.0, "validation": {"passed": true}}'
+    )
+    assert main(["analyze", str(record), "--baseline", str(bad)]) == ExitStatus.BAD_INPUT
+    assert "validation: missing required key 'exceed_count'" in capsys.readouterr().err
+
+
+def test_analyze_accepts_hand_written_baseline(tmp_path):
+    # -119.3 + 5.9 is -113.39999999999999 in binary floating point
+    base = tmp_path / "baseline.json"
+    base.write_text('{"rms_dbm": -119.3, "offset_db": 5.9, "threshold_dbm": -113.4}')
+    record = tmp_path / "in.csv"
+    _write_wgn(record)
+    out = tmp_path / "an_out"
+    assert main(["analyze", str(record), "--baseline", str(base), "--out", str(out)]) == ExitStatus.OK
+    payload = json.loads((out / "measurement.json").read_text())
+    assert payload["threshold_dbm"] == -119.3 + 5.9
 
 
 # --- campaign ----------------------------------------------------------------
@@ -158,6 +179,17 @@ def test_campaign_fails_fast_on_dirty_wgn(tmp_path):
     assert (out / "baseline.json").exists()
     assert not (out / "measurement_001.json").exists()
     assert not (out / "campaign.json").exists()
+
+
+def test_campaign_malformed_manifest_exits_3(tmp_path, capsys):
+    path = _campaign_dir(tmp_path, n_in=1)
+    manifest = json.loads(path.read_text())
+    for key, value in [("offset_db", "abc"), ("location", 5)]:
+        path.write_text(json.dumps({**manifest, key: value}))
+        out = tmp_path / f"camp_{key}"
+        assert main(["campaign", str(path), "--out", str(out)]) == ExitStatus.BAD_INPUT, key
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_campaign_missing_record_exits_2(tmp_path):
@@ -234,6 +266,18 @@ def test_simulate_with_events_writes_ground_truth(tmp_path):
     assert truth["n_events"] == 5
     assert len(truth["spans"]) == 5
     assert io.read_record(out / "record.csv").kind == "IN"
+
+
+def test_simulate_bad_sample_rate_exits_3(tmp_path, capsys):
+    for rate in ("-5", "inf", "0"):
+        out = tmp_path / f"sim_{rate}"
+        code = main([
+            "simulate", "--n", "100", "--mean-dbm", "-100", "--seed", "3",
+            "--sample-rate-hz", rate, "--out", str(out),
+        ])
+        assert code == ExitStatus.BAD_INPUT, rate
+        assert "sample_rate_hz" in capsys.readouterr().err
+        assert not (out / "record.csv").exists()
 
 
 def test_simulate_overlapping_events_exit_3(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ def test_read_record_requires_sample_rate(tmp_path):
     path.write_text("# kind=WGN\n-85.0\n")
     with pytest.raises(FormatError, match="sample_rate_hz"):
         io.read_record(path)
+    for header, message in [
+        ("# sample_rate_hz=-5", "sample_rate_hz"),
+        ("# sample_rate_hz=inf", "sample_rate_hz"),
+        ("# sample_rate_hz=fast", "sample_rate_hz"),
+        ("# sample_rate_hz=8001\n# kind=other", "kind"),
+    ]:
+        path.write_text(f"{header}\n-85.0\n")
+        with pytest.raises(FormatError, match=f"norate.csv: .*{message}"):
+            io.read_record(path)
 
 
 def test_read_record_missing_file(tmp_path):
@@ -139,6 +150,17 @@ def test_manifest_missing_key_named(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="frequency_khz"):
         io.read_manifest(path)
+    for key, value in [
+        ("offset_db", "abc"),
+        ("location", 5),
+        ("frequency_khz", -1910.0),
+        ("in_records", "in1.csv"),
+        ("in_records", ["in1.csv", 2]),
+        ("wgn_record", None),
+    ]:
+        path.write_text(json.dumps(_manifest_payload(**{key: value})))
+        with pytest.raises(FormatError, match=key):
+            io.read_manifest(path)
 
 
 def test_manifest_rejects_empty_and_duplicate_records(tmp_path):
@@ -164,6 +186,11 @@ def test_baseline_report_round_trip(tmp_path):
     back_base, back_validation = io.read_baseline_report(path)
     assert back_base == base
     assert back_validation == validation
+    # a hand-written threshold need only match rms + offset to 1e-9 dB
+    path.write_text('{"rms_dbm": -119.3, "offset_db": 5.9, "threshold_dbm": -113.4}')
+    hand_written, no_validation = io.read_baseline_report(path)
+    assert hand_written.threshold_dbm == pytest.approx(-113.4, abs=1e-12)
+    assert no_validation is None
 
 
 def test_baseline_report_malformed(tmp_path):
@@ -174,6 +201,19 @@ def test_baseline_report_malformed(tmp_path):
     path.write_text('{"rms_dbm": -90.0}')
     with pytest.raises(FormatError, match="threshold_dbm"):
         io.read_baseline_report(path)
+    for text, message in [
+        ('{"rms_dbm": -90.0, "offset_db": 13.0, "threshold_dbm": -77.1}', "threshold_dbm"),
+        ('{"rms_dbm": -90.0, "offset_db": 13.0, "threshold_dbm": "x"}', "threshold_dbm"),
+        ('{"rms_dbm": -90.0, "offset_db": 0.0, "threshold_dbm": -90.0}', "offset_db"),
+        ('{"offset_db": 13.0, "threshold_dbm": -77.0}', "rms_dbm"),
+        ('{"rms_dbm": -90.0, "threshold_dbm": -77.0, "validation": {"passed": true}}', "exceed_count"),
+        ('{"rms_dbm": -90.0, "threshold_dbm": -77.0, "validation": {"passed": 1, "exceed_count": 0,'
+         ' "exceed_indices": [], "max_level_dbm": -95.0}}', "passed"),
+        ("[]", "expected a JSON object"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            io.read_baseline_report(path)
 
 
 # --- measurement reports -----------------------------------------------------
@@ -379,6 +419,16 @@ def test_event_specs_errors(tmp_path):
     path.write_text(json.dumps([{"start_idx": 1}]))
     with pytest.raises(FormatError, match="length_samples"):
         io.read_event_specs(path)
+    event = {"start_idx": 1, "length_samples": 5, "level_offset_db": 25.0}
+    for key, value, message in [
+        ("start_idx", "x", "start_idx"),
+        ("start_idx", 1.5, "start_idx"),
+        ("length_samples", 0, "length"),
+        ("shape", "square", "shape"),
+    ]:
+        path.write_text(json.dumps([event, {**event, key: value}]))
+        with pytest.raises(FormatError, match=rf"events\[1\].*{message}"):
+            io.read_event_specs(path)
 
 
 def test_ground_truth_file(tmp_path):

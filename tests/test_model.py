@@ -6,14 +6,11 @@ from hypothesis import given, strategies as st
 
 from innoise.model import (
     DomainError,
-    InvalidRecordError,
     MeasurementMeta,
     SampleRecord,
     dbm_to_mw,
     mean_power_dbm,
     mw_to_dbm,
-    record_errors,
-    validate_record,
 )
 
 
@@ -70,35 +67,39 @@ def test_record_copies_and_freezes_levels():
         record.levels[0] = 1.0
 
 
+# A SampleRecord validates itself: construction is the one invariant check.
+
+
 def test_validate_record_accepts_four_second_capture():
     record = SampleRecord(levels=np.full(32004, -85.0), sample_rate_hz=8001.0, kind="WGN")
-    assert validate_record(record) is record
+    assert len(record) == 32004
     assert record.duration_s == pytest.approx(4.0, rel=1e-3)
 
 
 def test_validate_record_empty():
-    record = SampleRecord(levels=[], sample_rate_hz=8001.0)
-    with pytest.raises(InvalidRecordError) as err:
-        validate_record(record)
-    assert "empty record" in err.value.errors
+    with pytest.raises(DomainError, match="empty record"):
+        SampleRecord(levels=[], sample_rate_hz=8001.0)
 
 
 def test_validate_record_names_nan_index():
     levels = [-80.0] * 10
     levels[7] = math.nan
-    errors = record_errors(SampleRecord(levels=levels, sample_rate_hz=8001.0))
-    assert any("index 7" in e for e in errors)
+    with pytest.raises(DomainError, match="index 7"):
+        SampleRecord(levels=levels, sample_rate_hz=8001.0)
+    levels[7] = -math.inf
+    with pytest.raises(DomainError, match="index 7"):
+        SampleRecord(levels=levels, sample_rate_hz=8001.0)
 
 
 def test_validate_record_bad_rate_kind_and_frequency():
-    record = SampleRecord(
-        levels=[-80.0],
-        sample_rate_hz=0.0,
-        kind="other",
-        meta=MeasurementMeta(frequency_khz=-5.0),
-    )
-    errors = record_errors(record)
-    assert len(errors) == 3
-    assert any("sample_rate_hz" in e for e in errors)
-    assert any("kind" in e for e in errors)
-    assert any("frequency_khz" in e for e in errors)
+    for kwargs, message in [
+        ({"sample_rate_hz": 0.0}, "sample_rate_hz"),
+        ({"sample_rate_hz": -5.0}, "sample_rate_hz"),
+        ({"sample_rate_hz": math.inf}, "sample_rate_hz"),
+        ({"sample_rate_hz": math.nan}, "sample_rate_hz"),
+        ({"kind": "other"}, "kind"),
+        ({"meta": MeasurementMeta(frequency_khz=-5.0)}, "frequency_khz"),
+        ({"meta": MeasurementMeta(frequency_khz=0.0)}, "frequency_khz"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            SampleRecord(**{"levels": [-80.0], "sample_rate_hz": 8001.0, **kwargs})

@@ -24,21 +24,12 @@ def _burst(start, span, amplitude, rate=1000.0):
         duration_ms=span * 1000.0 / rate,
         amplitude_dbm=amplitude,
         above_count=above,
-        span_count=span,
     )
 
 
 def _burst_set(bursts, rate=1000.0):
-    period_ms = 1000.0 / rate
-    separations = tuple(
-        (nxt.start_idx - cur.end_idx) * period_ms for cur, nxt in zip(bursts, bursts[1:])
-    )
     return BurstSet(
-        bursts=tuple(bursts),
-        threshold_dbm=-67.0,
-        record_id="test",
-        separations_ms=separations,
-        sample_rate_hz=rate,
+        bursts=tuple(bursts), threshold_dbm=-67.0, record_id="test", sample_rate_hz=rate
     )
 
 
@@ -57,16 +48,9 @@ def test_duration_average_is_arithmetic_mean():
 
 
 def test_separation_average():
-    stats = measurement_stats(
-        BurstSet(
-            bursts=(_burst(0, 2, -60.0), _burst(102, 2, -60.0), _burst(223, 2, -60.0)),
-            threshold_dbm=-67.0,
-            record_id="t",
-            separations_ms=(100.0, 120.0),
-            sample_rate_hz=1000.0,
-        )
-    )
-    assert stats.avg_separation_ms == pytest.approx(110.0)
+    burst_set = _burst_set([_burst(0, 2, -60.0), _burst(101, 2, -60.0), _burst(222, 2, -60.0)])
+    assert burst_set.separations_ms == (100.0, 120.0)
+    assert measurement_stats(burst_set).avg_separation_ms == pytest.approx(110.0)
 
 
 def test_empty_and_single_burst_fields():
@@ -89,17 +73,13 @@ def test_amplitude_average_bounded_by_extremes():
     assert min(amplitudes) <= stats.avg_amplitude_dbm <= max(amplitudes)
 
 
-def test_measurement_stats_invariant_under_burst_order():
+def test_burst_set_rejects_unordered_bursts():
     bursts = [_burst(0, 2, -60.0), _burst(50, 6, -70.0), _burst(200, 4, -65.0)]
-    ordered = _burst_set(bursts)
-    shuffled = BurstSet(
-        bursts=(bursts[2], bursts[0], bursts[1]),
-        threshold_dbm=ordered.threshold_dbm,
-        record_id=ordered.record_id,
-        separations_ms=ordered.separations_ms,
-        sample_rate_hz=ordered.sample_rate_hz,
-    )
-    assert measurement_stats(ordered) == measurement_stats(shuffled)
+    assert len(_burst_set(bursts)) == 3
+    with pytest.raises(DomainError, match="ordered"):
+        _burst_set([bursts[2], bursts[0], bursts[1]])
+    with pytest.raises(DomainError, match="ordered"):
+        _burst_set([_burst(0, 4, -60.0), _burst(3, 2, -60.0)])  # overlapping
 
 
 def test_main_burst_ratio_and_reduced_stats():

@@ -4,13 +4,8 @@ import pytest
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.bursts import detect_bursts
 from innoise.model import ConfigError, DomainError, MeasurementMeta
-from innoise.synth import (
-    DECAY_DB,
-    BurstEventSpec,
-    brute_force_segment,
-    generate_wgn,
-    inject_bursts,
-)
+from innoise.synth import DECAY_DB, BurstEventSpec, generate_wgn, inject_bursts
+from segment_oracle import brute_force_segment
 
 
 def test_generate_is_deterministic_per_seed():
