@@ -16,15 +16,7 @@ from .baseline import (
     derive_threshold,
     validate_wgn,
 )
-from .bursts import (
-    Burst,
-    BurstSet,
-    Pulse,
-    combine_pulses,
-    detect_bursts,
-    extract_pulses,
-    parameterize_burst,
-)
+from .bursts import BurstSet, combine_pulses, detect_bursts, extract_pulses
 from .io import CampaignManifest, read_manifest, read_record, write_record
 from .model import (
     ConfigError,
@@ -52,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApdCurve",
     "Baseline",
-    "Burst",
     "BurstEventSpec",
     "BurstSet",
     "CampaignManifest",
@@ -63,7 +54,6 @@ __all__ = [
     "MainBurstAnalysis",
     "MeasurementMeta",
     "MeasurementStats",
-    "Pulse",
     "SampleRecord",
     "SourceCharacterization",
     "WgnValidation",
@@ -81,7 +71,6 @@ __all__ = [
     "main_burst",
     "measurement_stats",
     "mw_to_dbm",
-    "parameterize_burst",
     "read_manifest",
     "read_record",
     "std_dev",

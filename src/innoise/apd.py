@@ -16,6 +16,10 @@ from .model import ConfigError, DomainError, SampleRecord
 
 # Default spacing when evaluation on a uniform dB grid is requested.
 DEFAULT_GRID_DB = 0.1
+# Most points a uniform grid may have, checked before it is allocated: a
+# 0.1 dB grid spans 100 dB in 1,000 points, while an exact grid has one
+# point per distinct sample.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +68,11 @@ class ApdCurve:
 def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     if not (math.isfinite(spacing) and spacing > 0):
         raise ConfigError(f"grid spacing must be a positive number, got {spacing!r}")
+    if (hi - lo) / spacing > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a {spacing!r} dB grid over {hi - lo!r} dB needs more than "
+            f"{MAX_GRID_POINTS} points"
+        )
     steps = int(math.ceil((hi - lo) / spacing)) if hi > lo else 0
     grid = lo + spacing * np.arange(steps + 1)
     if grid[-1] < hi:  # float fuzz in the ceil

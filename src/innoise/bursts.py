@@ -1,132 +1,117 @@
-"""Impulse extraction, pulse-to-burst combination, burst parameterization.
+"""Impulse extraction, pulse-to-burst combination and the burst table.
 
 Pipeline: ``extract_pulses`` finds maximal runs of above-threshold samples,
 ``combine_pulses`` merges nearby runs into bursts under the rule that more
 than 50% of all samples inside a burst must exceed the threshold, and
-``parameterize_burst`` computes duration and amplitude per burst.
-``detect_bursts`` chains the three.
+``detect_bursts`` chains the two and adds each burst's amplitude. The
+result is one ``BurstSet``: a table of read-only numpy columns
+(``start_idx``, ``end_idx``, ``above_count``, ``amplitude_dbm``) from which
+span counts, durations, start times and separations are derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baseline import Baseline
-from .model import DomainError, LevelDbm, SampleRecord, mean_power_dbm
+from .model import DomainError, LevelDbm, SampleRecord, mw_to_dbm
+
+_COLUMNS = {
+    "start_idx": np.int64,
+    "end_idx": np.int64,
+    "above_count": np.int64,
+    "amplitude_dbm": np.float64,
+}
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """A maximal run of consecutive samples strictly above the threshold.
-
-    Indices are inclusive. Maximality means the neighbours just outside
-    the run (where they exist) are at or below the threshold.
-    """
-
-    start_idx: int
-    end_idx: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_idx", int(self.start_idx))
-        object.__setattr__(self, "end_idx", int(self.end_idx))
-        if self.start_idx > self.end_idx:
-            raise DomainError(f"pulse start {self.start_idx} > end {self.end_idx}")
-
-
-@dataclass(frozen=True)
-class Burst:
-    """One detected burst with its descriptive parameters.
-
-    ``span_count`` counts every sample in the inclusive index span;
-    ``above_count`` counts those strictly above the threshold. The >50%
-    combination rule guarantees above_count/span_count > 0.5.
-    """
-
-    start_idx: int
-    end_idx: int
-    duration_ms: float
-    amplitude_dbm: float
-    above_count: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_idx", int(self.start_idx))
-        object.__setattr__(self, "end_idx", int(self.end_idx))
-        object.__setattr__(self, "above_count", int(self.above_count))
-        object.__setattr__(self, "duration_ms", float(self.duration_ms))
-        object.__setattr__(self, "amplitude_dbm", float(self.amplitude_dbm))
-        if not 0 < self.above_count <= self.span_count:
-            raise DomainError("above_count must be in 1..span_count")
-        if 2 * self.above_count <= self.span_count:
-            raise DomainError("burst must have > 50% of samples above threshold")
-
-    @property
-    def span_count(self) -> int:
-        return self.end_idx - self.start_idx + 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BurstSet:
-    """All bursts detected in one record, in index order, plus the gaps
-    between them.
+    """All bursts detected in one record, one row per burst in index order.
 
-    ``separations_ms[i]`` is the time from the last sample of burst i to
-    the first sample of burst i+1. Construction raises DomainError unless
-    every burst starts after the previous one ends.
+    Indices are inclusive. ``above_count`` counts the samples of a span
+    strictly above the threshold and ``amplitude_dbm`` is the linear-power
+    mean of every sample in the span. Construction copies the columns,
+    freezes them and raises DomainError unless every row starts at or after
+    index 0, has 1..span_count samples above the threshold and more than
+    half of its span above it, and starts after the previous row ends.
     """
 
-    bursts: tuple[Burst, ...]
+    start_idx: np.ndarray
+    end_idx: np.ndarray
+    above_count: np.ndarray
+    amplitude_dbm: np.ndarray
     threshold_dbm: float
     record_id: str
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bursts", tuple(self.bursts))
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype, copy=True).reshape(-1)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "threshold_dbm", float(self.threshold_dbm))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        for cur, nxt in zip(self.bursts, self.bursts[1:]):
-            if nxt.start_idx <= cur.end_idx:
-                raise DomainError(
-                    f"bursts must be ordered and disjoint: [{cur.start_idx}, {cur.end_idx}] "
-                    f"then [{nxt.start_idx}, {nxt.end_idx}]"
-                )
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DomainError(f"sample_rate_hz must be > 0 and finite, got {self.sample_rate_hz}")
+        n = self.start_idx.size
+        if not self.end_idx.size == self.above_count.size == self.amplitude_dbm.size == n:
+            raise DomainError("burst columns must have one row per burst")
+        start, end, above, span = self.start_idx, self.end_idx, self.above_count, self.span_count
+        checks = (
+            (start < 0, "start_idx must be >= 0"),
+            ((above < 1) | (above > span), "above_count must be in 1..span_count"),
+            (2 * above <= span, "burst must have > 50% of samples above threshold"),
+            (np.append(False, start[1:] <= end[:-1]), "bursts must be ordered and disjoint"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise DomainError(f"{message}: row {row} [{start[row]}, {end[row]}]")
 
     def __len__(self) -> int:
-        return len(self.bursts)
+        return int(self.start_idx.size)
 
     @property
-    def separations_ms(self) -> tuple[float, ...]:
-        period_ms = 1000.0 / self.sample_rate_hz
-        return tuple(
-            (nxt.start_idx - cur.end_idx) * period_ms
-            for cur, nxt in zip(self.bursts, self.bursts[1:])
-        )
+    def span_count(self) -> np.ndarray:
+        """Samples in each inclusive span, above and below threshold alike."""
+        return self.end_idx - self.start_idx + 1
+
+    @property
+    def duration_ms(self) -> np.ndarray:
+        """Whole sampling intervals: a one-sample burst lasts one period."""
+        return self.span_count * 1000.0 / self.sample_rate_hz
+
+    @property
+    def start_ms(self) -> np.ndarray:
+        return self.start_idx * (1000.0 / self.sample_rate_hz)
+
+    @property
+    def separations_ms(self) -> np.ndarray:
+        """Time from the last sample of each burst to the first of the next."""
+        return (self.start_idx[1:] - self.end_idx[:-1]) * (1000.0 / self.sample_rate_hz)
+
+    def without(self, row: int) -> BurstSet:
+        """The same set with one burst removed."""
+        return replace(self, **{name: np.delete(getattr(self, name), row) for name in _COLUMNS})
 
 
-def extract_pulses(record: SampleRecord, threshold_dbm: LevelDbm) -> list[Pulse]:
+def extract_pulses(record: SampleRecord, threshold_dbm: LevelDbm) -> np.ndarray:
     """Return all maximal above-threshold runs of ``record`` in index order.
 
-    Empty list when no sample exceeds the threshold.
+    An ``(n_pulses, 2)`` int array of inclusive ``[start, end]`` rows;
+    no rows when no sample exceeds the threshold.
     """
     above = record.levels > float(threshold_dbm)
-    if not above.any():
-        return []
-    edges = np.diff(above.astype(np.int8))
-    starts = np.flatnonzero(edges == 1) + 1
-    ends = np.flatnonzero(edges == -1)
-    if above[0]:
-        starts = np.concatenate(([0], starts))
-    if above[-1]:
-        ends = np.concatenate((ends, [above.size - 1]))
-    return [Pulse(int(s), int(e)) for s, e in zip(starts, ends)]
+    # with a below-threshold sample padded at each end, the changes alternate
+    # between a run's first sample and the sample just after its last
+    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
+    return edges.reshape(-1, 2) - [0, 1]
 
 
-def combine_pulses(
-    pulses: list[Pulse],
-    record: SampleRecord,
-    threshold_dbm: LevelDbm,
-) -> list[tuple[int, int]]:
+def combine_pulses(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedily merge ordered maximal pulses into burst spans.
 
     Walking left to right, the tentative span from the current burst start
@@ -135,48 +120,42 @@ def combine_pulses(
     and the pulse opens a new one. Every returned span therefore has a
     >50% above fraction and begins/ends on above-threshold samples.
 
-    ``pulses`` must be the ordered, maximal output of ``extract_pulses``.
+    ``pulses`` must be the ordered, maximal output of ``extract_pulses``, so
+    the above-threshold samples of a span are exactly its pulses' samples.
+    Returns the ``(n_bursts, 2)`` inclusive spans and each span's above count.
     """
-    if not pulses:
-        return []
-    above = record.levels > float(threshold_dbm)
-    # prefix[i] = number of above-threshold samples before index i
-    prefix = np.concatenate(([0], np.cumsum(above, dtype=np.int64)))
-    spans: list[tuple[int, int]] = []
-    cur_start, cur_end = pulses[0].start_idx, pulses[0].end_idx
-    for pulse in pulses[1:]:
-        span_count = pulse.end_idx - cur_start + 1
-        above_count = int(prefix[pulse.end_idx + 1] - prefix[cur_start])
-        if 2 * above_count > span_count:
-            cur_end = pulse.end_idx
-        else:
-            spans.append((cur_start, cur_end))
-            cur_start, cur_end = pulse.start_idx, pulse.end_idx
-    spans.append((cur_start, cur_end))
-    return spans
+    starts, ends = pulses[:, 0], pulses[:, 1]
+    # above[k] = number of above-threshold samples in pulses 0..k-1
+    above = np.concatenate(([0], np.cumsum(ends - starts + 1)))
+    if not len(pulses):
+        return pulses, above[1:]
+    start_list, end_list, above_list = starts.tolist(), ends.tolist(), above.tolist()
+    heads = [0]  # index of each burst's first pulse
+    head = 0
+    for k in range(1, len(pulses)):
+        if 2 * (above_list[k + 1] - above_list[head]) <= end_list[k] - start_list[head] + 1:
+            head = k
+            heads.append(k)
+    first = np.array(heads, dtype=np.int64)
+    last = np.append(first[1:] - 1, len(pulses) - 1)
+    return np.column_stack((starts[first], ends[last])), above[last + 1] - above[first]
 
 
-def parameterize_burst(
-    record: SampleRecord,
-    span: tuple[int, int],
-    threshold_dbm: LevelDbm,
-) -> Burst:
-    """Compute duration, amplitude and sample counts for one burst span.
+def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """dB value of the mean linear power of each inclusive span.
 
-    Amplitude is the linear (power-domain) average of every sample in the
-    span, above and below threshold alike. Duration counts whole sampling
-    intervals, so a single-sample burst lasts one sample period.
+    Bit-identical to ``mean_power_dbm`` of each span: the same elementwise
+    power, an exact sum per span and one division. Only in-span samples are
+    converted to linear power.
     """
-    start, end = int(span[0]), int(span[1])
-    segment = record.levels[start : end + 1]
-    span_count = end - start + 1
-    above_count = int(np.count_nonzero(segment > float(threshold_dbm)))
-    return Burst(
-        start_idx=start,
-        end_idx=end,
-        duration_ms=span_count * 1000.0 / record.sample_rate_hz,
-        amplitude_dbm=mean_power_dbm(segment),
-        above_count=above_count,
+    counts = end - start + 1
+    bounds = np.cumsum(counts)
+    inside = np.repeat(start - (bounds - counts), counts) + np.arange(counts.sum())
+    powers = np.power(10.0, levels[inside] / 10.0).tolist()
+    edges = [0, *bounds.tolist()]
+    return np.array(
+        [mw_to_dbm(math.fsum(powers[a:b]) / (b - a)) for a, b in zip(edges, edges[1:])],
+        dtype=np.float64,
     )
 
 
@@ -186,10 +165,13 @@ def detect_bursts(record: SampleRecord, baseline: Baseline, record_id: str = "")
     Returns an empty BurstSet when no sample exceeds the threshold.
     """
     threshold = baseline.threshold_dbm
-    pulses = extract_pulses(record, threshold)
-    spans = combine_pulses(pulses, record, threshold)
+    spans, above_count = combine_pulses(extract_pulses(record, threshold))
+    start, end = spans[:, 0], spans[:, 1]
     return BurstSet(
-        bursts=tuple(parameterize_burst(record, s, threshold) for s in spans),
+        start_idx=start,
+        end_idx=end,
+        above_count=above_count,
+        amplitude_dbm=_span_amplitudes(record.levels, start, end),
         threshold_dbm=threshold,
         record_id=record_id,
         sample_rate_hz=record.sample_rate_hz,

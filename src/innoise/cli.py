@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -72,28 +72,24 @@ def cmd_analyze(args: argparse.Namespace) -> ExitStatus:
 
 
 def _merged_meta(record_meta: MeasurementMeta, manifest: io.CampaignManifest) -> MeasurementMeta:
-    """Fill gaps in a record's metadata from the campaign manifest."""
-    return MeasurementMeta(
-        frequency_khz=(
-            record_meta.frequency_khz
-            if record_meta.frequency_khz is not None
-            else manifest.frequency_khz
-        ),
-        event=record_meta.event or manifest.event,
-        location=record_meta.location or manifest.location,
-        source=record_meta.source or manifest.source,
-        started_at=record_meta.started_at,
-    )
+    """Fill gaps in a record's metadata from the campaign manifest: each
+    field keeps the record's value when set, otherwise takes the manifest's."""
+    gaps = {
+        f.name: getattr(manifest, f.name)
+        for f in fields(MeasurementMeta)
+        if getattr(record_meta, f.name) in (None, "") and hasattr(manifest, f.name)
+    }
+    return replace(record_meta, **gaps)
 
 
 def cmd_campaign(args: argparse.Namespace) -> ExitStatus:
     manifest = io.read_manifest(args.manifest)
-    out = _outdir(args)
     wgn = io.read_record(manifest.wgn_path())
     base = derive_threshold(
         compute_rms_level(wgn), manifest.offset_db, source_record_id=manifest.wgn_record
     )
-    validation = validate_wgn(wgn, base)
+    validation = validate_wgn(wgn, base, manifest.max_exceed_fraction)
+    out = _outdir(args)
     io.write_baseline_report(base, validation, out / "baseline.json")
     if not validation.passed:
         print(

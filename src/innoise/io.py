@@ -6,7 +6,8 @@ record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  kind, frequency_khz, event, location, source, started_at
                  optional), then one dBm level per line.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
-                 one frequency, scenario text, threshold offset.
+                 one frequency, scenario text, threshold offset and the
+                 tolerated fraction of WGN exceedances.
 baseline JSON    r.m.s. level, threshold and the WGN validation verdict.
 measurement      JSON report with per-burst rows and the summary averages,
                  plus a sibling CSV with the summary rounded to 2 decimals.
@@ -51,7 +52,8 @@ class CampaignManifest:
 
     Record paths are stored as written in the manifest and resolve
     relative to the manifest's own directory (``base_dir``, which is not
-    part of the file).
+    part of the file). ``max_exceed_fraction`` is the share of WGN samples
+    allowed above the threshold, as ``validate_wgn`` takes it.
     """
 
     wgn_record: str
@@ -61,6 +63,7 @@ class CampaignManifest:
     location: str = ""
     source: str = ""
     offset_db: float = DEFAULT_OFFSET_DB
+    max_exceed_fraction: float = 0.0
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self) -> None:
@@ -90,6 +93,8 @@ def _write_json(payload: dict, path: Path | str) -> None:
 def _read_json(path: Path) -> Any:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path.name}: invalid JSON: {exc}") from exc
 
@@ -172,23 +177,26 @@ def read_record(path: Path | str) -> SampleRecord:
     header: dict[str, str] = {}
     levels: list[float] = []
     with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value.strip()
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
-            if not math.isfinite(value):
-                raise FormatError(f"{path.name}: non-finite sample at line {lineno}")
-            levels.append(value)
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        key, _, value = body.partition("=")
+                        header[key.strip()] = value.strip()
+                    continue
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
+                if not math.isfinite(value):
+                    raise FormatError(f"{path.name}: non-finite sample at line {lineno}")
+                levels.append(value)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
     if "sample_rate_hz" not in header:
         raise FormatError(f"{path.name}: missing '# sample_rate_hz=...' header")
 
@@ -238,8 +246,8 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
 def read_manifest(path: Path | str) -> CampaignManifest:
     """Parse a campaign manifest JSON file.
 
-    ``offset_db`` defaults to 13 dB when absent; ``location`` and
-    ``source`` default to empty text.
+    ``offset_db`` defaults to 13 dB and ``max_exceed_fraction`` to 0 when
+    absent; ``location`` and ``source`` default to empty text.
     """
     path = Path(path)
     manifest = _from_json(CampaignManifest, _read_json(path), path.name)
@@ -294,6 +302,11 @@ def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | No
 # ---------------------------------------------------------------------------
 # measurement reports
 
+# one element of the "bursts" array as json.dumps(indent=2) lays it out
+_BURST_ROW = (
+    '    {{\n      "start_ms": {},\n      "duration_ms": {},\n      "amplitude_dbm": {}\n    }}'
+)
+
 
 def write_measurement_report(
     stats: MeasurementStats,
@@ -308,7 +321,6 @@ def write_measurement_report(
     rounded to 2 decimals.
     """
     path = Path(path)
-    period_ms = 1000.0 / burst_set.sample_rate_hz
     payload: dict = {
         "record_id": burst_set.record_id,
         "threshold_dbm": burst_set.threshold_dbm,
@@ -317,15 +329,17 @@ def write_measurement_report(
     payload.update(_to_json(stats))
     if stats_excluding_main is not None:
         payload["stats_excluding_main"] = _to_json(stats_excluding_main)
-    payload["bursts"] = [
-        {
-            "start_ms": b.start_idx * period_ms,
-            "duration_ms": b.duration_ms,
-            "amplitude_dbm": b.amplitude_dbm,
-        }
-        for b in burst_set.bursts
-    ]
-    _write_json(payload, path)
+    payload["bursts"] = []
+    text = json.dumps(payload, indent=2) + "\n"
+    if len(burst_set):
+        # the rows json.dumps(indent=2) would write, built column-wise: a flat
+        # dump spells each number as the indented one does, ", " never occurs
+        # inside a number, and "bursts" is the last key
+        columns = (burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm)
+        cells = [json.dumps(c.tolist())[1:-1].split(", ") for c in columns]
+        rows = ",\n".join(map(_BURST_ROW.format, *cells))
+        text = "".join((text.removesuffix("[]\n}\n"), "[\n", rows, "\n  ]\n}\n"))
+    _write_text(path, text)
 
     lines = [
         "parameter,value",
@@ -382,14 +396,15 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
     its detected bursts highlighted.
     """
     n = len(record)
+    if len(burst_set) and burst_set.end_idx[-1] >= n:
+        raise ConfigError(
+            f"burst span ending at {burst_set.end_idx[-1]} does not fit the record "
+            f"({n} samples); was the set derived from this record?"
+        )
     burst_id = np.zeros(n, dtype=np.int64)
-    for i, burst in enumerate(burst_set.bursts, start=1):
-        if burst.start_idx < 0 or burst.end_idx >= n:
-            raise ConfigError(
-                f"burst span [{burst.start_idx}, {burst.end_idx}] does not fit "
-                f"the record ({n} samples); was the set derived from this record?"
-            )
-        burst_id[burst.start_idx : burst.end_idx + 1] = i
+    spans = zip(burst_set.start_idx.tolist(), burst_set.end_idx.tolist())
+    for i, (start, end) in enumerate(spans, start=1):
+        burst_id[start : end + 1] = i
     period_ms = 1000.0 / record.sample_rate_hz
     lines = ["time_ms,level_dbm,burst_id"]
     for i in range(n):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .bursts import BurstSet
 from .model import ConfigError, DomainError, MeasurementMeta
@@ -93,22 +95,17 @@ def measurement_stats(burst_set: BurstSet) -> MeasurementStats:
     duration (longer bursts contribute more), directly on the dBm values;
     separation averages arithmetically and exists only for >= 2 bursts.
     """
-    bursts = burst_set.bursts
-    n = len(bursts)
+    n = len(burst_set)
     if n == 0:
         return MeasurementStats(0)
-    durations = [b.duration_ms for b in bursts]
-    total_duration = math.fsum(durations)
-    avg_duration = total_duration / n
-    avg_amplitude = (
-        math.fsum(b.amplitude_dbm * b.duration_ms for b in bursts) / total_duration
-    )
-    avg_separation = _mean(burst_set.separations_ms) if n >= 2 else None
+    durations = burst_set.duration_ms
+    total_duration = math.fsum(durations.tolist())
+    weighted = math.fsum((burst_set.amplitude_dbm * durations).tolist())
     return MeasurementStats(
         n_bursts=n,
-        avg_duration_ms=avg_duration,
-        avg_amplitude_dbm=avg_amplitude,
-        avg_separation_ms=avg_separation,
+        avg_duration_ms=total_duration / n,
+        avg_amplitude_dbm=weighted / total_duration,
+        avg_separation_ms=_mean(burst_set.separations_ms.tolist()) if n >= 2 else None,
     )
 
 
@@ -119,22 +116,18 @@ def main_burst(burst_set: BurstSet) -> MainBurstAnalysis | None:
     amplitude. Ties on duration resolve to the earliest start index.
     None when the set is empty.
     """
-    bursts = burst_set.bursts
-    if not bursts:
+    if not len(burst_set):
         return None
-    index = min(range(len(bursts)), key=lambda i: (-bursts[i].duration_ms, i))
-    best = bursts[index]
-    ratio = None
-    if len(bursts) >= 2:
-        second = max(b.duration_ms for i, b in enumerate(bursts) if i != index)
-        ratio = best.duration_ms / second
+    durations = burst_set.duration_ms
+    index = int(np.argmax(durations))  # the first of equal maxima
+    rest = burst_set.without(index)
+    ratio = float(durations[index] / rest.duration_ms.max()) if len(rest) else None
     main = MainBurst(
         index=index,
-        duration_ms=best.duration_ms,
-        amplitude_dbm=best.amplitude_dbm,
+        duration_ms=float(durations[index]),
+        amplitude_dbm=float(burst_set.amplitude_dbm[index]),
         ratio_to_second_longest=ratio,
     )
-    rest = replace(burst_set, bursts=bursts[:index] + bursts[index + 1 :])
     return MainBurstAnalysis(main=main, stats_excluding=measurement_stats(rest))
 
 

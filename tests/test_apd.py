@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innoise.apd import apd_pair, compute_apd
+from innoise.apd import MAX_GRID_POINTS, apd_pair, compute_apd
 from innoise.model import ConfigError, DomainError, SampleRecord
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
 
@@ -61,6 +61,20 @@ def test_grid_spacing_must_be_positive():
         compute_apd(record, grid_db=0.0)
     with pytest.raises(ConfigError):
         compute_apd(record, grid_db=-0.5)
+
+
+def test_grid_point_count_checked_before_allocation(monkeypatch):
+    record = _rec([-80.0, -70.0])
+    assert compute_apd(record, grid_db=20.0 / MAX_GRID_POINTS).levels_dbm.size <= MAX_GRID_POINTS
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("grid allocated before its size was checked")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(ConfigError, match="points"):
+        compute_apd(record, grid_db=1e-12)
+    with pytest.raises(ConfigError, match="points"):
+        apd_pair(record, _rec([-1e300, 1e300]), grid_db=1e-300)  # the ratio overflows
 
 
 def test_pair_identical_inputs_identical_curves():

@@ -184,12 +184,43 @@ def test_campaign_fails_fast_on_dirty_wgn(tmp_path):
 def test_campaign_malformed_manifest_exits_3(tmp_path, capsys):
     path = _campaign_dir(tmp_path, n_in=1)
     manifest = json.loads(path.read_text())
-    for key, value in [("offset_db", "abc"), ("location", 5)]:
+    bad_values = [
+        ("offset_db", "abc"),
+        ("location", 5),
+        ("max_exceed_fraction", float("nan")),
+        ("max_exceed_fraction", float("inf")),
+        ("max_exceed_fraction", -0.1),
+    ]
+    for key, value in bad_values:
         path.write_text(json.dumps({**manifest, key: value}))
         out = tmp_path / f"camp_{key}"
         assert main(["campaign", str(path), "--out", str(out)]) == ExitStatus.BAD_INPUT, key
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_campaign_applies_manifest_max_exceed_fraction(tmp_path):
+    path = _campaign_dir(tmp_path, n_in=1)
+    _write_in(tmp_path / "wgn.csv", [BurstEventSpec(100, 1, 25.0)], seed=7)  # one exceedance
+    manifest = json.loads(path.read_text())
+    for fraction, expected in [(None, ExitStatus.VALIDATION_FAILED), (0.0, ExitStatus.VALIDATION_FAILED),
+                               (1e-4, ExitStatus.OK)]:
+        if fraction is not None:
+            manifest["max_exceed_fraction"] = fraction
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / f"camp_{fraction}"
+        assert main(["campaign", str(path), "--out", str(out)]) == expected, fraction
+        validation = json.loads((out / "baseline.json").read_text())["validation"]
+        assert validation["exceed_count"] == 1
+        assert (out / "campaign.json").exists() == (expected == ExitStatus.OK)
+
+
+def test_campaign_non_utf8_manifest_exits_3(tmp_path, capsys):
+    path = _campaign_dir(tmp_path, n_in=1)
+    path.write_bytes(path.read_bytes().replace(b"flickering", b"flicker\xffing"))
+    assert main(["campaign", str(path), "--out", str(tmp_path / "camp")]) == ExitStatus.BAD_INPUT
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "UTF-8" in err
 
 
 def test_campaign_missing_record_exits_2(tmp_path):
@@ -229,6 +260,23 @@ def test_apd_grid_flag_sets_spacing(tmp_path):
     lines = (out / "apd.csv").read_text().splitlines()[1:]
     levels = [float(line.split(",")[0]) for line in lines]
     assert np.allclose(np.diff(levels), 0.1)
+
+
+def test_apd_non_utf8_record_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# sample_rate_hz=8001\n-80.0\n\xff\xfe\n")
+    assert main(["apd", str(path), "--out", str(tmp_path / "apd")]) == ExitStatus.BAD_INPUT
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and "UTF-8" in err
+
+
+def test_apd_grid_too_fine_exits_3(tmp_path, capsys):
+    wgn = tmp_path / "wgn.csv"
+    _write_wgn(wgn, n=5000)
+    out = tmp_path / "apd"
+    assert main(["apd", str(wgn), "--grid-db", "1e-12", "--out", str(out)]) == ExitStatus.BAD_INPUT
+    assert "points" in capsys.readouterr().err
+    assert not (out / "apd.csv").exists()
 
 
 # --- simulate ----------------------------------------------------------------

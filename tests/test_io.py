@@ -235,7 +235,7 @@ def test_measurement_report_contents_and_round_trip(tmp_path):
     first = payload["bursts"][0]
     assert set(first) == {"start_ms", "duration_ms", "amplitude_dbm"}
     assert first["start_ms"] == pytest.approx(
-        burst_set.bursts[0].start_idx * 1000.0 / burst_set.sample_rate_hz
+        burst_set.start_idx[0] * 1000.0 / burst_set.sample_rate_hz
     )
 
     csv_lines = (tmp_path / "measurement.csv").read_text().splitlines()
@@ -335,8 +335,8 @@ def test_plot_data_covers_burst_spans(tmp_path):
             tagged.setdefault(int(tag), []).append(i)
     assert sorted(tagged) == [1, 2, 3, 4]
     for burst_id, indices in tagged.items():
-        burst = burst_set.bursts[burst_id - 1]
-        assert indices == list(range(burst.start_idx, burst.end_idx + 1))
+        row = burst_id - 1
+        assert indices == list(range(burst_set.start_idx[row], burst_set.end_idx[row] + 1))
 
 
 def test_plot_data_without_bursts(tmp_path):

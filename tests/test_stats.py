@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from innoise.bursts import Burst, BurstSet
+from innoise.bursts import BurstSet
 from innoise.model import ConfigError, DomainError, MeasurementMeta
 from innoise.stats import (
     MeasurementStats,
@@ -16,40 +16,36 @@ from innoise.stats import (
 META = MeasurementMeta(frequency_khz=1910.0, event="turn on seven flickering tubes")
 
 
-def _burst(start, span, amplitude, rate=1000.0):
-    above = span // 2 + 1  # just over half
-    return Burst(
-        start_idx=start,
-        end_idx=start + span - 1,
-        duration_ms=span * 1000.0 / rate,
-        amplitude_dbm=amplitude,
-        above_count=above,
-    )
-
-
-def _burst_set(bursts, rate=1000.0):
+def _burst_set(rows, rate=1000.0):
+    """A BurstSet from (start, span, amplitude) rows, each just over half above."""
     return BurstSet(
-        bursts=tuple(bursts), threshold_dbm=-67.0, record_id="test", sample_rate_hz=rate
+        start_idx=[start for start, _, _ in rows],
+        end_idx=[start + span - 1 for start, span, _ in rows],
+        above_count=[span // 2 + 1 for _, span, _ in rows],
+        amplitude_dbm=[amplitude for _, _, amplitude in rows],
+        threshold_dbm=-67.0,
+        record_id="test",
+        sample_rate_hz=rate,
     )
 
 
 def test_weighted_amplitude_average():
     # (-60*1 + -66*3) / (1 + 3) = -64.5 dBm
-    bursts = [_burst(0, 1, -60.0), _burst(100, 3, -66.0)]
+    bursts = [(0, 1, -60.0), (100, 3, -66.0)]
     stats = measurement_stats(_burst_set(bursts))
     assert stats.avg_amplitude_dbm == pytest.approx(-64.5, abs=1e-12)
 
 
 def test_duration_average_is_arithmetic_mean():
-    bursts = [_burst(0, 1, -60.0), _burst(100, 3, -66.0)]
+    bursts = [(0, 1, -60.0), (100, 3, -66.0)]
     stats = measurement_stats(_burst_set(bursts))
     assert stats.n_bursts == 2
     assert stats.avg_duration_ms == pytest.approx(2.0)
 
 
 def test_separation_average():
-    burst_set = _burst_set([_burst(0, 2, -60.0), _burst(101, 2, -60.0), _burst(222, 2, -60.0)])
-    assert burst_set.separations_ms == (100.0, 120.0)
+    burst_set = _burst_set([(0, 2, -60.0), (101, 2, -60.0), (222, 2, -60.0)])
+    assert burst_set.separations_ms.tolist() == [100.0, 120.0]
     assert measurement_stats(burst_set).avg_separation_ms == pytest.approx(110.0)
 
 
@@ -59,7 +55,7 @@ def test_empty_and_single_burst_fields():
     assert empty.avg_duration_ms is None
     assert empty.avg_amplitude_dbm is None
     assert empty.avg_separation_ms is None
-    single = measurement_stats(_burst_set([_burst(0, 4, -60.0)]))
+    single = measurement_stats(_burst_set([(0, 4, -60.0)]))
     assert single.n_bursts == 1
     assert single.avg_duration_ms == pytest.approx(4.0)
     assert single.avg_separation_ms is None
@@ -67,23 +63,23 @@ def test_empty_and_single_burst_fields():
 
 def test_amplitude_average_bounded_by_extremes():
     rngs = [(-72.5, 3), (-60.1, 7), (-66.0, 2), (-80.0, 11)]
-    bursts = [_burst(100 * i, span, amp) for i, (amp, span) in enumerate(rngs)]
+    bursts = [(100 * i, span, amp) for i, (amp, span) in enumerate(rngs)]
     stats = measurement_stats(_burst_set(bursts))
-    amplitudes = [b.amplitude_dbm for b in bursts]
+    amplitudes = [amp for amp, _ in rngs]
     assert min(amplitudes) <= stats.avg_amplitude_dbm <= max(amplitudes)
 
 
 def test_burst_set_rejects_unordered_bursts():
-    bursts = [_burst(0, 2, -60.0), _burst(50, 6, -70.0), _burst(200, 4, -65.0)]
+    bursts = [(0, 2, -60.0), (50, 6, -70.0), (200, 4, -65.0)]
     assert len(_burst_set(bursts)) == 3
     with pytest.raises(DomainError, match="ordered"):
         _burst_set([bursts[2], bursts[0], bursts[1]])
     with pytest.raises(DomainError, match="ordered"):
-        _burst_set([_burst(0, 4, -60.0), _burst(3, 2, -60.0)])  # overlapping
+        _burst_set([(0, 4, -60.0), (3, 2, -60.0)])  # overlapping
 
 
 def test_main_burst_ratio_and_reduced_stats():
-    bursts = [_burst(0, 10, -60.0), _burst(100, 1, -70.0), _burst(200, 1, -72.0)]
+    bursts = [(0, 10, -60.0), (100, 1, -70.0), (200, 1, -72.0)]
     analysis = main_burst(_burst_set(bursts))
     assert analysis.main.index == 0
     assert analysis.main.duration_ms == pytest.approx(10.0)
@@ -96,14 +92,14 @@ def test_main_burst_ratio_and_reduced_stats():
 
 
 def test_main_burst_tie_breaks_to_earliest():
-    bursts = [_burst(0, 5, -60.0), _burst(100, 5, -55.0)]
+    bursts = [(0, 5, -60.0), (100, 5, -55.0)]
     analysis = main_burst(_burst_set(bursts))
     assert analysis.main.index == 0
     assert analysis.main.amplitude_dbm == -60.0
 
 
 def test_main_burst_single_and_empty():
-    single = main_burst(_burst_set([_burst(0, 3, -61.0)]))
+    single = main_burst(_burst_set([(0, 3, -61.0)]))
     assert single.main.ratio_to_second_longest is None
     assert single.stats_excluding.n_bursts == 0
     assert main_burst(_burst_set([])) is None

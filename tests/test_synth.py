@@ -79,7 +79,7 @@ def test_inject_whole_record_yields_single_burst():
     burst_set = detect_bursts(injected, base)
     assert spans == ((0, 299),)
     assert len(burst_set) == 1
-    assert (burst_set.bursts[0].start_idx, burst_set.bursts[0].end_idx) == (0, 299)
+    assert (burst_set.start_idx[0], burst_set.end_idx[0]) == (0, 299)
 
 
 def test_inject_rejects_bad_event_lists():
@@ -108,8 +108,8 @@ def test_ground_truth_recovered_when_offsets_dominate():
     base = derive_threshold(compute_rms_level(record))
     burst_set = detect_bursts(injected, base)
     assert len(burst_set) == len(events)
-    for (ts, te), burst in zip(truth, burst_set.bursts):
-        assert burst.start_idx <= ts and te <= burst.end_idx
+    for (ts, te), start, end in zip(truth, burst_set.start_idx, burst_set.end_idx):
+        assert start <= ts and te <= end
 
 
 def test_brute_force_trivial_cases():
