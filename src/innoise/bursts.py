@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import Baseline
-from .model import DomainError, LevelDbm, SampleRecord, mw_to_dbm
+from .model import DomainError, LevelDbm, SampleRecord, mw_to_dbm, power_sum
 
 _COLUMNS = {
     "start_idx": np.int64,
@@ -151,10 +151,11 @@ def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> 
     counts = end - start + 1
     bounds = np.cumsum(counts)
     inside = np.repeat(start - (bounds - counts), counts) + np.arange(counts.sum())
-    powers = np.power(10.0, levels[inside] / 10.0).tolist()
+    with np.errstate(over="ignore"):
+        powers = np.power(10.0, levels[inside] / 10.0).tolist()
     edges = [0, *bounds.tolist()]
     return np.array(
-        [mw_to_dbm(math.fsum(powers[a:b]) / (b - a)) for a, b in zip(edges, edges[1:])],
+        [mw_to_dbm(power_sum(powers[a:b]) / (b - a)) for a, b in zip(edges, edges[1:])],
         dtype=np.float64,
     )
 

@@ -4,7 +4,9 @@ Formats
 -------
 record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  kind, frequency_khz, event, location, source, started_at
-                 optional), then one dBm level per line.
+                 optional), then one dBm level per line. Blank and ``#``
+                 lines are skipped anywhere, LF, CRLF and CR all end a
+                 line, and errors name the line. Read in bounded chunks.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -18,7 +20,9 @@ APD CSV          level_dbm plus one exceedance column per curve.
 All writers are deterministic (identical inputs give byte-identical files)
 and JSON numbers use the shortest round-trip representation, so a read of
 what was written reproduces the in-memory values exactly. The human-facing
-CSV tables round to 2 decimals; the JSON keeps full precision.
+CSV tables round to 2 decimals; the JSON keeps full precision. The record
+CSV and the measurement report's burst rows are written a block at a time
+through one open file, never as one whole text.
 """
 
 from __future__ import annotations
@@ -166,37 +170,83 @@ def _fmt2(value: float | None) -> str:
 # sample records
 
 
+# characters of record text read and parsed at a time
+_CHUNK_CHARS = 1 << 16
+# samples or burst rows formatted and written at a time
+_ROWS_PER_WRITE = 4096
+
+
+def _parse_lines(
+    path: Path, lines: list[str], first_lineno: int, header: dict, levels: list
+) -> None:
+    """The record CSV line rules, applied one line at a time.
+
+    Blank lines are skipped, a ``#`` line sets ``header[key]`` when it holds
+    ``key=value``, and any other line must be one finite number. The lines'
+    samples are appended to ``levels`` as one array.
+    """
+    values = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                header[key.strip()] = value.strip()
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
+        if not math.isfinite(value):
+            raise FormatError(f"{path.name}: non-finite sample at line {lineno}")
+        values.append(value)
+    if values:
+        levels.append(np.array(values, dtype=np.float64))
+
+
 def read_record(path: Path | str) -> SampleRecord:
     """Parse a record CSV file into a SampleRecord.
 
     Raises FileNotFoundError for a missing file and FormatError (naming the
     offending line) for malformed content. ``kind`` defaults to IN when the
     header does not say otherwise.
+
+    The leading header block is read line by line, the samples after it in
+    chunks of about ``_CHUNK_CHARS`` characters. A chunk of plain sample
+    lines is parsed by one ``float`` per line straight into an array; a
+    chunk that does not parse that way (a blank line, a comment, a bad or
+    non-finite sample) goes through ``_parse_lines``, which gives the
+    identical levels or the error naming the first bad line.
     """
     path = Path(path)
     header: dict[str, str] = {}
-    levels: list[float] = []
+    levels: list[np.ndarray] = []  # one array per chunk
     with path.open(encoding="utf-8") as fh:
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        key, _, value = body.partition("=")
-                        header[key.strip()] = value.strip()
-                    continue
+            lineno = 1
+            line = fh.readline()
+            while line and line.strip()[:1] in ("", "#"):  # the header block
+                _parse_lines(path, [line], lineno, header, levels)
+                lineno += 1
+                line = fh.readline()
+            chunk = [line, *fh.readlines(_CHUNK_CHARS)] if line else []
+            while chunk:
                 try:
-                    value = float(line)
+                    values = np.fromiter(map(float, chunk), np.float64, count=len(chunk))
                 except ValueError:
-                    raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
-                if not math.isfinite(value):
-                    raise FormatError(f"{path.name}: non-finite sample at line {lineno}")
-                levels.append(value)
+                    values = None
+                if values is not None and np.isfinite(values).all():
+                    levels.append(values)
+                else:
+                    _parse_lines(path, chunk, lineno, header, levels)
+                lineno += len(chunk)
+                chunk = fh.readlines(_CHUNK_CHARS)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    levels = np.concatenate(levels) if levels else np.empty(0)
     if "sample_rate_hz" not in header:
         raise FormatError(f"{path.name}: missing '# sample_rate_hz=...' header")
 
@@ -235,8 +285,10 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
         if value is None or value == "":
             continue
         lines.append(f"# {key}={value!r}" if isinstance(value, float) else f"# {key}={value}")
-    lines.extend(repr(float(v)) for v in record.levels)
-    _write_text(path, "\n".join(lines) + "\n")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for i in range(0, len(record), _ROWS_PER_WRITE):
+            fh.write("\n".join(map(repr, record.levels[i : i + _ROWS_PER_WRITE].tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +383,20 @@ def write_measurement_report(
         payload["stats_excluding_main"] = _to_json(stats_excluding_main)
     payload["bursts"] = []
     text = json.dumps(payload, indent=2) + "\n"
-    if len(burst_set):
-        # the rows json.dumps(indent=2) would write, built column-wise: a flat
-        # dump spells each number as the indented one does, ", " never occurs
-        # inside a number, and "bursts" is the last key
+    if not len(burst_set):
+        _write_text(path, text)
+    else:
+        # the rows json.dumps(indent=2) would write, built column-wise a chunk
+        # at a time: a flat dump spells each number as the indented one does,
+        # ", " never occurs inside a number, and "bursts" is the last key
         columns = (burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm)
-        cells = [json.dumps(c.tolist())[1:-1].split(", ") for c in columns]
-        rows = ",\n".join(map(_BURST_ROW.format, *cells))
-        text = "".join((text.removesuffix("[]\n}\n"), "[\n", rows, "\n  ]\n}\n"))
-    _write_text(path, text)
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(text.removesuffix("[]\n}\n") + "[\n")
+            for i in range(0, len(burst_set), _ROWS_PER_WRITE):
+                rows = [c[i : i + _ROWS_PER_WRITE].tolist() for c in columns]
+                cells = [json.dumps(r)[1:-1].split(", ") for r in rows]
+                fh.write((",\n" if i else "") + ",\n".join(map(_BURST_ROW.format, *cells)))
+            fh.write("\n  ]\n}\n")
 
     lines = [
         "parameter,value",

@@ -59,8 +59,8 @@ class SampleRecord:
 
     Construction checks every record invariant and raises DomainError for
     an empty record, a non-finite sample, a sample rate that is not a
-    positive finite number, an unknown ``kind`` or a non-positive
-    ``meta.frequency_khz``.
+    positive finite number, an unknown ``kind`` or a ``meta.frequency_khz``
+    that is not a positive finite number.
     """
 
     levels: np.ndarray
@@ -83,8 +83,8 @@ class SampleRecord:
         if self.kind not in RECORD_KINDS:
             raise DomainError(f"kind must be one of {RECORD_KINDS}, got {self.kind!r}")
         freq = self.meta.frequency_khz
-        if freq is not None and not freq > 0:
-            raise DomainError(f"frequency_khz must be > 0 when present, got {freq}")
+        if freq is not None and not (math.isfinite(freq) and freq > 0):
+            raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq}")
 
     def __len__(self) -> int:
         return int(self.levels.size)
@@ -99,14 +99,17 @@ def dbm_to_mw(level: LevelDbm) -> PowerMw:
     level = float(level)
     if not math.isfinite(level):
         raise DomainError(f"level must be finite, got {level!r}")
-    return 10.0 ** (level / 10.0)
+    try:
+        return 10.0 ** (level / 10.0)
+    except OverflowError:
+        raise DomainError(f"level {level!r} dBm is beyond the float range in mW") from None
 
 
 def mw_to_dbm(power: PowerMw) -> LevelDbm:
     """Convert linear milliwatt power to a dBm level: 10*log10(power)."""
     power = float(power)
-    if not power > 0.0:
-        raise DomainError(f"power must be > 0 mW, got {power!r}")
+    if not (power > 0.0 and math.isfinite(power)):
+        raise DomainError(f"power must be > 0 mW and finite, got {power!r}")
     return 10.0 * math.log10(power)
 
 
@@ -114,10 +117,20 @@ def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
     """dB value of the mean linear power of ``levels``.
 
     The sum is accumulated exactly (math.fsum), so the result is invariant
-    under sample permutation down to the last bit.
+    under sample permutation down to the last bit. A mean power beyond the
+    float range raises DomainError.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if levels.size == 0:
         raise DomainError("empty record")
-    total = math.fsum(np.power(10.0, levels / 10.0).tolist())
-    return mw_to_dbm(total / levels.size)
+    with np.errstate(over="ignore"):
+        powers = np.power(10.0, levels / 10.0)
+    return mw_to_dbm(power_sum(powers.tolist()) / levels.size)
+
+
+def power_sum(powers: list[PowerMw]) -> PowerMw:
+    """Exact sum of linear powers (math.fsum); inf when it overflows."""
+    try:
+        return math.fsum(powers)
+    except OverflowError:
+        return math.inf

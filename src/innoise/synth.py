@@ -84,7 +84,8 @@ def generate_wgn(
     mean_mw = dbm_to_mw(mean_level_dbm)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     u = rng.random(n)  # [0, 1)
-    power_mw = -mean_mw * np.log1p(-u)
+    with np.errstate(over="ignore"):  # an overflow is a non-finite sample, rejected below
+        power_mw = -mean_mw * np.log1p(-u)
     # u == 0.0 would give zero power (undefined in dB); clamp to subnormal floor
     power_mw = np.maximum(power_mw, np.finfo(np.float64).tiny)
     return SampleRecord(

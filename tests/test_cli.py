@@ -62,6 +62,17 @@ def test_baseline_bad_offset_exits_3(tmp_path, capsys):
         assert "max_exceed_fraction" in capsys.readouterr().err
 
 
+def test_baseline_level_overflow_exits_3(tmp_path, capsys):
+    # 10^(1e308/10) mW is beyond the float range: the r.m.s. level would be inf
+    path = tmp_path / "huge.csv"
+    path.write_text("# sample_rate_hz=8001\n-80.0\n1e308\n-90.0\n")
+    out = tmp_path / "o"
+    assert main(["baseline", str(path), "--out", str(out)]) == ExitStatus.BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err and "Traceback" not in err
+    assert not (out / "baseline.json").exists()
+
+
 # --- analyze -----------------------------------------------------------------
 
 
@@ -107,6 +118,16 @@ def test_analyze_malformed_baseline_exits_3(tmp_path, capsys):
     )
     assert main(["analyze", str(record), "--baseline", str(bad)]) == ExitStatus.BAD_INPUT
     assert "validation: missing required key 'exceed_count'" in capsys.readouterr().err
+
+
+def test_analyze_level_overflow_exits_3(tmp_path, capsys):
+    _, baseline_json = _run_baseline(tmp_path)
+    path = tmp_path / "huge.csv"
+    path.write_text("# sample_rate_hz=8001\n-80.0\n1e308\n3080\n3080\n-90.0\n")
+    argv = ["analyze", str(path), "--baseline", str(baseline_json), "--out", str(tmp_path / "o")]
+    assert main(argv) == ExitStatus.BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err and "Traceback" not in err
 
 
 def test_analyze_accepts_hand_written_baseline(tmp_path):
@@ -270,6 +291,14 @@ def test_apd_non_utf8_record_exits_3(tmp_path, capsys):
     assert "bad.csv" in err and "UTF-8" in err
 
 
+def test_apd_infinite_frequency_header_exits_3(tmp_path, capsys):
+    path = tmp_path / "freq.csv"
+    path.write_text("# sample_rate_hz=8001\n# frequency_khz=1e999\n-80.0\n")
+    assert main(["apd", str(path), "--out", str(tmp_path / "apd")]) == ExitStatus.BAD_INPUT
+    err = capsys.readouterr().err
+    assert "freq.csv" in err and "frequency_khz" in err and "Traceback" not in err
+
+
 def test_apd_grid_too_fine_exits_3(tmp_path, capsys):
     wgn = tmp_path / "wgn.csv"
     _write_wgn(wgn, n=5000)
@@ -325,6 +354,18 @@ def test_simulate_bad_sample_rate_exits_3(tmp_path, capsys):
         ])
         assert code == ExitStatus.BAD_INPUT, rate
         assert "sample_rate_hz" in capsys.readouterr().err
+        assert not (out / "record.csv").exists()
+
+
+def test_simulate_level_overflow_exits_3(tmp_path, capsys):
+    for mean in ("1e308", "3082"):  # beyond the float range in mW; overflows when scaled
+        out = tmp_path / f"sim_{mean}"
+        code = main([
+            "simulate", "--n", "1000", "--mean-dbm", mean, "--seed", "1", "--out", str(out),
+        ])
+        assert code == ExitStatus.BAD_INPUT, mean
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
         assert not (out / "record.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from innoise import io
 from innoise.apd import apd_pair, compute_apd
 from innoise.baseline import WgnValidation, derive_threshold
-from innoise.bursts import detect_bursts
+from innoise.bursts import BurstSet, detect_bursts
 from innoise.model import ConfigError, FormatError, MeasurementMeta, SampleRecord
 from innoise.stats import (
     MeasurementStats,
@@ -94,6 +95,14 @@ def test_read_record_requires_sample_rate(tmp_path):
         path.write_text(f"{header}\n-85.0\n")
         with pytest.raises(FormatError, match=f"norate.csv: .*{message}"):
             io.read_record(path)
+
+
+def test_record_writer_spells_each_sample_as_repr(tmp_path):
+    record = generate_wgn(3 * io._ROWS_PER_WRITE + 5, -100.0, seed=6)
+    path = tmp_path / "rec.csv"
+    io.write_record(record, path)
+    lines = ["# sample_rate_hz=8001.0", "# kind=WGN"] + [repr(float(v)) for v in record.levels]
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_read_record_missing_file(tmp_path):
@@ -253,6 +262,32 @@ def test_measurement_report_with_main_burst_round_trips(tmp_path):
     path = tmp_path / "measurement.json"
     io.write_measurement_report(stats, burst_set, path, stats_excluding_main=analysis.stats_excluding)
     assert io.read_measurement_report(path) == stats
+
+
+def test_measurement_report_streams_its_rows(tmp_path):
+    # the dense benchmark's set: a one-sample burst on every third of 80,010 samples
+    n = 26_670
+    start = 3 * np.arange(n)
+    amplitude = -70.0 - 10.0 * np.random.default_rng(1).random(n)
+    burst_set = BurstSet(start, start, np.ones(n), amplitude, -87.0, "dense.csv", 8001.0)
+    stats = measurement_stats(burst_set)
+    path = tmp_path / "measurement.json"
+    tracemalloc.start()
+    try:
+        io.write_measurement_report(stats, burst_set, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building the whole text in memory peaked at 17.1 MB traced
+    assert peak < 17.1e6 / 2
+    payload = {"record_id": "dense.csv", "threshold_dbm": -87.0, "sample_rate_hz": 8001.0}
+    payload.update(io._to_json(stats))
+    columns = (burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm)
+    payload["bursts"] = [
+        {"start_ms": s, "duration_ms": d, "amplitude_dbm": a}
+        for s, d, a in zip(*(c.tolist() for c in columns))
+    ]
+    assert path.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_zero_burst_report(tmp_path):

@@ -38,6 +38,19 @@ def test_conversion_domain_errors():
         mw_to_dbm(-1.0)
     with pytest.raises(DomainError):
         mw_to_dbm(float("nan"))
+    with pytest.raises(DomainError):
+        mw_to_dbm(float("inf"))
+    with pytest.raises(DomainError, match="float range"):
+        dbm_to_mw(1e308)  # 10^(1e307) mW overflows: a DomainError, not OverflowError
+    assert math.isfinite(dbm_to_mw(3082.0))
+
+
+def test_mean_power_beyond_float_range_is_a_domain_error():
+    # one sample overflowing to inf, and finite powers whose exact sum overflows;
+    # under filterwarnings=error a numpy overflow warning would fail this test
+    for levels in ([-80.0, 1e308], [3082.0, 3082.0]):
+        with pytest.raises(DomainError, match="finite"):
+            mean_power_dbm(np.array(levels))
 
 
 @given(st.floats(min_value=-400.0, max_value=400.0))
@@ -100,6 +113,7 @@ def test_validate_record_bad_rate_kind_and_frequency():
         ({"kind": "other"}, "kind"),
         ({"meta": MeasurementMeta(frequency_khz=-5.0)}, "frequency_khz"),
         ({"meta": MeasurementMeta(frequency_khz=0.0)}, "frequency_khz"),
+        ({"meta": MeasurementMeta(frequency_khz=math.inf)}, "frequency_khz"),
     ]:
         with pytest.raises(DomainError, match=message):
             SampleRecord(**{"levels": [-80.0], "sample_rate_hz": 8001.0, **kwargs})
