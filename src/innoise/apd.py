@@ -85,6 +85,19 @@ def _exceedance(sorted_levels: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return (n - np.searchsorted(sorted_levels, grid, side="right")) / n
 
 
+def _curves(records: list[SampleRecord], grid_db: float | None) -> tuple[ApdCurve, ...]:
+    """The APDs of ``records`` on one grid: their distinct sample levels, or
+    a ``grid_db`` spaced grid from the lowest minimum to the highest maximum."""
+    sorted_levels = [np.sort(r.levels) for r in records]
+    if grid_db is None:
+        grid = np.unique(np.concatenate(sorted_levels))
+    else:
+        lo = min(float(s[0]) for s in sorted_levels)
+        hi = max(float(s[-1]) for s in sorted_levels)
+        grid = _uniform_grid(lo, hi, float(grid_db))
+    return tuple(ApdCurve(grid, _exceedance(s, grid), s.size) for s in sorted_levels)
+
+
 def compute_apd(record: SampleRecord, grid_db: float | None = None) -> ApdCurve:
     """Compute the APD of one record.
 
@@ -93,16 +106,7 @@ def compute_apd(record: SampleRecord, grid_db: float | None = None) -> ApdCurve:
     spacing instead (anchored at the minimum sample, extended to cover the
     maximum).
     """
-    sorted_levels = np.sort(record.levels)
-    if grid_db is None:
-        grid = np.unique(sorted_levels)
-    else:
-        grid = _uniform_grid(float(sorted_levels[0]), float(sorted_levels[-1]), float(grid_db))
-    return ApdCurve(
-        levels_dbm=grid,
-        exceedance=_exceedance(sorted_levels, grid),
-        n_samples=int(sorted_levels.size),
-    )
+    return _curves([record], grid_db)[0]
 
 
 def apd_pair(
@@ -115,15 +119,4 @@ def apd_pair(
     Sharing the grid makes the two curves directly overlayable. The
     default grid is the union of both records' distinct sample levels.
     """
-    wgn_sorted = np.sort(wgn.levels)
-    in_sorted = np.sort(in_rec.levels)
-    if grid_db is None:
-        grid = np.union1d(wgn_sorted, in_sorted)
-    else:
-        lo = min(float(wgn_sorted[0]), float(in_sorted[0]))
-        hi = max(float(wgn_sorted[-1]), float(in_sorted[-1]))
-        grid = _uniform_grid(lo, hi, float(grid_db))
-    return (
-        ApdCurve(grid, _exceedance(wgn_sorted, grid), int(wgn_sorted.size)),
-        ApdCurve(grid, _exceedance(in_sorted, grid), int(in_sorted.size)),
-    )
+    return _curves([wgn, in_rec], grid_db)

@@ -34,9 +34,9 @@ class BurstSet:
     Indices are inclusive. ``above_count`` counts the samples of a span
     strictly above the threshold and ``amplitude_dbm`` is the linear-power
     mean of every sample in the span. Construction copies the columns,
-    freezes them and raises DomainError unless every row starts at or after
-    index 0, has 1..span_count samples above the threshold and more than
-    half of its span above it, and starts after the previous row ends.
+    freezes them and raises DomainError unless each row starts at index 0
+    or later, has 1..span_count samples above the threshold, over half its
+    span above it and a finite amplitude, and starts after the previous one.
     """
 
     start_idx: np.ndarray
@@ -64,6 +64,7 @@ class BurstSet:
             (start < 0, "start_idx must be >= 0"),
             ((above < 1) | (above > span), "above_count must be in 1..span_count"),
             (2 * above <= span, "burst must have > 50% of samples above threshold"),
+            (~np.isfinite(self.amplitude_dbm), "amplitude_dbm must be finite"),
             (np.append(False, start[1:] <= end[:-1]), "bursts must be ordered and disjoint"),
         )
         for bad, message in checks:

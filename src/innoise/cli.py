@@ -15,7 +15,14 @@ from pathlib import Path
 
 from . import io
 from .apd import DEFAULT_GRID_DB, apd_pair, compute_apd
-from .baseline import DEFAULT_OFFSET_DB, compute_rms_level, derive_threshold, validate_wgn
+from .baseline import (
+    DEFAULT_OFFSET_DB,
+    Baseline,
+    WgnValidation,
+    compute_rms_level,
+    derive_threshold,
+    validate_wgn,
+)
 from .bursts import detect_bursts
 from .model import ConfigError, DomainError, FormatError, MeasurementMeta
 from .stats import aggregate_campaign, main_burst, measurement_stats
@@ -35,16 +42,26 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_baseline(args: argparse.Namespace) -> ExitStatus:
-    record = io.read_record(args.wgn_file)
-    rms = compute_rms_level(record)
-    base = derive_threshold(rms, args.offset_db, source_record_id=str(args.wgn_file))
-    validation = validate_wgn(record, base, args.max_exceed_fraction)
+def _baseline_step(
+    args: argparse.Namespace, wgn: Path | str, record_id: str, offset_db: float, fraction: float
+) -> tuple[Baseline, WgnValidation, Path]:
+    """Derive and check the baseline of the WGN record at ``wgn``, then create
+    ``--out`` and write baseline.json there: a bad ``fraction`` raises first."""
+    record = io.read_record(wgn)
+    base = derive_threshold(compute_rms_level(record), offset_db, source_record_id=record_id)
+    validation = validate_wgn(record, base, fraction)
     out = _outdir(args)
     io.write_baseline_report(base, validation, out / "baseline.json")
+    return base, validation, out
+
+
+def cmd_baseline(args: argparse.Namespace) -> ExitStatus:
+    base, validation, _ = _baseline_step(
+        args, args.wgn_file, str(args.wgn_file), args.offset_db, args.max_exceed_fraction
+    )
     verdict = "PASS" if validation.passed else f"FAIL ({validation.exceed_count} exceedances)"
     print(
-        f"baseline: rms {rms:.2f} dBm, threshold {base.threshold_dbm:.2f} dBm "
+        f"baseline: rms {base.rms_dbm:.2f} dBm, threshold {base.threshold_dbm:.2f} dBm "
         f"(+{base.offset_db:g} dB), WGN check {verdict}"
     )
     return ExitStatus.OK if validation.passed else ExitStatus.VALIDATION_FAILED
@@ -84,16 +101,13 @@ def _merged_meta(record_meta: MeasurementMeta, manifest: io.CampaignManifest) ->
 
 def cmd_campaign(args: argparse.Namespace) -> ExitStatus:
     manifest = io.read_manifest(args.manifest)
-    wgn = io.read_record(manifest.wgn_path())
-    base = derive_threshold(
-        compute_rms_level(wgn), manifest.offset_db, source_record_id=manifest.wgn_record
+    wgn = manifest.wgn_record
+    base, validation, out = _baseline_step(
+        args, manifest.wgn_path(), wgn, manifest.offset_db, manifest.max_exceed_fraction
     )
-    validation = validate_wgn(wgn, base, manifest.max_exceed_fraction)
-    out = _outdir(args)
-    io.write_baseline_report(base, validation, out / "baseline.json")
     if not validation.passed:
         print(
-            f"campaign: WGN record {manifest.wgn_record} failed the impulse check "
+            f"campaign: WGN record {wgn} failed the impulse check "
             f"({validation.exceed_count} samples above threshold); not analyzing IN records",
             file=sys.stderr,
         )

@@ -20,9 +20,10 @@ APD CSV          level_dbm plus one exceedance column per curve.
 All writers are deterministic (identical inputs give byte-identical files)
 and JSON numbers use the shortest round-trip representation, so a read of
 what was written reproduces the in-memory values exactly. The human-facing
-CSV tables round to 2 decimals; the JSON keeps full precision. The record
-CSV and the measurement report's burst rows are written a block at a time
-through one open file, never as one whole text.
+CSV tables round to 2 decimals; the JSON keeps full precision. The four
+per-row tables (record CSV, the measurement report's burst rows, plot CSV
+and APD CSV) go through one writer, ``_write_table``, which formats them a
+block of rows at a time through one open file, never as one whole text.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import typing
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class CampaignManifest:
         if not self.in_records:
             raise ConfigError("manifest needs at least one IN record")
         paths = (self.wgn_record, *self.in_records)
+        if not all(p and "\0" not in p for p in paths):
+            raise ConfigError(f"wgn_record, in_records: a path is empty or holds NUL: {paths!r}")
         if len(set(paths)) != len(paths):
             raise ConfigError("manifest record paths must be distinct")
         if not self.frequency_khz > 0:
@@ -86,12 +89,26 @@ class CampaignManifest:
         return [self.base_dir / p for p in self.in_records]
 
 
-def _write_text(path: Path | str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def _write_json(payload: dict, path: Path | str) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+# rows of a per-row table formatted and written at a time
+_ROWS_PER_WRITE = 4096
+
+
+def _write_table(
+    path: Path | str, head: str, row: Callable, columns: list, sep: str = "\n", tail: str = "\n"
+) -> None:
+    """Write ``head``, ``row(*cells)`` for each element of the equal-length
+    ``columns`` joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
+    through one open file. ``repr`` and ``"{}".format`` spell a float as its repr."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(head)
+        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            cells = (c[i : i + _ROWS_PER_WRITE].tolist() for c in columns)
+            fh.write((sep if i else "") + sep.join(map(row, *cells)))
+        fh.write(tail)
 
 
 def _read_json(path: Path) -> Any:
@@ -172,8 +189,6 @@ def _fmt2(value: float | None) -> str:
 
 # characters of record text read and parsed at a time
 _CHUNK_CHARS = 1 << 16
-# samples or burst rows formatted and written at a time
-_ROWS_PER_WRITE = 4096
 
 
 def _parse_lines(
@@ -278,17 +293,13 @@ def read_record(path: Path | str) -> SampleRecord:
 
 def write_record(record: SampleRecord, path: Path | str) -> None:
     """Write a SampleRecord as a record CSV file."""
-    lines = [f"# sample_rate_hz={record.sample_rate_hz!r}", f"# kind={record.kind}"]
-    meta = record.meta
+    # str() of a float is its repr, so every value reads back exactly
+    head = f"# sample_rate_hz={record.sample_rate_hz}\n# kind={record.kind}\n"
     for key in _META_HEADER_KEYS:
-        value = getattr(meta, key)
-        if value is None or value == "":
-            continue
-        lines.append(f"# {key}={value!r}" if isinstance(value, float) else f"# {key}={value}")
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for i in range(0, len(record), _ROWS_PER_WRITE):
-            fh.write("\n".join(map(repr, record.levels[i : i + _ROWS_PER_WRITE].tolist())) + "\n")
+        value = getattr(record.meta, key)
+        if value is not None and value != "":
+            head += f"# {key}={value}\n"
+    _write_table(path, head, repr, [record.levels])
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +365,11 @@ def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | No
 # ---------------------------------------------------------------------------
 # measurement reports
 
-# one element of the "bursts" array as json.dumps(indent=2) lays it out
+# one element of the "bursts" array as json.dumps(indent=2) lays it out,
+# after the "[" or "," before it; JSON spells a finite float as its repr
 _BURST_ROW = (
-    '    {{\n      "start_ms": {},\n      "duration_ms": {},\n      "amplitude_dbm": {}\n    }}'
+    '\n    {{\n      "start_ms": {},\n      "duration_ms": {},'
+    '\n      "amplitude_dbm": {}\n    }}'
 )
 
 
@@ -381,22 +394,12 @@ def write_measurement_report(
     payload.update(_to_json(stats))
     if stats_excluding_main is not None:
         payload["stats_excluding_main"] = _to_json(stats_excluding_main)
+    # json.dumps(indent=2) of the whole payload, "bursts" being its last key
     payload["bursts"] = []
-    text = json.dumps(payload, indent=2) + "\n"
-    if not len(burst_set):
-        _write_text(path, text)
-    else:
-        # the rows json.dumps(indent=2) would write, built column-wise a chunk
-        # at a time: a flat dump spells each number as the indented one does,
-        # ", " never occurs inside a number, and "bursts" is the last key
-        columns = (burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(text.removesuffix("[]\n}\n") + "[\n")
-            for i in range(0, len(burst_set), _ROWS_PER_WRITE):
-                rows = [c[i : i + _ROWS_PER_WRITE].tolist() for c in columns]
-                cells = [json.dumps(r)[1:-1].split(", ") for r in rows]
-                fh.write((",\n" if i else "") + ",\n".join(map(_BURST_ROW.format, *cells)))
-            fh.write("\n  ]\n}\n")
+    head = json.dumps(payload, indent=2).removesuffix("]\n}")
+    tail = "\n  ]\n}\n" if len(burst_set) else "]\n}\n"
+    columns = [burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm]
+    _write_table(path, head, _BURST_ROW.format, columns, sep=",", tail=tail)
 
     lines = [
         "parameter,value",
@@ -405,7 +408,7 @@ def write_measurement_report(
         f"Average Burst Amplitude (dBm),{_fmt2(stats.avg_amplitude_dbm)}",
         f"Average Burst Separation (ms),{_fmt2(stats.avg_separation_ms)}",
     ]
-    _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
+    path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_measurement_report(path: Path | str) -> MeasurementStats:
@@ -433,7 +436,7 @@ def write_campaign_report(char: SourceCharacterization, path: Path | str) -> Non
         f"Average Burst Separation (ms),{_fmt2(char.mean_separation_ms)}",
         f"Standard Deviation of Separation (ms),{_fmt2(char.sd_separation_ms)}",
     ]
-    _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
+    path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_campaign_report(path: Path | str) -> SourceCharacterization:
@@ -458,16 +461,14 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
             f"burst span ending at {burst_set.end_idx[-1]} does not fit the record "
             f"({n} samples); was the set derived from this record?"
         )
-    burst_id = np.zeros(n, dtype=np.int64)
+    tags = np.full(n, "", dtype=object)
     spans = zip(burst_set.start_idx.tolist(), burst_set.end_idx.tolist())
     for i, (start, end) in enumerate(spans, start=1):
-        burst_id[start : end + 1] = i
-    period_ms = 1000.0 / record.sample_rate_hz
-    lines = ["time_ms,level_dbm,burst_id"]
-    for i in range(n):
-        tag = str(int(burst_id[i])) if burst_id[i] else ""
-        lines.append(f"{i * period_ms!r},{float(record.levels[i])!r},{tag}")
-    _write_text(path, "\n".join(lines) + "\n")
+        tags[start : end + 1] = str(i)
+    # entry i is the double float(i) * (1000.0 / rate), the index converted exactly
+    time_ms = np.arange(n) * (1000.0 / record.sample_rate_hz)
+    columns = [time_ms, record.levels, tags]
+    _write_table(path, "time_ms,level_dbm,burst_id\n", "{},{},{}".format, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +480,13 @@ def write_apd_csv(curves: Sequence[ApdCurve], path: Path | str) -> None:
     (level_dbm,exceedance_wgn,exceedance_in). A pair must share its grid.
     """
     curves = list(curves)
-    if len(curves) == 1:
-        header = "level_dbm,exceedance"
-        columns = [curves[0].exceedance]
-        levels = curves[0].levels_dbm
-    elif len(curves) == 2:
-        if not np.array_equal(curves[0].levels_dbm, curves[1].levels_dbm):
-            raise ConfigError("paired APD curves must share one level grid")
-        header = "level_dbm,exceedance_wgn,exceedance_in"
-        columns = [curves[0].exceedance, curves[1].exceedance]
-        levels = curves[0].levels_dbm
-    else:
+    if len(curves) not in (1, 2):
         raise ConfigError(f"expected 1 or 2 curves, got {len(curves)}")
-    lines = [header]
-    for i in range(levels.size):
-        row = [repr(float(levels[i]))] + [repr(float(col[i])) for col in columns]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    if not np.array_equal(curves[0].levels_dbm, curves[-1].levels_dbm):
+        raise ConfigError("paired APD curves must share one level grid")
+    names = "exceedance" if len(curves) == 1 else "exceedance_wgn,exceedance_in"
+    columns = [curves[0].levels_dbm, *(c.exceedance for c in curves)]
+    _write_table(path, f"level_dbm,{names}\n", ",".join(["{}"] * len(columns)).format, columns)
 
 
 # ---------------------------------------------------------------------------

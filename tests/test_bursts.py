@@ -136,6 +136,9 @@ def test_burst_invariants_enforced_at_construction():
         _rows([-1], [0], [2])
     with pytest.raises(DomainError, match="one row per burst"):
         _rows([0, 5], [0], [1])
+    for amplitude in (float("inf"), float("nan")):  # the report spells amplitudes as repr
+        with pytest.raises(DomainError, match="amplitude_dbm must be finite"):
+            _rows([0, 5], [0, 5], [1, 1], amplitude=[-60.0, amplitude])
     with pytest.raises(ValueError):
         burst_set.start_idx[0] = 1  # columns are read-only
 

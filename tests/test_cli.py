@@ -211,6 +211,8 @@ def test_campaign_malformed_manifest_exits_3(tmp_path, capsys):
         ("max_exceed_fraction", float("nan")),
         ("max_exceed_fraction", float("inf")),
         ("max_exceed_fraction", -0.1),
+        ("wgn_record", "a\u0000b"),
+        ("in_records", [""]),
     ]
     for key, value in bad_values:
         path.write_text(json.dumps({**manifest, key: value}))
