@@ -53,17 +53,6 @@ class ApdCurve:
         object.__setattr__(self, "exceedance", probs)
         object.__setattr__(self, "n_samples", int(self.n_samples))
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.levels_dbm.tolist(), self.exceedance.tolist()))
-
-    def exceedance_at(self, level: float) -> float:
-        """Exceedance probability at an arbitrary level (step evaluation)."""
-        i = int(np.searchsorted(self.levels_dbm, float(level), side="right")) - 1
-        if i < 0:
-            return 1.0
-        return float(self.exceedance[i])
-
 
 def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     if not (math.isfinite(spacing) and spacing > 0):

@@ -152,8 +152,7 @@ def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> 
     counts = end - start + 1
     bounds = np.cumsum(counts)
     inside = np.repeat(start - (bounds - counts), counts) + np.arange(counts.sum())
-    with np.errstate(over="ignore"):
-        powers = np.power(10.0, levels[inside] / 10.0).tolist()
+    powers = np.power(10.0, levels[inside] / 10.0).tolist()  # finite: a SampleRecord invariant
     edges = [0, *bounds.tolist()]
     return np.array(
         [mw_to_dbm(power_sum(powers[a:b]) / (b - a)) for a, b in zip(edges, edges[1:])],

@@ -1,17 +1,22 @@
 """Command-line interface: simulate, baseline, analyze, campaign, apd.
 
-All commands write their outputs into the ``--out`` directory (default
-``./out``) under fixed names, so repeated runs on identical inputs produce
-byte-identical output trees.
+Each command reads every input and computes every result, writing
+nothing, and returns a ``Plan``. ``main`` then writes the plan's files
+into ``--out`` (default ``./out``) under fixed names, all or none, and
+prints its line. Identical inputs produce byte-identical output trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import fields, replace
 from enum import IntEnum
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import io
 from .apd import DEFAULT_GRID_DB, apd_pair, compute_apd
@@ -36,38 +41,34 @@ class ExitStatus(IntEnum):
     BAD_INPUT = 3  # malformed file or configuration
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# A plan: the exit status, each output file's name and writer, and the line to print.
+Output = tuple[str, Callable[[Path], None]]
+Plan = tuple[ExitStatus, list[Output], str]
 
 
 def _baseline_step(
-    args: argparse.Namespace, wgn: Path | str, record_id: str, offset_db: float, fraction: float
-) -> tuple[Baseline, WgnValidation, Path]:
-    """Derive and check the baseline of the WGN record at ``wgn``, then create
-    ``--out`` and write baseline.json there: a bad ``fraction`` raises first."""
+    wgn: Path | str, record_id: str, offset_db: float, fraction: float
+) -> tuple[Baseline, WgnValidation, Output]:
+    """Derive and check the baseline of the WGN record at ``wgn``."""
     record = io.read_record(wgn)
     base = derive_threshold(compute_rms_level(record), offset_db, source_record_id=record_id)
     validation = validate_wgn(record, base, fraction)
-    out = _outdir(args)
-    io.write_baseline_report(base, validation, out / "baseline.json")
-    return base, validation, out
+    return base, validation, ("baseline.json", partial(io.write_baseline_report, base, validation))
 
 
-def cmd_baseline(args: argparse.Namespace) -> ExitStatus:
-    base, validation, _ = _baseline_step(
-        args, args.wgn_file, str(args.wgn_file), args.offset_db, args.max_exceed_fraction
+def cmd_baseline(args: argparse.Namespace) -> Plan:
+    base, validation, output = _baseline_step(
+        args.wgn_file, str(args.wgn_file), args.offset_db, args.max_exceed_fraction
     )
     verdict = "PASS" if validation.passed else f"FAIL ({validation.exceed_count} exceedances)"
-    print(
+    status = ExitStatus.OK if validation.passed else ExitStatus.VALIDATION_FAILED
+    return status, [output], (
         f"baseline: rms {base.rms_dbm:.2f} dBm, threshold {base.threshold_dbm:.2f} dBm "
         f"(+{base.offset_db:g} dB), WGN check {verdict}"
     )
-    return ExitStatus.OK if validation.passed else ExitStatus.VALIDATION_FAILED
 
 
-def cmd_analyze(args: argparse.Namespace) -> ExitStatus:
+def cmd_analyze(args: argparse.Namespace) -> Plan:
     base, _ = io.read_baseline_report(args.baseline)
     record = io.read_record(args.in_file)
     burst_set = detect_bursts(record, base, record_id=str(args.in_file))
@@ -78,14 +79,13 @@ def cmd_analyze(args: argparse.Namespace) -> ExitStatus:
         if analysis is not None:
             stats = replace(stats, main_burst=analysis.main)
             stats_excluding = analysis.stats_excluding
-    out = _outdir(args)
-    io.write_measurement_report(
-        stats, burst_set, out / "measurement.json", stats_excluding_main=stats_excluding
+    report = partial(
+        io.write_measurement_report, stats, burst_set, stats_excluding_main=stats_excluding
     )
+    outputs = [("measurement.json", report)]
     if args.plot_data:
-        io.write_plot_data(record, burst_set, out / "plot.csv")
-    print(f"analyze: {stats.n_bursts} bursts in {args.in_file}")
-    return ExitStatus.OK
+        outputs.append(("plot.csv", partial(io.write_plot_data, record, burst_set)))
+    return ExitStatus.OK, outputs, f"analyze: {stats.n_bursts} bursts in {args.in_file}"
 
 
 def _merged_meta(record_meta: MeasurementMeta, manifest: io.CampaignManifest) -> MeasurementMeta:
@@ -99,60 +99,73 @@ def _merged_meta(record_meta: MeasurementMeta, manifest: io.CampaignManifest) ->
     return replace(record_meta, **gaps)
 
 
-def cmd_campaign(args: argparse.Namespace) -> ExitStatus:
+def cmd_campaign(args: argparse.Namespace) -> Plan:
     manifest = io.read_manifest(args.manifest)
     wgn = manifest.wgn_record
-    base, validation, out = _baseline_step(
-        args, manifest.wgn_path(), wgn, manifest.offset_db, manifest.max_exceed_fraction
+    base, validation, baseline_output = _baseline_step(
+        manifest.wgn_path(), wgn, manifest.offset_db, manifest.max_exceed_fraction
     )
     if not validation.passed:
-        print(
+        return ExitStatus.VALIDATION_FAILED, [baseline_output], (
             f"campaign: WGN record {wgn} failed the impulse check "
-            f"({validation.exceed_count} samples above threshold); not analyzing IN records",
-            file=sys.stderr,
+            f"({validation.exceed_count} samples above threshold); not analyzing IN records"
         )
-        return ExitStatus.VALIDATION_FAILED
 
-    all_stats = []
-    metas = []
+    outputs, all_stats, metas = [baseline_output], [], []
     for index, (name, path) in enumerate(zip(manifest.in_records, manifest.in_paths()), start=1):
         record = io.read_record(path)
         burst_set = detect_bursts(record, base, record_id=name)
         stats = measurement_stats(burst_set)
-        io.write_measurement_report(stats, burst_set, out / f"measurement_{index:03d}.json")
+        report = partial(io.write_measurement_report, stats, burst_set)
+        outputs.append((f"measurement_{index:03d}.json", report))
         all_stats.append(stats)
         metas.append(_merged_meta(record.meta, manifest))
     characterization = aggregate_campaign(all_stats, metas)
-    io.write_campaign_report(characterization, out / "campaign.json")
-    print(
+    outputs.append(("campaign.json", partial(io.write_campaign_report, characterization)))
+    return ExitStatus.OK, outputs, (
         f"campaign: {characterization.n_measurements} measurements, "
         f"mean {characterization.mean_n_bursts:.2f} bursts"
     )
-    return ExitStatus.OK
 
 
-def cmd_apd(args: argparse.Namespace) -> ExitStatus:
+def cmd_apd(args: argparse.Namespace) -> Plan:
     first = io.read_record(args.file)
-    out = _outdir(args)
     if args.file2 is not None:
         curves = apd_pair(first, io.read_record(args.file2), grid_db=args.grid_db)
-        io.write_apd_csv(curves, out / "apd.csv")
     else:
-        io.write_apd_csv([compute_apd(first, grid_db=args.grid_db)], out / "apd.csv")
-    print(f"apd: wrote {out / 'apd.csv'}")
-    return ExitStatus.OK
+        curves = [compute_apd(first, grid_db=args.grid_db)]
+    message = f"apd: wrote {Path(args.out) / 'apd.csv'}"
+    return ExitStatus.OK, [("apd.csv", partial(io.write_apd_csv, curves))], message
 
 
-def cmd_simulate(args: argparse.Namespace) -> ExitStatus:
+def cmd_simulate(args: argparse.Namespace) -> Plan:
     record = generate_wgn(args.n, args.mean_dbm, args.seed, sample_rate_hz=args.sample_rate_hz)
-    out = _outdir(args)
+    outputs = []
     if args.events is not None:
         events = io.read_event_specs(args.events)
         record, spans = inject_bursts(record, events)
-        io.write_ground_truth(spans, out / "ground_truth.json", events=events)
-    io.write_record(record, out / "record.csv")
-    print(f"simulate: wrote {len(record)} samples to {out / 'record.csv'}")
-    return ExitStatus.OK
+        outputs.append(("ground_truth.json", partial(io.write_ground_truth, spans, events=events)))
+    outputs.append(("record.csv", partial(io.write_record, record)))
+    message = f"simulate: wrote {len(record)} samples to {Path(args.out) / 'record.csv'}"
+    return ExitStatus.OK, outputs, message
+
+
+def _write_outputs(out: Path, outputs: list[Output]) -> None:
+    """Write every output into a staging directory in ``out``, then rename
+    each staged file (a report's sibling CSV too) into ``out``. A failed
+    write leaves no file of this run, nor ``out`` when this call made it."""
+    created = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with tempfile.TemporaryDirectory(dir=out, prefix=".staging-") as staging:
+            for name, write in outputs:
+                write(Path(staging) / name)
+            for path in Path(staging).iterdir():
+                os.replace(path, out / path.name)
+    except BaseException:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,13 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        status, outputs, message = args.func(args)
+        _write_outputs(Path(args.out), outputs)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitStatus.IO_ERROR)
     except (FormatError, ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitStatus.BAD_INPUT)
+    print(message, file=sys.stdout if status is ExitStatus.OK else sys.stderr)
+    return int(status)
 
 
 if __name__ == "__main__":

