@@ -29,7 +29,6 @@ from .model import (
 )
 from .stats import (
     MainBurst,
-    MainBurstAnalysis,
     MeasurementStats,
     SourceCharacterization,
     aggregate_campaign,
@@ -51,7 +50,6 @@ __all__ = [
     "DomainError",
     "FormatError",
     "MainBurst",
-    "MainBurstAnalysis",
     "MeasurementMeta",
     "MeasurementStats",
     "SampleRecord",

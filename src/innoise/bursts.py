@@ -11,13 +11,12 @@ span counts, durations, start times and separations are derived.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baseline import Baseline
-from .model import DomainError, LevelDbm, SampleRecord, mw_to_dbm, power_sum
+from .model import DomainError, LevelDbm, SampleRecord, checked_sample_rate, mw_to_dbm, power_sum
 
 _COLUMNS = {
     "start_idx": np.int64,
@@ -53,9 +52,7 @@ class BurstSet:
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "threshold_dbm", float(self.threshold_dbm))
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise DomainError(f"sample_rate_hz must be > 0 and finite, got {self.sample_rate_hz}")
+        object.__setattr__(self, "sample_rate_hz", checked_sample_rate(self.sample_rate_hz))
         n = self.start_idx.size
         if not self.end_idx.size == self.above_count.size == self.amplitude_dbm.size == n:
             raise DomainError("burst columns must have one row per burst")

@@ -74,11 +74,9 @@ def cmd_analyze(args: argparse.Namespace) -> Plan:
     burst_set = detect_bursts(record, base, record_id=str(args.in_file))
     stats = measurement_stats(burst_set)
     stats_excluding = None
-    if args.main_burst:
-        analysis = main_burst(burst_set)
-        if analysis is not None:
-            stats = replace(stats, main_burst=analysis.main)
-            stats_excluding = analysis.stats_excluding
+    if args.main_burst and (analysis := main_burst(burst_set)) is not None:
+        longest, stats_excluding = analysis
+        stats = replace(stats, main_burst=longest)
     report = partial(
         io.write_measurement_report, stats, burst_set, stats_excluding_main=stats_excluding
     )
@@ -144,7 +142,7 @@ def cmd_simulate(args: argparse.Namespace) -> Plan:
     if args.events is not None:
         events = io.read_event_specs(args.events)
         record, spans = inject_bursts(record, events)
-        outputs.append(("ground_truth.json", partial(io.write_ground_truth, spans, events=events)))
+        outputs.append(("ground_truth.json", partial(io.write_ground_truth, spans, events)))
     outputs.append(("record.csv", partial(io.write_record, record)))
     message = f"simulate: wrote {len(record)} samples to {Path(args.out) / 'record.csv'}"
     return ExitStatus.OK, outputs, message
@@ -174,8 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure and characterize radio impulsive noise from a specific source.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default="out", help="output directory")
+    add_parser = partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("baseline", help="derive the detection threshold from a WGN record")
+    p = add_parser("baseline", help="derive the detection threshold from a WGN record")
     p.add_argument("wgn_file", help="record CSV taken with the source off")
     p.add_argument(
         "--offset-db", type=float, default=DEFAULT_OFFSET_DB, help="threshold offset above r.m.s."
@@ -186,13 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="tolerated fraction of above-threshold samples in the WGN record",
     )
-    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("analyze", help="detect bursts in one IN record")
+    p = add_parser("analyze", help="detect bursts in one IN record")
     p.add_argument("in_file", help="record CSV taken with the source on")
     p.add_argument("--baseline", required=True, help="baseline JSON from the baseline command")
-    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--plot-data", action="store_true", help="also write per-sample plot CSV")
     p.add_argument(
         "--main-burst",
@@ -201,12 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("campaign", help="run baseline + analyze + aggregation from a manifest")
+    p = add_parser("campaign", help="run baseline + analyze + aggregation from a manifest")
     p.add_argument("manifest", help="campaign manifest JSON")
-    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_campaign)
 
-    p = sub.add_parser("apd", help="amplitude probability distribution of one or two records")
+    p = add_parser("apd", help="amplitude probability distribution of one or two records")
     p.add_argument("file", help="record CSV (WGN record when pairing)")
     p.add_argument("file2", nargs="?", default=None, help="optional IN record CSV to overlay")
     p.add_argument(
@@ -217,16 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"evaluate on a uniform dB grid (spacing {DEFAULT_GRID_DB} when no value given)",
     )
-    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_apd)
 
-    p = sub.add_parser("simulate", help="generate a synthetic record, optionally with bursts")
+    p = add_parser("simulate", help="generate a synthetic record, optionally with bursts")
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--mean-dbm", type=float, required=True, help="mean noise level in dBm")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
     p.add_argument("--sample-rate-hz", type=float, default=8001.0, help="sample rate")
     p.add_argument("--events", default=None, help="JSON file of burst events to inject")
-    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     return parser

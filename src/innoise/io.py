@@ -111,6 +111,13 @@ def _write_table(
         fh.write(tail)
 
 
+def _write_summary(path: Path | str, rows: list[tuple[str, object]]) -> None:
+    """Write a report's summary table, one ``parameter,value`` line per row,
+    as the CSV beside the report at ``path``."""
+    lines = ["parameter,value", *(f"{name},{value}" for name, value in rows)]
+    Path(path).with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _read_json(path: Path) -> Any:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -265,27 +272,21 @@ def read_record(path: Path | str) -> SampleRecord:
     if "sample_rate_hz" not in header:
         raise FormatError(f"{path.name}: missing '# sample_rate_hz=...' header")
 
-    def header_float(key: str) -> float | None:
-        if key not in header:
-            return None
+    def header_float(key: str) -> float:
         try:
             return float(header[key])
         except ValueError:
             raise FormatError(f"{path.name}: header {key}={header[key]!r} is not a number") from None
 
-    meta = MeasurementMeta(
-        frequency_khz=header_float("frequency_khz"),
-        event=header.get("event", ""),
-        location=header.get("location", ""),
-        source=header.get("source", ""),
-        started_at=header.get("started_at"),
-    )
+    meta = {key: header[key] for key in _META_HEADER_KEYS if key in header}
+    if "frequency_khz" in meta:
+        meta["frequency_khz"] = header_float("frequency_khz")
     try:
         return SampleRecord(
             levels=levels,
             sample_rate_hz=header_float("sample_rate_hz"),
             kind=header.get("kind", IN),
-            meta=meta,
+            meta=MeasurementMeta(**meta),
         )
     except DomainError as exc:
         raise FormatError(f"{path.name}: {exc}") from exc
@@ -321,16 +322,11 @@ def read_manifest(path: Path | str) -> CampaignManifest:
 # baseline reports
 
 
-def write_baseline_report(
-    baseline: Baseline,
-    validation: WgnValidation | None,
-    path: Path | str,
-) -> None:
+def write_baseline_report(baseline: Baseline, validation: WgnValidation, path: Path | str) -> None:
     # the derived threshold is written second, for readers of the file
     payload = {"rms_dbm": baseline.rms_dbm, "threshold_dbm": baseline.threshold_dbm}
     payload.update(_to_json(baseline))
-    if validation is not None:
-        payload["validation"] = _to_json(validation)
+    payload["validation"] = _to_json(validation)
     _write_json(payload, path)
 
 
@@ -381,7 +377,6 @@ def write_measurement_report(
     duration_ms, amplitude_dbm); the CSV mirrors the summary table
     rounded to 2 decimals.
     """
-    path = Path(path)
     payload: dict = {
         "record_id": burst_set.record_id,
         "threshold_dbm": burst_set.threshold_dbm,
@@ -396,15 +391,12 @@ def write_measurement_report(
     tail = "\n  ]\n}\n" if len(burst_set) else "]\n}\n"
     columns = [burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm]
     _write_table(path, head, _BURST_ROW.format, columns, sep=",", tail=tail)
-
-    lines = [
-        "parameter,value",
-        f"Number of Bursts,{stats.n_bursts}",
-        f"Average Burst Duration (ms),{_fmt2(stats.avg_duration_ms)}",
-        f"Average Burst Amplitude (dBm),{_fmt2(stats.avg_amplitude_dbm)}",
-        f"Average Burst Separation (ms),{_fmt2(stats.avg_separation_ms)}",
-    ]
-    path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_summary(path, [
+        ("Number of Bursts", stats.n_bursts),
+        ("Average Burst Duration (ms)", _fmt2(stats.avg_duration_ms)),
+        ("Average Burst Amplitude (dBm)", _fmt2(stats.avg_amplitude_dbm)),
+        ("Average Burst Separation (ms)", _fmt2(stats.avg_separation_ms)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +405,16 @@ def write_measurement_report(
 
 def write_campaign_report(char: SourceCharacterization, path: Path | str) -> None:
     """Write a source characterization as JSON plus a sibling summary CSV."""
-    path = Path(path)
     _write_json(_to_json(char), path)
-
-    lines = [
-        "parameter,value",
-        f"Number of Bursts,{_fmt2(char.mean_n_bursts)}",
-        f"Average Burst Duration (ms),{_fmt2(char.mean_duration_ms)}",
-        f"Standard Deviation of Duration (ms),{_fmt2(char.sd_duration_ms)}",
-        f"Average Burst Amplitude (dBm),{_fmt2(char.mean_amplitude_dbm)}",
-        f"Standard Deviation of Amplitude (dBm),{_fmt2(char.sd_amplitude_db)}",
-        f"Average Burst Separation (ms),{_fmt2(char.mean_separation_ms)}",
-        f"Standard Deviation of Separation (ms),{_fmt2(char.sd_separation_ms)}",
-    ]
-    path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_summary(path, [
+        ("Number of Bursts", _fmt2(char.mean_n_bursts)),
+        ("Average Burst Duration (ms)", _fmt2(char.mean_duration_ms)),
+        ("Standard Deviation of Duration (ms)", _fmt2(char.sd_duration_ms)),
+        ("Average Burst Amplitude (dBm)", _fmt2(char.mean_amplitude_dbm)),
+        ("Standard Deviation of Amplitude (dBm)", _fmt2(char.sd_amplitude_db)),
+        ("Average Burst Separation (ms)", _fmt2(char.mean_separation_ms)),
+        ("Standard Deviation of Separation (ms)", _fmt2(char.sd_separation_ms)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +479,12 @@ def read_event_specs(path: Path | str) -> list[BurstEventSpec]:
 
 
 def write_ground_truth(
-    spans: Sequence[tuple[int, int]],
-    path: Path | str,
-    events: Sequence[BurstEventSpec] | None = None,
+    spans: Sequence[tuple[int, int]], events: Sequence[BurstEventSpec], path: Path | str
 ) -> None:
-    """Record the exact injected spans (and the events) of a simulation."""
-    payload: dict = {
+    """Record the exact injected spans and the events of a simulation."""
+    payload = {
         "n_events": len(spans),
         "spans": [[int(s), int(e)] for s, e in spans],
+        "events": [_to_json(e) for e in events],
     }
-    if events is not None:
-        payload["events"] = [_to_json(e) for e in events]
     _write_json(payload, path)

@@ -59,9 +59,9 @@ class SampleRecord:
 
     Construction checks every record invariant and raises DomainError for
     an empty record, a non-finite sample, a sample whose linear power in mW
-    is beyond the float range, a sample rate that is not a positive finite
-    number, an unknown ``kind`` or a ``meta.frequency_khz`` that is not a
-    positive finite number.
+    is beyond the float range, a sample rate that is not finite or is below
+    1e-3 Hz (``checked_sample_rate``), an unknown ``kind`` or a
+    ``meta.frequency_khz`` that is not a positive finite number.
     """
 
     levels: np.ndarray
@@ -73,7 +73,6 @@ class SampleRecord:
         levels = np.array(self.levels, dtype=np.float64, copy=True).reshape(-1)
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         if levels.size == 0:
             raise DomainError("empty record")
         finite = np.isfinite(levels)
@@ -85,8 +84,7 @@ class SampleRecord:
                 raise DomainError(
                     f"sample at index {i}: {float(levels[i])!r} dBm has no finite power in mW"
                 )
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise DomainError(f"sample_rate_hz must be > 0 and finite, got {self.sample_rate_hz}")
+        object.__setattr__(self, "sample_rate_hz", checked_sample_rate(self.sample_rate_hz))
         if self.kind not in RECORD_KINDS:
             raise DomainError(f"kind must be one of {RECORD_KINDS}, got {self.kind!r}")
         freq = self.meta.frequency_khz
@@ -95,6 +93,18 @@ class SampleRecord:
 
     def __len__(self) -> int:
         return int(self.levels.size)
+
+
+def checked_sample_rate(rate_hz: float) -> float:
+    """``rate_hz`` as a float; DomainError unless it is finite and >= 1e-3 Hz.
+
+    The floor bounds a duration of n samples by n * 10^6 ms, so durations,
+    their means and deviations stay finite and fit the 2-decimal tables.
+    """
+    rate_hz = float(rate_hz)
+    if not (math.isfinite(rate_hz) and rate_hz >= 1e-3):
+        raise DomainError(f"sample_rate_hz must be finite and >= 0.001 Hz, got {rate_hz}")
+    return rate_hz
 
 
 def dbm_to_mw(level: LevelDbm) -> PowerMw:

@@ -43,14 +43,6 @@ class MeasurementStats:
 
 
 @dataclass(frozen=True)
-class MainBurstAnalysis:
-    """Main burst plus the measurement statistics recomputed without it."""
-
-    main: MainBurst
-    stats_excluding: MeasurementStats
-
-
-@dataclass(frozen=True)
 class SourceCharacterization:
     """Averaged parameters of one source event over repeated measurements.
 
@@ -109,8 +101,8 @@ def measurement_stats(burst_set: BurstSet) -> MeasurementStats:
     )
 
 
-def main_burst(burst_set: BurstSet) -> MainBurstAnalysis | None:
-    """Identify the longest burst and restate the measurement without it.
+def main_burst(burst_set: BurstSet) -> tuple[MainBurst, MeasurementStats] | None:
+    """Return the longest burst and the measurement statistics without it.
 
     Useful when one burst dwarfs the rest and would dominate the weighted
     amplitude. Ties on duration resolve to the earliest start index.
@@ -128,17 +120,17 @@ def main_burst(burst_set: BurstSet) -> MainBurstAnalysis | None:
         amplitude_dbm=float(burst_set.amplitude_dbm[index]),
         ratio_to_second_longest=ratio,
     )
-    return MainBurstAnalysis(main=main, stats_excluding=measurement_stats(rest))
+    return main, measurement_stats(rest)
 
 
 def aggregate_campaign(
     stats: Sequence[MeasurementStats],
-    metas: MeasurementMeta | Sequence[MeasurementMeta],
+    metas: Sequence[MeasurementMeta],
 ) -> SourceCharacterization:
     """Average per-measurement parameters into a source characterization.
 
-    All measurements must describe the same event at the same frequency;
-    pass one shared MeasurementMeta or one per measurement. Amplitudes are
+    ``metas`` holds one MeasurementMeta per measurement, and all must
+    describe the same event at the same frequency. Amplitudes are
     averaged directly in dBm. Measurements missing a parameter (no bursts,
     or a single burst for separations) are excluded from that parameter's
     aggregate rather than counted as zero.
@@ -146,14 +138,9 @@ def aggregate_campaign(
     stats = list(stats)
     if not stats:
         raise DomainError("aggregate_campaign needs at least one measurement")
-    if isinstance(metas, MeasurementMeta):
-        metas = [metas] * len(stats)
-    else:
-        metas = list(metas)
-        if len(metas) != len(stats):
-            raise ConfigError(
-                f"got {len(stats)} measurements but {len(metas)} metadata entries"
-            )
+    metas = list(metas)
+    if len(metas) != len(stats):
+        raise ConfigError(f"got {len(stats)} measurements but {len(metas)} metadata entries")
     events = {m.event for m in metas}
     freqs = {m.frequency_khz for m in metas if m.frequency_khz is not None}
     if len(events) > 1:

@@ -21,7 +21,6 @@ from .model import (
     ConfigError,
     DomainError,
     LevelDbm,
-    MeasurementMeta,
     SampleRecord,
     dbm_to_mw,
     mean_power_dbm,
@@ -68,7 +67,6 @@ def generate_wgn(
     mean_level_dbm: LevelDbm,
     seed: int,
     sample_rate_hz: float = 8001.0,
-    meta: MeasurementMeta | None = None,
 ) -> SampleRecord:
     """Generate ``n`` Rayleigh-envelope noise samples around a mean level.
 
@@ -92,7 +90,6 @@ def generate_wgn(
         levels=10.0 * np.log10(power_mw),
         sample_rate_hz=sample_rate_hz,
         kind=WGN,
-        meta=meta if meta is not None else MeasurementMeta(),
     )
 
 

@@ -43,7 +43,7 @@ def test_c1_reference_table_reproduction():
         MeasurementStats(30, 0.65, -66.21, 103.13),
     ]
     meta = MeasurementMeta(frequency_khz=1910.0, event="turn on seven flickering tubes")
-    char = aggregate_campaign(measurements, meta)
+    char = aggregate_campaign(measurements, [meta] * 2)
     expected = {
         "mean_n_bursts": 30.5,
         "mean_duration_ms": 0.59,

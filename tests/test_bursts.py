@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,9 @@ def test_burst_invariants_enforced_at_construction():
     for amplitude in (float("inf"), float("nan")):  # the report spells amplitudes as repr
         with pytest.raises(DomainError, match="amplitude_dbm must be finite"):
             _rows([0, 5], [0, 5], [1, 1], amplitude=[-60.0, amplitude])
+    for rate in (1e-4, float("inf")):  # the rate rule SampleRecord uses
+        with pytest.raises(DomainError, match="sample_rate_hz"):
+            replace(burst_set, sample_rate_hz=rate)
     with pytest.raises(ValueError):
         burst_set.start_idx[0] = 1  # columns are read-only
 

@@ -429,6 +429,13 @@ FAILING_RUNS = {
     ),
     "campaign malformed manifest": (["campaign", "bad_manifest.json"], ExitStatus.BAD_INPUT),
     "campaign non-UTF-8 manifest": (["campaign", "latin1.json"], ExitStatus.BAD_INPUT),
+    "analyze rate 1e-24": (
+        ["analyze", "rate_1e-24.csv", "--baseline", "baseline.json"], ExitStatus.BAD_INPUT
+    ),
+    "analyze rate 1e-305": (
+        ["analyze", "rate_1e-305.csv", "--baseline", "baseline.json"], ExitStatus.BAD_INPUT
+    ),
+    "campaign rate 1e-160": (["campaign", "rate_manifest.json"], ExitStatus.BAD_INPUT),
     "apd non-UTF-8 record": (["apd", "latin1.csv"], ExitStatus.BAD_INPUT),
     "apd infinite frequency": (["apd", "freq.csv"], ExitStatus.BAD_INPUT),
     "apd grid too fine": (["apd", "wgn.csv", "--grid-db", "1e-12"], ExitStatus.BAD_INPUT),
@@ -441,6 +448,25 @@ FAILING_RUNS = {
     "simulate malformed events": ([*SIMULATE, "--events", "bad_events.json"], ExitStatus.BAD_INPUT),
     "simulate overlapping events": ([*SIMULATE, "--events", "overlap.json"], ExitStatus.BAD_INPUT),
 }
+
+# the record a rate case's error line names: below 1e-3 Hz, the durations
+# overflow the report's Decimal rounding, the campaign's deviation or a float
+RATE_FILES = {
+    "analyze rate 1e-24": "rate_1e-24.csv",
+    "analyze rate 1e-305": "rate_1e-305.csv",
+    "campaign rate 1e-160": "rate_1e-160_a.csv",
+}
+
+
+def _write_rate_record(path, rate, burst_len):
+    """A record at ``rate`` holding one burst of ``burst_len`` samples at -60 dBm."""
+    path.write_text(f"# sample_rate_hz={rate}\n-100.0\n" + "-60.0\n" * burst_len + "-100.0\n")
+
+
+def _write_rate_manifest(directory, name, records):
+    (directory / name).write_text(json.dumps({
+        "wgn_record": "wgn.csv", "in_records": records, "event": "e", "frequency_khz": 1910.0,
+    }))
 
 
 def _failing_inputs(directory):
@@ -462,6 +488,11 @@ def _failing_inputs(directory):
         {"start_idx": 100, "length_samples": 50, "level_offset_db": 25.0},
         {"start_idx": 120, "length_samples": 10, "level_offset_db": 25.0},
     ]))
+    _write_rate_record(directory / "rate_1e-24.csv", "1e-24", 1)
+    _write_rate_record(directory / "rate_1e-305.csv", "1e-305", 2)
+    _write_rate_record(directory / "rate_1e-160_a.csv", "1e-160", 1)
+    _write_rate_record(directory / "rate_1e-160_b.csv", "1e-160", 2)
+    _write_rate_manifest(directory, "rate_manifest.json", ["rate_1e-160_a.csv", "rate_1e-160_b.csv"])
 
 
 @pytest.mark.parametrize("case", FAILING_RUNS)
@@ -470,8 +501,22 @@ def test_failing_run_creates_no_out(tmp_path, monkeypatch, capsys, case):
     _failing_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == expected
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {RATE_FILES.get(case, '')}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_slowest_sample_rate_runs(tmp_path, monkeypatch):
+    _failing_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _write_rate_record(tmp_path / "slow_a.csv", "1e-3", 1)
+    _write_rate_record(tmp_path / "slow_b.csv", "1e-3", 2)
+    _write_rate_manifest(tmp_path, "slow.json", ["slow_a.csv", "slow_b.csv"])
+    argv = ["analyze", "slow_b.csv", "--baseline", "baseline.json", "--plot-data", "--out", "a"]
+    assert main(argv) == ExitStatus.OK
+    assert "Average Burst Duration (ms),2000000.00" in (tmp_path / "a/measurement.csv").read_text()
+    assert main(["campaign", "slow.json", "--out", "c"]) == ExitStatus.OK
+    summary = (tmp_path / "c/campaign.csv").read_text()
+    assert "Standard Deviation of Duration (ms),707106.78" in summary
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):

@@ -258,10 +258,10 @@ def test_measurement_report_with_main_burst_round_trips(tmp_path):
     from dataclasses import replace
 
     record, burst_set = _detected()
-    analysis = main_burst(burst_set)
-    stats = replace(measurement_stats(burst_set), main_burst=analysis.main)
+    longest, stats_excluding = main_burst(burst_set)
+    stats = replace(measurement_stats(burst_set), main_burst=longest)
     path = tmp_path / "measurement.json"
-    io.write_measurement_report(stats, burst_set, path, stats_excluding_main=analysis.stats_excluding)
+    io.write_measurement_report(stats, burst_set, path, stats_excluding_main=stats_excluding)
     assert read_measurement_report(path) == stats
 
 
@@ -317,7 +317,7 @@ def _reference_characterization():
         MeasurementStats(31, 0.53, -64.70, 118.91),
         MeasurementStats(30, 0.65, -66.21, 103.13),
     ]
-    return aggregate_campaign(measured, META)
+    return aggregate_campaign(measured, [META] * 2)
 
 
 def test_campaign_report_matches_reference_table(tmp_path):
@@ -338,7 +338,7 @@ def test_campaign_report_matches_reference_table(tmp_path):
 
 
 def test_campaign_report_single_measurement(tmp_path):
-    char = aggregate_campaign([MeasurementStats(31, 0.53, -64.70, 118.91)], META)
+    char = aggregate_campaign([MeasurementStats(31, 0.53, -64.70, 118.91)], [META])
     path = tmp_path / "campaign.json"
     io.write_campaign_report(char, path)
 
@@ -472,7 +472,7 @@ def test_ground_truth_file(tmp_path):
 
     events = [BurstEventSpec(10, 5, 25.0)]
     path = tmp_path / "gt.json"
-    io.write_ground_truth([(10, 14)], path, events=events)
+    io.write_ground_truth([(10, 14)], events, path)
     payload = json.loads(path.read_text())
     assert payload["n_events"] == 1
     assert payload["spans"] == [[10, 14]]

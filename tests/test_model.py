@@ -110,6 +110,7 @@ def test_validate_record_bad_rate_kind_and_frequency():
         ({"sample_rate_hz": -5.0}, "sample_rate_hz"),
         ({"sample_rate_hz": math.inf}, "sample_rate_hz"),
         ({"sample_rate_hz": math.nan}, "sample_rate_hz"),
+        ({"sample_rate_hz": 1e-4}, "sample_rate_hz"),  # below the 1e-3 Hz floor
         ({"kind": "other"}, "kind"),
         ({"meta": MeasurementMeta(frequency_khz=-5.0)}, "frequency_khz"),
         ({"meta": MeasurementMeta(frequency_khz=0.0)}, "frequency_khz"),

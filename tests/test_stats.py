@@ -80,11 +80,10 @@ def test_burst_set_rejects_unordered_bursts():
 
 def test_main_burst_ratio_and_reduced_stats():
     bursts = [(0, 10, -60.0), (100, 1, -70.0), (200, 1, -72.0)]
-    analysis = main_burst(_burst_set(bursts))
-    assert analysis.main.index == 0
-    assert analysis.main.duration_ms == pytest.approx(10.0)
-    assert analysis.main.ratio_to_second_longest == pytest.approx(10.0)
-    reduced = analysis.stats_excluding
+    main, reduced = main_burst(_burst_set(bursts))
+    assert main.index == 0
+    assert main.duration_ms == pytest.approx(10.0)
+    assert main.ratio_to_second_longest == pytest.approx(10.0)
     assert reduced.n_bursts == 2
     assert reduced.avg_duration_ms == pytest.approx(1.0)
     # separation between the two remaining bursts spans the removed gap
@@ -93,15 +92,15 @@ def test_main_burst_ratio_and_reduced_stats():
 
 def test_main_burst_tie_breaks_to_earliest():
     bursts = [(0, 5, -60.0), (100, 5, -55.0)]
-    analysis = main_burst(_burst_set(bursts))
-    assert analysis.main.index == 0
-    assert analysis.main.amplitude_dbm == -60.0
+    main, _ = main_burst(_burst_set(bursts))
+    assert main.index == 0
+    assert main.amplitude_dbm == -60.0
 
 
 def test_main_burst_single_and_empty():
-    single = main_burst(_burst_set([(0, 3, -61.0)]))
-    assert single.main.ratio_to_second_longest is None
-    assert single.stats_excluding.n_bursts == 0
+    main, reduced = main_burst(_burst_set([(0, 3, -61.0)]))
+    assert main.ratio_to_second_longest is None
+    assert reduced.n_bursts == 0
     assert main_burst(_burst_set([])) is None
 
 
@@ -140,7 +139,7 @@ def _reference_measurements():
 
 
 def test_aggregate_reproduces_reference_averages():
-    char = aggregate_campaign(_reference_measurements(), META)
+    char = aggregate_campaign(_reference_measurements(), [META] * 2)
     assert char.n_measurements == 2
     assert char.mean_n_bursts == pytest.approx(30.5, abs=5e-3)
     assert char.mean_duration_ms == pytest.approx(0.59, abs=5e-3)
@@ -154,7 +153,7 @@ def test_aggregate_reproduces_reference_averages():
 
 
 def test_aggregate_single_measurement_has_no_deviations():
-    char = aggregate_campaign(_reference_measurements()[:1], META)
+    char = aggregate_campaign(_reference_measurements()[:1], [META])
     assert char.mean_n_bursts == 31.0
     assert char.mean_duration_ms == 0.53
     assert char.sd_duration_ms is None
@@ -164,7 +163,7 @@ def test_aggregate_single_measurement_has_no_deviations():
 
 def test_aggregate_identical_measurements_have_zero_deviation():
     stats = _stats(4, 1.5, -60.0, 100.0)
-    char = aggregate_campaign([stats, stats, stats], META)
+    char = aggregate_campaign([stats, stats, stats], [META] * 3)
     assert char.sd_duration_ms == 0.0
     assert char.sd_amplitude_db == 0.0
     assert char.sd_separation_ms == 0.0
@@ -174,7 +173,7 @@ def test_aggregate_identical_measurements_have_zero_deviation():
 def test_aggregate_skips_measurements_without_separations():
     with_sep = _stats(3, 1.0, -60.0, 50.0)
     without_sep = _stats(1, 2.0, -62.0, None)
-    char = aggregate_campaign([with_sep, without_sep], META)
+    char = aggregate_campaign([with_sep, without_sep], [META] * 2)
     assert char.n_with_separation == 1
     assert char.mean_separation_ms == 50.0
     assert char.sd_separation_ms is None
@@ -185,7 +184,7 @@ def test_aggregate_skips_measurements_without_separations():
 def test_aggregate_zero_burst_measurements_do_not_dilute():
     none = _stats(0, None, None, None)
     some = _stats(2, 1.0, -60.0, 10.0)
-    char = aggregate_campaign([none, some], META)
+    char = aggregate_campaign([none, some], [META] * 2)
     assert char.mean_n_bursts == 1.0
     assert char.n_with_bursts == 1
     assert char.mean_duration_ms == 1.0
@@ -194,7 +193,7 @@ def test_aggregate_zero_burst_measurements_do_not_dilute():
 
 def test_aggregate_rejects_empty_and_mixed_inputs():
     with pytest.raises(DomainError):
-        aggregate_campaign([], META)
+        aggregate_campaign([], [])
     other_event = MeasurementMeta(frequency_khz=1910.0, event="different event")
     with pytest.raises(ConfigError):
         aggregate_campaign(_reference_measurements(), [META, other_event])
@@ -204,4 +203,4 @@ def test_aggregate_rejects_empty_and_mixed_inputs():
     with pytest.raises(ConfigError):
         aggregate_campaign(_reference_measurements(), [META])  # length mismatch
     with pytest.raises(ConfigError):
-        aggregate_campaign(_reference_measurements(), MeasurementMeta(event="no freq"))
+        aggregate_campaign(_reference_measurements(), [MeasurementMeta(event="no freq")] * 2)

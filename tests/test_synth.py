@@ -3,7 +3,7 @@ import pytest
 
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.bursts import detect_bursts
-from innoise.model import ConfigError, DomainError, MeasurementMeta
+from innoise.model import ConfigError, DomainError
 from innoise.synth import DECAY_DB, BurstEventSpec, generate_wgn, inject_bursts
 from segment_oracle import brute_force_segment
 
@@ -16,6 +16,7 @@ def test_generate_is_deterministic_per_seed():
     assert not np.array_equal(a.levels, c.levels)
     assert a.kind == "WGN"
     assert a.sample_rate_hz == 8001.0
+    assert generate_wgn(16, -100.0, seed=1, sample_rate_hz=4000.0).sample_rate_hz == 4000.0
 
 
 def test_generate_rejects_bad_arguments():
@@ -34,13 +35,6 @@ def test_generated_record_passes_wgn_validation():
     record = generate_wgn(100_000, -95.0, seed=40)
     base = derive_threshold(compute_rms_level(record))
     assert validate_wgn(record, base, max_exceed_fraction=1e-5).passed
-
-
-def test_generate_carries_meta():
-    meta = MeasurementMeta(frequency_khz=630.0, event="background")
-    record = generate_wgn(16, -100.0, seed=1, sample_rate_hz=4000.0, meta=meta)
-    assert record.meta == meta
-    assert record.sample_rate_hz == 4000.0
 
 
 def test_inject_constant_event_levels_are_exact_offsets():
