@@ -23,7 +23,11 @@ what was written reproduces the in-memory values exactly. The human-facing
 CSV tables round to 2 decimals; the JSON keeps full precision. The four
 per-row tables (record CSV, the measurement report's burst rows, plot CSV
 and APD CSV) go through one writer, ``_write_table``, which formats them a
-block of rows at a time through one open file, never as one whole text.
+block of rows at a time through one open file, never as one whole text. It
+spells a float as its ``repr`` once per run of consecutive values in a column
+that are equal bit for bit (``-0.0`` and ``0.0`` differ), and repeats that
+spelling across the run: an exact-grid APD column changes only at its own
+record's levels.
 """
 
 from __future__ import annotations
@@ -97,17 +101,35 @@ def _write_json(payload: dict, path: Path | str) -> None:
 _ROWS_PER_WRITE = 4096
 
 
+def _spelled(block: np.ndarray) -> list:
+    """The cells of one block of a column: a float64 block as the ``repr`` of
+    each value, computed once per run of bit-identical values (so ``-0.0``
+    and ``0.0`` stay apart); any other block as its elements."""
+    if block.dtype != np.float64:
+        return block.tolist()
+    bits = block.view(np.int64)
+    new_run = np.empty(len(block), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    spellings = list(map(repr, block[new_run].tolist()))
+    if len(spellings) == len(block):
+        return spellings
+    return np.array(spellings, dtype=object)[np.cumsum(new_run) - 1].tolist()
+
+
 def _write_table(
-    path: Path | str, head: str, row: Callable, columns: list, sep: str = "\n", tail: str = "\n"
+    path: Path | str, head: str, row: Callable | None, columns: list, sep: str = "\n", tail: str = "\n"
 ) -> None:
     """Write ``head``, ``row(*cells)`` for each element of the equal-length
     ``columns`` joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
-    through one open file. ``repr`` and ``"{}".format`` spell a float as its repr."""
+    through one open file. Each block of a column becomes its cells through
+    ``_spelled``, so a float is spelled as its ``repr``, once per run of equal
+    values. With ``row`` None, the one column's cells are the rows."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(head)
         for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            cells = (c[i : i + _ROWS_PER_WRITE].tolist() for c in columns)
-            fh.write((sep if i else "") + sep.join(map(row, *cells)))
+            cells = [_spelled(c[i : i + _ROWS_PER_WRITE]) for c in columns]
+            fh.write((sep if i else "") + sep.join(cells[0] if row is None else map(row, *cells)))
         fh.write(tail)
 
 
@@ -123,7 +145,8 @@ def _read_json(path: Path) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer past the int-digit limit or deep nesting
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path.name}: invalid JSON: {exc}") from exc
 
 
@@ -300,7 +323,7 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
         value = getattr(record.meta, key)
         if value is not None and value != "":
             head += f"# {key}={value}\n"
-    _write_table(path, head, repr, [record.levels])
+    _write_table(path, head, None, [record.levels])
 
 
 # ---------------------------------------------------------------------------

@@ -447,14 +447,32 @@ FAILING_RUNS = {
     "simulate missing events": ([*SIMULATE, "--events", "nope.json"], ExitStatus.IO_ERROR),
     "simulate malformed events": ([*SIMULATE, "--events", "bad_events.json"], ExitStatus.BAD_INPUT),
     "simulate overlapping events": ([*SIMULATE, "--events", "overlap.json"], ExitStatus.BAD_INPUT),
+    "campaign deeply nested manifest": (["campaign", "deep.json"], ExitStatus.BAD_INPUT),
+    "analyze deeply nested baseline": (
+        ["analyze", "wgn.csv", "--baseline", "deep.json"], ExitStatus.BAD_INPUT
+    ),
+    "campaign over-long integer": (["campaign", "long_manifest.json"], ExitStatus.BAD_INPUT),
+    "analyze over-long integer": (
+        ["analyze", "wgn.csv", "--baseline", "long_baseline.json"], ExitStatus.BAD_INPUT
+    ),
+    "simulate over-long integer": (
+        [*SIMULATE, "--events", "long_events.json"], ExitStatus.BAD_INPUT
+    ),
 }
 
-# the record a rate case's error line names: below 1e-3 Hz, the durations
-# overflow the report's Decimal rounding, the campaign's deviation or a float
-RATE_FILES = {
+# the file a case's error line names: below 1e-3 Hz, the durations overflow
+# the report's Decimal rounding, the campaign's deviation or a float; a JSON
+# file nested too deeply or holding an integer of more digits than Python
+# converts fails in the decoder
+NAMED_FILES = {
     "analyze rate 1e-24": "rate_1e-24.csv",
     "analyze rate 1e-305": "rate_1e-305.csv",
     "campaign rate 1e-160": "rate_1e-160_a.csv",
+    "campaign deeply nested manifest": "deep.json",
+    "analyze deeply nested baseline": "deep.json",
+    "campaign over-long integer": "long_manifest.json",
+    "analyze over-long integer": "long_baseline.json",
+    "simulate over-long integer": "long_events.json",
 }
 
 
@@ -493,6 +511,18 @@ def _failing_inputs(directory):
     _write_rate_record(directory / "rate_1e-160_a.csv", "1e-160", 1)
     _write_rate_record(directory / "rate_1e-160_b.csv", "1e-160", 2)
     _write_rate_manifest(directory, "rate_manifest.json", ["rate_1e-160_a.csv", "rate_1e-160_b.csv"])
+    (directory / "deep.json").write_text("[" * 100_000)
+    digits = "1" * 5001
+    (directory / "long_manifest.json").write_text(
+        '{"wgn_record": "wgn.csv", "in_records": ["in.csv"], "event": "e", '
+        f'"frequency_khz": {digits}}}'
+    )
+    (directory / "long_baseline.json").write_text(
+        f'{{"rms_dbm": {digits}, "offset_db": 13.0, "threshold_dbm": -87.0}}'
+    )
+    (directory / "long_events.json").write_text(
+        f'[{{"start_idx": {digits}, "length_samples": 5, "level_offset_db": 25.0}}]'
+    )
 
 
 @pytest.mark.parametrize("case", FAILING_RUNS)
@@ -501,7 +531,7 @@ def test_failing_run_creates_no_out(tmp_path, monkeypatch, capsys, case):
     _failing_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == expected
-    assert f"error: {RATE_FILES.get(case, '')}" in capsys.readouterr().err
+    assert f"error: {NAMED_FILES.get(case, '')}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

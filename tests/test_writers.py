@@ -30,6 +30,9 @@ LEVELS = st.one_of(
     st.floats(min_value=-1e300, max_value=3000.0),
     st.sampled_from([-0.0, 0.0, 5e-324, -100.0, -1e16, 0.1]),
 )
+# a small pool, so that a list drawn from it holds long runs of equal values
+# and -0.0 next to 0.0
+RUN_HEAVY = st.sampled_from([-0.0, 0.0, 5e-324, -100.0, 0.1])
 METAS = st.builds(
     MeasurementMeta,
     frequency_khz=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e9), st.just(1910.0)),
@@ -42,7 +45,10 @@ METAS = st.builds(
 
 @st.composite
 def records(draw, min_size=1, max_size=40):
-    levels = draw(st.lists(LEVELS, min_size=min_size, max_size=max_size))
+    levels = draw(
+        st.lists(LEVELS, min_size=min_size, max_size=max_size)
+        | st.lists(RUN_HEAVY, min_size=min_size, max_size=max_size)
+    )
     rate = draw(st.one_of(st.sampled_from([8001.0, 1.0, 3.0]), st.floats(1e-3, 1e7)))
     kind = draw(st.sampled_from(["IN", "WGN"]))
     return SampleRecord(levels, rate, kind=kind, meta=draw(METAS))
@@ -62,8 +68,14 @@ def burst_sets(draw, n, rate):
     if spans and draw(st.booleans()):
         spans[-1][1] = n - 1
     start, end = np.array(spans, dtype=np.int64).reshape(-1, 2).T
-    amplitude = draw(st.lists(st.floats(-300.0, 300.0), min_size=len(spans), max_size=len(spans)))
+    amplitudes = st.floats(-300.0, 300.0) if draw(st.booleans()) else RUN_HEAVY
+    amplitude = draw(st.lists(amplitudes, min_size=len(spans), max_size=len(spans)))
     return BurstSet(start, end, end - start + 1, amplitude, -87.0, "in.csv", rate)
+
+
+@given(block=st.lists(RUN_HEAVY, max_size=40) | st.lists(st.floats(), max_size=40))
+def test_spelled_is_the_repr_of_each_value(block):
+    assert io._spelled(np.array(block, dtype=np.float64)) == [repr(v) for v in block]
 
 
 def _record_oracle(record):
