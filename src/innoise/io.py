@@ -27,7 +27,10 @@ block of rows at a time through one open file, never as one whole text. It
 spells a float as its ``repr`` once per run of consecutive values in a column
 that are equal bit for bit (``-0.0`` and ``0.0`` differ), and repeats that
 spelling across the run: an exact-grid APD column changes only at its own
-record's levels.
+record's levels. A table row is its cells between literal pieces of text
+(``("", ",", ",", "")`` for a plot row), and a block is laid out with no
+call per row: one list repeats the row's pieces, strided slice assignments
+put each column's cells between them, and one ``"".join`` makes the text.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import typing
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -117,19 +120,40 @@ def _spelled(block: np.ndarray) -> list:
     return np.array(spellings, dtype=object)[np.cumsum(new_run) - 1].tolist()
 
 
+def _laid_out(pieces: Sequence[str], cells: list[list[str]], sep: str) -> str:
+    """``sep.join(pieces[0] + c[0] + pieces[1] + ... + c[-1] + pieces[-1])``
+    over the rows of the ``cells`` columns: one list repeats a row's pieces
+    (its first joined to the previous row's last and ``sep``), one strided
+    slice assignment per column puts the cells in place, and one join."""
+    width = 2 * len(cells)
+    row = [part for piece in pieces[:-1] for part in (piece, None)]
+    row[0] = pieces[-1] + sep + pieces[0]
+    parts = row * len(cells[0])
+    parts[0] = pieces[0]
+    parts.append(pieces[-1])
+    for k, column in enumerate(cells):
+        parts[2 * k + 1 :: width] = column
+    return "".join(parts)
+
+
 def _write_table(
-    path: Path | str, head: str, row: Callable | None, columns: list, sep: str = "\n", tail: str = "\n"
+    path: Path | str, head: str, pieces: Sequence[str] | None, columns: list,
+    sep: str = "\n", tail: str = "\n",
 ) -> None:
-    """Write ``head``, ``row(*cells)`` for each element of the equal-length
-    ``columns`` joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
-    through one open file. Each block of a column becomes its cells through
-    ``_spelled``, so a float is spelled as its ``repr``, once per run of equal
-    values. With ``row`` None, the one column's cells are the rows."""
+    """Write ``head``, one row per element of the equal-length ``columns``
+    joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
+    through one open file. A row is its cells between the literal ``pieces``
+    (one more than there are columns), laid out by ``_laid_out`` with no call
+    per row; with ``pieces`` None, the one column's cells are the rows. Each
+    block of a column becomes its cells through ``_spelled``, so a float is
+    spelled as its ``repr``, once per run of equal values; any other column
+    must hold ``str``."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(head)
         for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
             cells = [_spelled(c[i : i + _ROWS_PER_WRITE]) for c in columns]
-            fh.write((sep if i else "") + sep.join(cells[0] if row is None else map(row, *cells)))
+            rows = sep.join(cells[0]) if pieces is None else _laid_out(pieces, cells, sep)
+            fh.write((sep if i else "") + rows)
         fh.write(tail)
 
 
@@ -383,8 +407,10 @@ def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | No
 # one element of the "bursts" array as json.dumps(indent=2) lays it out,
 # after the "[" or "," before it; JSON spells a finite float as its repr
 _BURST_ROW = (
-    '\n    {{\n      "start_ms": {},\n      "duration_ms": {},'
-    '\n      "amplitude_dbm": {}\n    }}'
+    '\n    {\n      "start_ms": ',
+    ',\n      "duration_ms": ',
+    ',\n      "amplitude_dbm": ',
+    "\n    }",
 )
 
 
@@ -413,7 +439,7 @@ def write_measurement_report(
     head = json.dumps(payload, indent=2).removesuffix("]\n}")
     tail = "\n  ]\n}\n" if len(burst_set) else "]\n}\n"
     columns = [burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm]
-    _write_table(path, head, _BURST_ROW.format, columns, sep=",", tail=tail)
+    _write_table(path, head, _BURST_ROW, columns, sep=",", tail=tail)
     _write_summary(path, [
         ("Number of Bursts", stats.n_bursts),
         ("Average Burst Duration (ms)", _fmt2(stats.avg_duration_ms)),
@@ -464,7 +490,7 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
     # entry i is the double float(i) * (1000.0 / rate), the index converted exactly
     time_ms = np.arange(n) * (1000.0 / record.sample_rate_hz)
     columns = [time_ms, record.levels, tags]
-    _write_table(path, "time_ms,level_dbm,burst_id\n", "{},{},{}".format, columns)
+    _write_table(path, "time_ms,level_dbm,burst_id\n", ("", ",", ",", ""), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +508,8 @@ def write_apd_csv(curves: Sequence[ApdCurve], path: Path | str) -> None:
         raise ConfigError("paired APD curves must share one level grid")
     names = "exceedance" if len(curves) == 1 else "exceedance_wgn,exceedance_in"
     columns = [curves[0].levels_dbm, *(c.exceedance for c in curves)]
-    _write_table(path, f"level_dbm,{names}\n", ",".join(["{}"] * len(columns)).format, columns)
+    pieces = ("", *[","] * (len(columns) - 1), "")
+    _write_table(path, f"level_dbm,{names}\n", pieces, columns)
 
 
 # ---------------------------------------------------------------------------

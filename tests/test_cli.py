@@ -458,12 +458,17 @@ FAILING_RUNS = {
     "simulate over-long integer": (
         [*SIMULATE, "--events", "long_events.json"], ExitStatus.BAD_INPUT
     ),
+    "analyze span power overflow": (
+        ["analyze", "overflow.csv", "--baseline", "baseline.json"], ExitStatus.BAD_INPUT
+    ),
+    "campaign span power overflow": (["campaign", "overflow_manifest.json"], ExitStatus.BAD_INPUT),
 }
 
 # the file a case's error line names: below 1e-3 Hz, the durations overflow
 # the report's Decimal rounding, the campaign's deviation or a float; a JSON
 # file nested too deeply or holding an integer of more digits than Python
-# converts fails in the decoder
+# converts fails in the decoder; a burst whose linear powers sum past the
+# float range is named by its record and span
 NAMED_FILES = {
     "analyze rate 1e-24": "rate_1e-24.csv",
     "analyze rate 1e-305": "rate_1e-305.csv",
@@ -473,6 +478,8 @@ NAMED_FILES = {
     "campaign over-long integer": "long_manifest.json",
     "analyze over-long integer": "long_baseline.json",
     "simulate over-long integer": "long_events.json",
+    "analyze span power overflow": "overflow.csv: burst [1, 2]",
+    "campaign span power overflow": "overflow.csv: burst [1, 2]",
 }
 
 
@@ -481,7 +488,7 @@ def _write_rate_record(path, rate, burst_len):
     path.write_text(f"# sample_rate_hz={rate}\n-100.0\n" + "-60.0\n" * burst_len + "-100.0\n")
 
 
-def _write_rate_manifest(directory, name, records):
+def _write_manifest(directory, name, records):
     (directory / name).write_text(json.dumps({
         "wgn_record": "wgn.csv", "in_records": records, "event": "e", "frequency_khz": 1910.0,
     }))
@@ -510,7 +517,7 @@ def _failing_inputs(directory):
     _write_rate_record(directory / "rate_1e-305.csv", "1e-305", 2)
     _write_rate_record(directory / "rate_1e-160_a.csv", "1e-160", 1)
     _write_rate_record(directory / "rate_1e-160_b.csv", "1e-160", 2)
-    _write_rate_manifest(directory, "rate_manifest.json", ["rate_1e-160_a.csv", "rate_1e-160_b.csv"])
+    _write_manifest(directory, "rate_manifest.json", ["rate_1e-160_a.csv", "rate_1e-160_b.csv"])
     (directory / "deep.json").write_text("[" * 100_000)
     digits = "1" * 5001
     (directory / "long_manifest.json").write_text(
@@ -523,6 +530,10 @@ def _failing_inputs(directory):
     (directory / "long_events.json").write_text(
         f'[{{"start_idx": {digits}, "length_samples": 5, "level_offset_db": 25.0}}]'
     )
+    # each sample's power is finite (about 1.6e308 mW), the sum of the two is not
+    (directory / "overflow.csv").write_text("# sample_rate_hz=8001\n-100.0\n3082\n3082\n-100.0\n")
+    _write_rate_record(directory / "one_burst.csv", "8001", 1)
+    _write_manifest(directory, "overflow_manifest.json", ["one_burst.csv", "overflow.csv"])
 
 
 @pytest.mark.parametrize("case", FAILING_RUNS)
@@ -540,7 +551,7 @@ def test_slowest_sample_rate_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_rate_record(tmp_path / "slow_a.csv", "1e-3", 1)
     _write_rate_record(tmp_path / "slow_b.csv", "1e-3", 2)
-    _write_rate_manifest(tmp_path, "slow.json", ["slow_a.csv", "slow_b.csv"])
+    _write_manifest(tmp_path, "slow.json", ["slow_a.csv", "slow_b.csv"])
     argv = ["analyze", "slow_b.csv", "--baseline", "baseline.json", "--plot-data", "--out", "a"]
     assert main(argv) == ExitStatus.OK
     assert "Average Burst Duration (ms),2000000.00" in (tmp_path / "a/measurement.csv").read_text()

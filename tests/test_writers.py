@@ -78,6 +78,41 @@ def test_spelled_is_the_repr_of_each_value(block):
     assert io._spelled(np.array(block, dtype=np.float64)) == [repr(v) for v in block]
 
 
+@st.composite
+def tables(draw):
+    """A separator, the literal pieces around a row's cells (None for one
+    column whose cells are the rows) and 1-3 equal-length columns of floats
+    or of text cells, with no rows or several."""
+    sep = draw(st.sampled_from(["\n", ",", "}{"]))
+    n_columns, n_rows = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    piece = st.lists(st.sampled_from(["{", "}", "{}", "%", "%s", sep, "x"]), max_size=3).map("".join)
+    pieces = draw(st.lists(piece, min_size=n_columns + 1, max_size=n_columns + 1))
+    if n_columns == 1 and draw(st.booleans()):
+        pieces = None
+    floats = RUN_HEAVY | st.floats()
+    texts = st.sampled_from(["", "1", "12", "{}", "%"])
+    columns = [
+        np.array(draw(st.lists(floats, min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+        if draw(st.booleans())
+        else np.array(draw(st.lists(texts, min_size=n_rows, max_size=n_rows)), dtype=object)
+        for _ in range(n_columns)
+    ]
+    return sep, pieces, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), rows=ROWS_PER_WRITE)
+def test_write_table_matches_a_row_at_a_time(tmp_path_factory, table, rows):
+    sep, pieces, columns = table
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
+        io._write_table(path, "head\n", pieces, columns, sep=sep, tail="|tail\n")
+    cells = [[repr(v) if isinstance(v, float) else v for v in c.tolist()] for c in columns]
+    around = ("", "") if pieces is None else pieces
+    lines = ("".join(p + c for p, c in zip(around, row)) + around[-1] for row in zip(*cells))
+    assert path.read_bytes() == ("head\n" + sep.join(lines) + "|tail\n").encode("utf-8")
+
+
 def _record_oracle(record):
     lines = [f"# sample_rate_hz={record.sample_rate_hz!r}", f"# kind={record.kind}"]
     for key in ("frequency_khz", "event", "location", "source", "started_at"):
