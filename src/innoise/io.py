@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -189,10 +190,14 @@ def _to_json(obj: Any) -> dict:
     return payload
 
 
+# each class's annotation strings, compiled once
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _from_json(cls: type, data: Any, where: str) -> Any:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if not f.compare:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -126,22 +128,35 @@ def mw_to_dbm(power: PowerMw) -> LevelDbm:
     return 10.0 * math.log10(power)
 
 
+# How many samples mean_power_dbm converts to linear power at a time on
+# their way into math.fsum, so that no list holds every sample's power.
+_POWER_BLOCK = 1 << 16
+
+
 def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
     """dB value of the mean linear power of ``levels``.
 
     The sum is accumulated exactly (math.fsum), so the result is invariant
-    under sample permutation down to the last bit. A mean power beyond the
-    float range raises DomainError.
+    under sample permutation, and under the block size, down to the last
+    bit. A mean power beyond the float range raises DomainError.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if levels.size == 0:
         raise DomainError("empty record")
     with np.errstate(over="ignore"):
-        powers = np.power(10.0, levels / 10.0)
-    return mw_to_dbm(power_sum(powers.tolist()) / levels.size)
+        total = power_sum(chain.from_iterable(
+            np.power(10.0, levels[i : i + _POWER_BLOCK] / 10.0).tolist()
+            for i in range(0, levels.size, _POWER_BLOCK)
+        ))
+    if total == math.inf:
+        raise DomainError(
+            f"mean power of {levels.size} samples is not finite: "
+            "their summed linear power is beyond the float range"
+        )
+    return mw_to_dbm(total / levels.size)
 
 
-def power_sum(powers: list[PowerMw]) -> PowerMw:
+def power_sum(powers: Iterable[PowerMw]) -> PowerMw:
     """Exact sum of linear powers (math.fsum); inf when it overflows."""
     try:
         return math.fsum(powers)

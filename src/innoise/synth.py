@@ -1,11 +1,13 @@
 """Deterministic synthetic records: Rayleigh-envelope noise, injected bursts.
 
 The generator is the ground-truth oracle for the detection pipeline, so it
-must be reproducible bit for bit across platforms and sessions. Randomness
-comes from numpy's counter-based Philox generator, and exponential power
-samples are drawn by explicit inverse-CDF transform of its raw uniforms
-(p = -mean * ln(1 - u)), pinning the whole algorithm rather than relying
-on a library's sampling method of the day.
+must be reproducible. Randomness comes from numpy's counter-based Philox
+generator, and exponential power samples are drawn by explicit inverse-CDF
+transform of its raw uniforms (p = -mean * ln(1 - u)), pinning the whole
+algorithm rather than relying on a library's sampling method of the day.
+The uniforms are the same everywhere, but ``np.log1p`` and ``np.log10``
+round differently under different SIMD paths, so a record is bit for bit
+the same only on the same numpy build and CPU feature set (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def generate_wgn(
 
     Envelope power is i.i.d. exponential with mean dbm_to_mw(mean_level_dbm),
     the standard model behind the 13 dB crest-factor rule. Identical seeds
-    give identical records on any platform.
+    give identical records on the same numpy build and CPU feature set.
     """
     n = int(n)
     if n < 1:
@@ -93,15 +95,6 @@ def generate_wgn(
     )
 
 
-def _event_levels(base_level_dbm: float, event: BurstEventSpec) -> np.ndarray:
-    length = event.length_samples
-    if event.shape == SHAPE_DECAYING and length > 1:
-        offsets = np.linspace(event.level_offset_db, event.level_offset_db - DECAY_DB, length)
-    else:
-        offsets = np.full(length, event.level_offset_db)
-    return base_level_dbm + offsets
-
-
 def inject_bursts(
     record: SampleRecord,
     events: list[BurstEventSpec],
@@ -112,27 +105,53 @@ def inject_bursts(
     mean power scaled by 10^(offset/10) (optionally with the linear-dB
     decay of the "decaying" shape). Returns the new record, marked as an
     impulsive-noise measurement, together with the exact injected spans.
+    Events must be sorted and apart; ConfigError names the first that is
+    not, or that reaches past the record.
     """
     events = list(events)
+    if not events:
+        return record, ()
     n = len(record)
-    for i, event in enumerate(events):
-        if event.end_idx >= n:
+    # indices clipped to n + 1, past the record, so that none overflows
+    # int64 and every end past the record stays past it
+    cap = n + 1
+    start = np.array([e.start_idx if e.start_idx < cap else cap for e in events], np.int64)
+    length = np.array(
+        [e.length_samples if e.length_samples < cap else cap for e in events], np.int64
+    )
+    end = start + length - 1
+    bad = end >= n
+    bad[1:] |= start[1:] <= end[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        if end[i] >= n:
+            event = events[i]
             raise ConfigError(
                 f"event {i} spans [{event.start_idx}, {event.end_idx}] "
                 f"outside record of {n} samples"
             )
-        if i > 0 and event.start_idx <= events[i - 1].end_idx:
-            raise ConfigError(f"events {i - 1} and {i} overlap or are unsorted")
-    if not events:
-        return record, ()
-    base_level = mean_power_dbm(record.levels)
+        raise ConfigError(f"events {i - 1} and {i} overlap or are unsorted")
+
+    # np.linspace(offset, stop, length) one IEEE operation at a time: sample
+    # j of a ramp is j * step + offset and its last sample is stop. Any other
+    # event has step 0, and base_level + (0.0 + offset) has the bits of
+    # base_level + offset, as base_level is never -0.0.
+    offset = np.array([e.level_offset_db for e in events], np.float64)
+    stop = offset - DECAY_DB
+    ramp = np.array([e.shape == SHAPE_DECAYING for e in events]) & (length > 1)
+    step = np.zeros(len(events))
+    step[ramp] = (stop[ramp] - offset[ramp]) / (length[ramp] - 1)
+    first = np.cumsum(length) - length  # each event's first injected sample
+    j = np.arange(first[-1] + length[-1]) - np.repeat(first, length)
+    values = j * np.repeat(step, length)
+    values += np.repeat(offset, length)
+    values[(first + length - 1)[ramp]] = stop[ramp]
     levels = np.array(record.levels, copy=True)
-    for event in events:
-        levels[event.start_idx : event.end_idx + 1] = _event_levels(base_level, event)
+    levels[j + np.repeat(start, length)] = mean_power_dbm(record.levels) + values
     injected = SampleRecord(
         levels=levels,
         sample_rate_hz=record.sample_rate_hz,
         kind=IN,
         meta=record.meta,
     )
-    return injected, tuple((e.start_idx, e.end_idx) for e in events)
+    return injected, tuple(zip(start.tolist(), end.tolist()))

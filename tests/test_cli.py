@@ -462,13 +462,19 @@ FAILING_RUNS = {
         ["analyze", "overflow.csv", "--baseline", "baseline.json"], ExitStatus.BAD_INPUT
     ),
     "campaign span power overflow": (["campaign", "overflow_manifest.json"], ExitStatus.BAD_INPUT),
+    "baseline power sum overflow": (["baseline", "overflow.csv"], ExitStatus.BAD_INPUT),
+    "campaign baseline power sum overflow": (
+        ["campaign", "overflow_wgn_manifest.json"], ExitStatus.BAD_INPUT
+    ),
+    "simulate event past int64": ([*SIMULATE, "--events", "past_int64.json"], ExitStatus.BAD_INPUT),
 }
 
 # the file a case's error line names: below 1e-3 Hz, the durations overflow
 # the report's Decimal rounding, the campaign's deviation or a float; a JSON
 # file nested too deeply or holding an integer of more digits than Python
 # converts fails in the decoder; a burst whose linear powers sum past the
-# float range is named by its record and span
+# float range is named by its record and span, and a WGN record whose
+# samples do so by the record
 NAMED_FILES = {
     "analyze rate 1e-24": "rate_1e-24.csv",
     "analyze rate 1e-305": "rate_1e-305.csv",
@@ -480,6 +486,10 @@ NAMED_FILES = {
     "simulate over-long integer": "long_events.json",
     "analyze span power overflow": "overflow.csv: burst [1, 2]",
     "campaign span power overflow": "overflow.csv: burst [1, 2]",
+    "baseline power sum overflow": "overflow.csv: mean power of 4 samples is not finite: "
+    "their summed linear power is beyond the float range",
+    "campaign baseline power sum overflow": "overflow.csv: mean power of 4 samples",
+    "simulate event past int64": f"event 0 spans [{10**30}, {10**30 + 4}] outside record",
 }
 
 
@@ -534,6 +544,13 @@ def _failing_inputs(directory):
     (directory / "overflow.csv").write_text("# sample_rate_hz=8001\n-100.0\n3082\n3082\n-100.0\n")
     _write_rate_record(directory / "one_burst.csv", "8001", 1)
     _write_manifest(directory, "overflow_manifest.json", ["one_burst.csv", "overflow.csv"])
+    (directory / "overflow_wgn_manifest.json").write_text(json.dumps({
+        "wgn_record": "overflow.csv", "in_records": ["one_burst.csv"], "event": "e",
+        "frequency_khz": 1910.0,
+    }))
+    (directory / "past_int64.json").write_text(
+        f'[{{"start_idx": {10**30}, "length_samples": 5, "level_offset_db": 25.0}}]'
+    )
 
 
 @pytest.mark.parametrize("case", FAILING_RUNS)

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from innoise import model
 from innoise.model import (
     DomainError,
     MeasurementMeta,
@@ -49,8 +51,17 @@ def test_mean_power_beyond_float_range_is_a_domain_error():
     # one sample overflowing to inf, and finite powers whose exact sum overflows;
     # under filterwarnings=error a numpy overflow warning would fail this test
     for levels in ([-80.0, 1e308], [3082.0, 3082.0]):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match="not finite: their summed linear power is beyond"):
             mean_power_dbm(np.array(levels))
+
+
+@given(st.lists(st.floats(min_value=-400.0, max_value=400.0), min_size=1, max_size=50))
+def test_mean_power_has_the_same_bits_for_every_block_size(levels):
+    levels = np.array(levels)
+    expected = mean_power_dbm(levels).hex()
+    for block in (1, 3):
+        with mock.patch.object(model, "_POWER_BLOCK", block):
+            assert mean_power_dbm(levels).hex() == expected
 
 
 @given(st.floats(min_value=-400.0, max_value=400.0))

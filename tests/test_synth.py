@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.bursts import detect_bursts
 from innoise.model import ConfigError, DomainError
-from innoise.synth import DECAY_DB, BurstEventSpec, generate_wgn, inject_bursts
+from innoise.synth import BURST_SHAPES, DECAY_DB, BurstEventSpec, generate_wgn, inject_bursts
 from segment_oracle import brute_force_segment
+from synth_oracle import inject_bursts_oracle
 
 
 def test_generate_is_deterministic_per_seed():
@@ -115,3 +119,97 @@ def test_brute_force_trivial_cases():
 def test_brute_force_caps_record_size():
     with pytest.raises(DomainError):
         brute_force_segment(generate_wgn(10_001, -100.0, seed=1), -60.0)
+
+
+# --- the column code against the per-event loop ------------------------------
+
+def _outcome(inject, record, events):
+    """Level bits, kind and spans of an injection, or its error's type and text."""
+    try:
+        injected, spans = inject(record, events)
+    except (ConfigError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return injected.levels.tobytes(), injected.kind, spans
+
+
+def _assert_same_as_oracle(record, events):
+    expected = _outcome(inject_bursts_oracle, record, events)
+    assert _outcome(inject_bursts, record, events) == expected
+    return expected
+
+
+# past int64 and uint64: such an index must give the range error, not an OverflowError
+HUGE = st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, 10**30])
+OFFSETS = st.one_of(
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.sampled_from([0.0, -0.0, 3.0, 1e-300, 5e-324]),
+    st.floats(min_value=-4000.0, max_value=4000.0),  # past the float range in mW
+)
+
+
+@st.composite
+def event_lists(draw):
+    """Events laid out left to right, mostly apart or adjacent, at times
+    overlapping, out of order, past the record or past int64."""
+    events, pos = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        gap = draw(st.integers(0, 4))  # 0: adjacent to the event before
+        if draw(st.integers(0, 19)) == 0:
+            gap = -draw(st.integers(1, 3))  # overlapping or out of order
+        start, length = max(0, pos + gap), draw(st.integers(1, 6))
+        shape = draw(st.sampled_from(BURST_SHAPES))
+        events.append(BurstEventSpec(start, length, draw(OFFSETS), shape))
+        pos = start + length
+    # mostly a record the last event ends in or at, sometimes one it overruns
+    n = draw(st.integers(max(1, pos - 1), max(1, pos) + 3))
+    if events and draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, len(events) - 1))
+        field = draw(st.sampled_from(["start_idx", "length_samples"]))
+        events[i] = replace(events[i], **{field: draw(HUGE)})
+    return n, events
+
+
+@settings(max_examples=500, deadline=None)
+@given(layout=event_lists(), seed=st.integers(0, 3))
+def test_inject_matches_per_event_oracle(layout, seed):
+    n, events = layout
+    _assert_same_as_oracle(generate_wgn(n, -100.0, seed=seed), events)
+
+
+def test_inject_matches_oracle_at_the_edges():
+    record = generate_wgn(50, -100.0, seed=4)
+    layouts = [
+        [BurstEventSpec(0, 1, 20.0, "decaying")],  # index 0, length-1 ramp
+        [BurstEventSpec(49, 1, 20.0, "decaying")],  # index n - 1
+        [BurstEventSpec(0, 50, 21.5, "decaying")],  # the whole record
+        [BurstEventSpec(0, 2, 20.0, "decaying"), BurstEventSpec(2, 1, 24.0, "decaying"),
+         BurstEventSpec(3, 7, 19.0), BurstEventSpec(10, 40, 22.0, "decaying")],  # adjacent
+        [BurstEventSpec(10, 5, -0.0), BurstEventSpec(20, 3, -0.0, "decaying")],
+    ]
+    for events in layouts:
+        assert _assert_same_as_oracle(record, events)[1] == "IN"
+    assert _assert_same_as_oracle(record, []) == (record.levels.tobytes(), "WGN", ())
+
+
+def test_inject_reports_the_first_bad_event_like_the_oracle():
+    record = generate_wgn(100, -100.0, seed=3)
+    cases = {
+        "event 1 spans [95, 104] outside record of 100 samples": [
+            BurstEventSpec(0, 5, 20.0), BurstEventSpec(95, 10, 20.0), BurstEventSpec(2, 5, 20.0),
+        ],
+        # the range error comes before the overlap error of the same event
+        "event 1 spans [3, 102] outside record of 100 samples": [
+            BurstEventSpec(0, 5, 20.0), BurstEventSpec(3, 100, 20.0),
+        ],
+        "events 0 and 1 overlap or are unsorted": [
+            BurstEventSpec(50, 5, 20.0), BurstEventSpec(10, 5, 20.0), BurstEventSpec(95, 10, 20.0),
+        ],
+        f"event 0 spans [{10**30}, {10**30 + 4}] outside record of 100 samples": [
+            BurstEventSpec(10**30, 5, 20.0),
+        ],
+        f"event 0 spans [0, {2**64 - 1}] outside record of 100 samples": [
+            BurstEventSpec(0, 2**64, 20.0, "decaying"),
+        ],
+    }
+    for message, events in cases.items():
+        assert _assert_same_as_oracle(record, events) == ("ConfigError", message)
