@@ -6,7 +6,12 @@ record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  kind, frequency_khz, event, location, source, started_at
                  optional), then one dBm level per line. Blank and ``#``
                  lines are skipped anywhere, LF, CRLF and CR all end a
-                 line, and errors name the line. Read in bounded chunks.
+                 line, and errors name the line. Read as bytes in blocks
+                 of whole lines; a block of plain lines (``-?[0-9]+\\.[0-9]+``
+                 of at most 18 digits, as written) is parsed as arrays,
+                 exactly, through a long double quotient where that has a
+                 64-bit significand, any other block line by line with
+                 ``float()``: each sample gets ``float()``'s bits.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -44,6 +49,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from io import StringIO
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -190,22 +196,39 @@ def _to_json(obj: Any) -> dict:
     return payload
 
 
-# each class's annotation strings, compiled once
-_type_hints = functools.cache(typing.get_type_hints)
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """A dataclass's keys, looked up once: each compared field's name, type
+    hint and whether it is required (has no default)."""
+    hints = typing.get_type_hints(cls)
+    missing = dataclasses.MISSING
+    return tuple(
+        (f.name, hints[f.name], f.default is missing and f.default_factory is missing)
+        for f in dataclasses.fields(cls)
+        if f.compare
+    )
+
+
+@functools.cache
+def _hint_parts(hint: Any) -> tuple[Any, tuple, bool]:
+    """A type hint's origin and arguments and whether it is a dataclass,
+    looked up once."""
+    return typing.get_origin(hint), typing.get_args(hint), dataclasses.is_dataclass(hint)
 
 
 def _from_json(cls: type, data: Any, where: str) -> Any:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
-    hints = _type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if not f.compare:
-            continue
-        if f.name in data:
-            kwargs[f.name] = _json_value(hints[f.name], data[f.name], f"{where}: {f.name}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise FormatError(f"{where}: missing required key {f.name!r}")
+    for name, hint, required in _json_fields(cls):
+        if name in data:
+            value = data[name]
+            # a value of the hint's own type stands as read, but a float must be finite
+            if type(value) is not hint or hint is float and not math.isfinite(value):
+                value = _json_value(hint, value, f"{where}: {name}")
+            kwargs[name] = value
+        elif required:
+            raise FormatError(f"{where}: missing required key {name!r}")
     try:
         return cls(**kwargs)
     except (ConfigError, DomainError) as exc:
@@ -214,15 +237,15 @@ def _from_json(cls: type, data: Any, where: str) -> Any:
 
 def _json_value(hint: Any, value: Any, where: str) -> Any:
     """Check one decoded JSON value against a field's type hint."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+    origin, args, is_dataclass = _hint_parts(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
         inner = next(a for a in args if a is not type(None))
         return None if value is None else _json_value(inner, value, where)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+    if origin is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
             raise FormatError(f"{where} must be a list, got {value!r}")
         return tuple(_json_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if dataclasses.is_dataclass(hint):
+    if is_dataclass:
         return _from_json(hint, value, where)
     if hint is float and type(value) in (int, float):
         with contextlib.suppress(OverflowError):  # an int too large for a float
@@ -246,8 +269,95 @@ def _fmt2(value: float | None) -> str:
 # sample records
 
 
-# characters of record text read and parsed at a time
+# bytes of record text read and parsed at a time
 _CHUNK_CHARS = 1 << 16
+
+# The plain tier's quotient m / 10**k is exact to the double only where a
+# long double has a 64-bit significand (x87 extended precision).
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
+
+_PAD = 24  # b"0" bytes before a block, so the 3 words ending at its first LF start in it
+_POW10 = np.array([10**k for k in range(19)], dtype=np.uint64)
+_POW10_LD = _POW10.astype(np.longdouble)
+# _KEEP[j][c]: the bytes of word j (the 8 digits before the last 8 j) that
+# hold digits of a c-digit number, its last min(max(c - 8 j, 0), 8) bytes
+_KEEP = np.array(
+    [[2**64 - 2 ** (64 - 8 * min(max(c - 8 * j, 0), 8)) for c in range(19)] for j in range(3)],
+    dtype=np.uint64,
+)
+# A little-endian word of 8 digit values, the first in its low byte, becomes
+# their number in three steps that see the word as lanes of 1, 2, then 4
+# digits. Multiplying by 10**w << 8 w | 1 adds 10**w times each lane to the
+# lane above it, so the upper lane of each pair holds the pair's number; the
+# shift moves it down and the mask drops the other lane. (scale, shift, mask)
+_SWAR_STEPS = [
+    (np.uint64(10**w << 8 * w | 1), np.uint64(8 * w), np.uint64(mask))
+    for w, mask in [(1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF)]
+]
+
+
+def _digits_value(words: np.ndarray, stop: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integer spelled by the ``count`` digits before each ``stop``, where
+    ``words[i]`` is the little-endian word of the 8 digit values at ``i``."""
+    value = np.zeros(len(stop), dtype=np.uint64)
+    for j in range((int(count.max()) + 7) // 8):  # 8 digits at a time, last first
+        x = words[stop - 8 * (j + 1)] & _KEEP[j][count]
+        for scale, shift, mask in _SWAR_STEPS:
+            x = (x * scale >> shift) & mask
+        value += x * _POW10[8 * j]
+    return value
+
+
+def _plain_levels(block: bytes) -> np.ndarray | None:
+    """The samples of a block whose every line is plain, parsed as arrays;
+    None for any other block, and for every block where a long double lacks
+    a 64-bit significand.
+
+    A plain line is ``-?[0-9]+\\.[0-9]+\\n`` with at most 18 digits, as
+    ``repr`` spells every double from 0.1 up to 1e16 in magnitude. Its digits
+    make an integer ``m < 10**18`` and its fraction digits number ``k``:
+    ``m`` and ``10**k`` are exact in a 64-bit significand and the division
+    is correctly rounded, so the long double ``m / 10**k`` is the exact
+    quotient rounded once. Rounding it to a double gives the bits ``float()``
+    gives unless it lies exactly halfway between two doubles (where the
+    exact quotient may not); those few lines are parsed by ``float()``.
+    """
+    if not (_EXACT_LONG_DOUBLE and block.endswith(b"\n")) or b"\r" in block:
+        return None
+    a = np.frombuffer(block, np.uint8)
+    n_lines, n_minus = np.count_nonzero(a == 10), np.count_nonzero(a == 45)
+    # no bytes but digits, '-', '.' and LF (all below '0' but for the digits),
+    # and one '.' per line: counts decline any other block cheaply
+    if (
+        a.max() > 57
+        or np.count_nonzero(a == 46) != n_lines
+        or np.count_nonzero(a < 48) != 2 * n_lines + n_minus
+    ):
+        return None
+    ends = np.flatnonzero(a == 10)
+    dots = np.flatnonzero(a == 46)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    neg = a[starts] == 45
+    if np.count_nonzero(neg) != n_minus:  # a '-' past the start of a line
+        return None
+    int_digits = dots - starts - neg
+    frac_digits = ends - dots - 1
+    if min(int_digits.min(), frac_digits.min()) < 1 or (int_digits + frac_digits).max() > 18:
+        return None
+    digits = np.frombuffer(b"0" * _PAD + block, np.uint8) ^ np.uint8(48)  # '0'..'9' -> 0..9
+    # every 8-byte window of the digit values, one per byte offset
+    words = np.ndarray((len(digits) - 7,), "<u8", digits, strides=(1,))
+    m = _digits_value(words, dots + _PAD, int_digits) * _POW10[frac_digits]
+    m += _digits_value(words, ends + _PAD, frac_digits)
+    quotient = m.astype(np.longdouble) / _POW10_LD[frac_digits]
+    levels = quotient.astype(np.float64)
+    # a midpoint's mirror image across it is the double on its other side
+    mirror = 2 * quotient - levels
+    ties = np.flatnonzero((quotient != levels) & (mirror.astype(np.float64) == mirror))
+    np.negative(levels, out=levels, where=neg)
+    for i in ties.tolist():
+        levels[i] = float(block[starts[i] : ends[i]])
+    return levels
 
 
 def _parse_lines(
@@ -281,6 +391,43 @@ def _parse_lines(
         levels.append(np.array(values, dtype=np.float64))
 
 
+def _blocks(fh: typing.BinaryIO) -> typing.Iterator[bytes]:
+    """The rest of ``fh`` in blocks of whole lines, read ``_CHUNK_CHARS``
+    bytes at a time. A block ends after its last LF, or after a later CR
+    that is not the last byte read (which may begin a CRLF). The last block
+    gets an LF when the file ends without one."""
+    rest = b""
+    while data := fh.read(_CHUNK_CHARS):
+        block = rest + data
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield block[:cut]
+        rest = block[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
+def _text_lines(path: Path, block: bytes) -> list[str]:
+    """A block's lines as text, each ending in LF where it ends in LF, CRLF
+    or CR, as a text-mode file reads them."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    return StringIO(text, newline=None).readlines()
+
+
+def _header_lines(
+    path: Path, block: bytes, first_lineno: int, header: dict, levels: list
+) -> tuple[int, bytes]:
+    """Apply the line rules to the comment and blank lines that begin a block:
+    their number, and the bytes of the block after them."""
+    lines = _text_lines(path, block)
+    n = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")), len(lines))
+    _parse_lines(path, lines[:n], first_lineno, header, levels)
+    return n, "".join(lines[n:]).encode("utf-8")
+
+
 def read_record(path: Path | str) -> SampleRecord:
     """Parse a record CSV file into a SampleRecord.
 
@@ -288,38 +435,52 @@ def read_record(path: Path | str) -> SampleRecord:
     offending line) for malformed content. ``kind`` defaults to IN when the
     header does not say otherwise.
 
-    The leading header block is read line by line, the samples after it in
-    chunks of about ``_CHUNK_CHARS`` characters. A chunk of plain sample
-    lines is parsed by one ``float`` per line straight into an array; a
-    chunk that does not parse that way (a blank line, a comment, a bad or
-    non-finite sample) goes through ``_parse_lines``, which gives the
-    identical levels or the error naming the first bad line.
+    The file is read as bytes in blocks of whole lines (``_blocks``). The
+    comment and blank lines before the first sample go through
+    ``_parse_lines`` (``_header_lines``); the rest of each block through the
+    first tier that takes it:
+
+    1. ``_plain_levels``, when every line is plain, ``-?[0-9]+\\.[0-9]+`` of
+       at most 18 digits, as ``write_record`` spells levels from 0.1 up to
+       1e16 in magnitude: the samples are parsed as arrays, exactly, through
+       a long double quotient. It takes no block on a platform whose long
+       double lacks a 64-bit significand.
+    2. one ``float`` per line of the decoded block, straight into an array;
+    3. ``_parse_lines``, which gives the identical levels or the error
+       naming the first bad line (a blank line, a comment, a bad or
+       non-finite sample).
+
+    Every tier gives each sample the bits ``float()`` gives its line, so the
+    levels do not depend on the tier, the platform or the block size.
     """
     path = Path(path)
     header: dict[str, str] = {}
-    levels: list[np.ndarray] = []  # one array per chunk
-    with path.open(encoding="utf-8") as fh:
-        try:
-            lineno = 1
-            line = fh.readline()
-            while line and line.strip()[:1] in ("", "#"):  # the header block
-                _parse_lines(path, [line], lineno, header, levels)
-                lineno += 1
-                line = fh.readline()
-            chunk = [line, *fh.readlines(_CHUNK_CHARS)] if line else []
-            while chunk:
-                try:
-                    values = np.fromiter(map(float, chunk), np.float64, count=len(chunk))
-                except ValueError:
-                    values = None
-                if values is not None and np.isfinite(values).all():
-                    levels.append(values)
-                else:
-                    _parse_lines(path, chunk, lineno, header, levels)
-                lineno += len(chunk)
-                chunk = fh.readlines(_CHUNK_CHARS)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    levels: list[np.ndarray] = []  # one array per block
+    lineno = 1  # of the block's first line
+    in_header = True
+    with path.open("rb") as fh:
+        for block in _blocks(fh):
+            if in_header:
+                n, block = _header_lines(path, block, lineno, header, levels)
+                lineno += n
+                if not block:
+                    continue
+                in_header = False
+            values = _plain_levels(block)
+            if values is not None:
+                levels.append(values)
+                lineno += len(values)
+                continue
+            lines = _text_lines(path, block)
+            try:
+                values = np.fromiter(map(float, lines), np.float64, count=len(lines))
+            except ValueError:
+                values = None
+            if values is not None and np.isfinite(values).all():
+                levels.append(values)
+            else:
+                _parse_lines(path, lines, lineno, header, levels)
+            lineno += len(lines)
     levels = np.concatenate(levels) if levels else np.empty(0)
     if "sample_rate_hz" not in header:
         raise FormatError(f"{path.name}: missing '# sample_rate_hz=...' header")
@@ -345,11 +506,18 @@ def read_record(path: Path | str) -> SampleRecord:
 
 
 def write_record(record: SampleRecord, path: Path | str) -> None:
-    """Write a SampleRecord as a record CSV file."""
+    """Write a SampleRecord as a record CSV file.
+
+    Raises ConfigError, before the file is opened, for meta text holding a
+    line break: it would end its header line, and the rest would read back
+    as another header line or a sample.
+    """
     # str() of a float is its repr, so every value reads back exactly
     head = f"# sample_rate_hz={record.sample_rate_hz}\n# kind={record.kind}\n"
     for key in _META_HEADER_KEYS:
         value = getattr(record.meta, key)
+        if isinstance(value, str) and ("\n" in value or "\r" in value):
+            raise ConfigError(f"{key} must not hold a line break, got {value!r}")
         if value is not None and value != "":
             head += f"# {key}={value}\n"
     _write_table(path, head, None, [record.levels])
@@ -527,9 +695,9 @@ def read_event_specs(path: Path | str) -> list[BurstEventSpec]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path.name}: expected a JSON list of events")
+    name = path.name  # a property; read once, not once per event
     return [
-        _from_json(BurstEventSpec, entry, f"{path.name}: events[{i}]")
-        for i, entry in enumerate(data)
+        _from_json(BurstEventSpec, entry, f"{name}: events[{i}]") for i, entry in enumerate(data)
     ]
 
 

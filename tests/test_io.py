@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from innoise import io
 from innoise.apd import apd_pair, compute_apd
@@ -48,6 +49,43 @@ def test_record_write_read_round_trip(tmp_path):
     path2 = tmp_path / "rec2.csv"
     io.write_record(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("field, text", [
+    ("event", "lamp on\n# kind=WGN"),
+    ("location", "lab\r\n-50.0"),
+    ("source", "tubes\r"),
+    ("started_at", "\n2024-01-01"),
+])
+def test_record_writer_refuses_a_line_break_in_meta_text(tmp_path, field, text):
+    # written verbatim, the text would end its header line and the rest would
+    # read back as a header line or a sample: an IN record of 10 samples
+    # would become a WGN record of 11
+    record = _record(levels=[-80.0] * 10, meta=MeasurementMeta(**{field: text}))
+    path = tmp_path / "rec.csv"
+    with pytest.raises(ConfigError, match=f"^{field} must not hold a line break"):
+        io.write_record(record, path)
+    assert not path.exists()
+
+
+META_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    event=META_TEXT, location=META_TEXT, source=META_TEXT,
+    started_at=st.none() | META_TEXT.filter(bool),
+)
+def test_meta_text_round_trips_through_a_record(tmp_path_factory, event, location, source, started_at):
+    texts = {"event": event, "location": location, "source": source, "started_at": started_at}
+    # the reader strips a header value, so surrounding whitespace is not kept
+    assume(all(t is None or t == t.strip() for t in texts.values()))
+    record = _record(meta=MeasurementMeta(frequency_khz=1910.0, **texts))
+    path = tmp_path_factory.getbasetemp() / "meta.csv"
+    io.write_record(record, path)
+    back = io.read_record(path)
+    assert back.meta == record.meta
+    assert back.kind == record.kind and np.array_equal(back.levels, record.levels)
 
 
 def test_read_four_second_capture(tmp_path):

@@ -125,3 +125,135 @@ def test_reader_holds_no_per_sample_python_objects(tmp_path):
         tracemalloc.stop()
     assert len(record) == n
     assert peak < 3 * 8 * n
+
+
+# --- the plain tier: every line -?[0-9]+.[0-9]+ of at most 18 digits, parsed as arrays
+
+HEADER = "# sample_rate_hz=8001\n# kind=WGN\n"
+# decimals whose long double quotient lies halfway between two doubles, so a
+# second rounding of it to a double would miss float() by one unit
+DOUBLE_ROUNDING_HAZARDS = [
+    "-12.4002275125861674", "-2.36961292358733", "-5.344647944003730",
+    "-23.0508257430954", "-637.445121396734919", "-4.37586658381163085",
+]
+
+
+@pytest.fixture(params=[
+    pytest.param(True, id="long-double-tier", marks=pytest.mark.skipif(
+        not io._EXACT_LONG_DOUBLE, reason="long double lacks a 64-bit significand")),
+    pytest.param(False, id="tier-forced-off"),
+])
+def tier(request, monkeypatch):
+    monkeypatch.setattr(io, "_EXACT_LONG_DOUBLE", request.param)
+    return request.param
+
+
+def _plain(lines):
+    return io._plain_levels("".join(f"{line}\n" for line in lines).encode())
+
+
+def _assert_parses_like_float(path, lines, tier, plain=True):
+    """Where the tier runs, it takes a block of ``plain`` lines and gives each
+    line the bits of its ``float()``, and it declines any other block; the
+    reader gives the oracle's levels for the lines a record can hold."""
+    lines = list(lines)
+    levels = _plain(lines)
+    if tier and plain:
+        assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
+    else:
+        assert levels is None
+    samples = [line for line in lines if abs(float(line)) < 1000]  # of finite power in mW
+    path.write_text(HEADER + "".join(f"{line}\n" for line in samples))
+    assert io.read_record(path).levels.tobytes() == read_record_oracle(path).levels.tobytes()
+
+
+def _signed(rng, values):
+    return values * rng.choice([-1.0, 1.0], len(values))
+
+
+def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path, tier):
+    rng = np.random.default_rng(1)
+    values = _signed(rng, 10 ** rng.uniform(-4.0, 16.0, 20_000))
+    values = values[np.abs(values) < 1e16]
+    # from 0.1 up, repr spells a double in at most 17 significant digits
+    # and so in 18 digits at most; below 0.1 its leading zeros may add more
+    large = np.abs(values) >= 0.1
+    _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()), tier)
+    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()), tier, plain=False)
+
+
+def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path, tier):
+    rng = np.random.default_rng(2)
+    lines = []
+    for n_digits in rng.integers(2, 19, 20_000).tolist():
+        digits = "".join(map(str, rng.integers(0, 10, n_digits).tolist()))
+        point = int(rng.integers(1, n_digits))
+        lines.append("-" * int(rng.integers(0, 2)) + digits[:point] + "." + digits[point:])
+    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
+
+
+def test_plain_tier_reads_bit_neighbours_near_minus_100_dbm_exactly(tmp_path, tier):
+    rng = np.random.default_rng(3)
+    levels = rng.normal(-100.0, 5.0, 2000)
+    neighbours = (levels.view(np.int64)[:, None] + np.arange(-4, 5)).ravel().view(np.float64)
+    _assert_parses_like_float(tmp_path / "rec.csv", map(repr, neighbours.tolist()), tier)
+
+
+def test_plain_tier_reads_zeros_and_leading_zeros(tmp_path, tier):
+    lines = ["-0.0", "0.0", "-00.000", "007.50", "-0000000000000001.5", "0.00000000000000001"]
+    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
+    assert io.read_record(tmp_path / "rec.csv").levels[:2].tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+
+def test_plain_tier_takes_18_digits_and_declines_19(tmp_path, tier):
+    eighteen = ["99999999999999999.9", "-123456789.123456789", "1.00000000000000001"]
+    nineteen = ["999999999999999999.9", "-1234567890.123456789", "1.000000000000000001"]
+    _assert_parses_like_float(tmp_path / "a.csv", eighteen, tier)
+    for line in nineteen:
+        _assert_parses_like_float(tmp_path / "b.csv", eighteen + [line], tier, plain=False)
+
+
+def test_plain_tier_reads_midpoints_exactly(tmp_path, tier):
+    # 2**53 + 1 and its kind lie halfway between two doubles and round to even;
+    # the hazards' quotients only become halfway in the long double
+    midpoints = [f"{2**53 + i}.0" for i in range(-8, 9)] + [f"-{2**54 + i}.0" for i in range(-8, 9)]
+    _assert_parses_like_float(tmp_path / "rec.csv", midpoints + DOUBLE_ROUNDING_HAZARDS, tier)
+
+
+@pytest.mark.parametrize("line", [
+    "1-2.5", "--1.5", "-1.5-", "1.5.5", "-.5", "5.", ".5", "-", "1", "1.5e3", "1,5", "١.٢", "1.5\x00",
+])
+def test_plain_tier_declines_a_line_of_any_other_form(tier, line):
+    assert _plain(["-100.25", line, "-99.5"]) is None
+    assert (_plain(["-100.25", "-99.5"]) is not None) == tier
+
+
+@pytest.mark.parametrize(
+    "odd", ["-100.5\r-100.75", "-1.005e2", " -100.5", "-100.5 ", "+100.5", "-100.5\t"]
+)
+def test_a_block_with_one_line_not_plain_falls_back(tmp_path, monkeypatch, odd):
+    # the first is two lines, the first of them ended by a CR alone
+    monkeypatch.setattr(io, "_CHUNK_CHARS", 256)
+    path = tmp_path / "rec.csv"
+    lines = [repr(float(v)) for v in generate_wgn(200, -100.0, seed=7).levels]
+    assert _plain(lines[:2] + [odd]) is None
+    lines[100] = odd
+    path.write_text(HEADER + "\n".join(lines) + "\n", newline="")
+    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    # and with a bad line after it in the same block: the same error
+    lines[101] = "-85.0 x"
+    path.write_text(HEADER + "\n".join(lines) + "\n", newline="")
+    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    lineno = 104 + odd.count("\r")
+    assert _outcome(io.read_record, path) == f"rec.csv: malformed line {lineno}: '-85.0 x'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_error_names_the_line_in_any_newline_convention(tmp_path, monkeypatch, newline):
+    monkeypatch.setattr(io, "_CHUNK_CHARS", 64)
+    path = tmp_path / "bad.csv"
+    lines = ["# sample_rate_hz=8001", "", "-85.0"] + ["-85.25"] * 500 + ["nan"] + ["-85.0"] * 9
+    path.write_bytes(newline.join(lines).encode())
+    for read in (io.read_record, read_record_oracle):
+        with pytest.raises(FormatError, match="^bad.csv: non-finite sample at line 504$"):
+            read(path)
