@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, DomainError, LevelDbm, SampleRecord, mean_power_dbm
+from .model import ConfigError, LevelDbm, SampleRecord, mean_power_dbm
 
 # Crest factor of white Gaussian noise: peaks sit ~13 dB above the r.m.s.
 # level, so anything higher must come from impulses.
@@ -46,18 +46,15 @@ class WgnValidation:
     max_level_dbm: float
 
 
-def compute_rms_level(record: SampleRecord, record_id: str = "") -> LevelDbm:
+def compute_rms_level(record: SampleRecord) -> LevelDbm:
     """r.m.s. level of a record in dBm.
 
     Evaluated on linear power: the dB value of the mean milliwatt power of
     all samples. For envelope level data this is the self-consistent
-    reading of the usual sqrt(1/N * sum(v_i^2)) definition. A mean power
-    beyond the float range raises DomainError naming ``record_id``.
+    reading of the usual sqrt(1/N * sum(v_i^2)) definition. A record's
+    level range keeps that mean > 0 and finite.
     """
-    try:
-        return mean_power_dbm(record.levels)
-    except DomainError as exc:
-        raise DomainError(f"{record_id or 'record'}: {exc}") from None
+    return mean_power_dbm(record.levels)
 
 
 def derive_threshold(

@@ -140,46 +140,27 @@ def combine_pulses(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack((starts[first], ends[last])), above[last + 1] - above[first]
 
 
-def _span_amplitudes(
-    levels: np.ndarray, start: np.ndarray, end: np.ndarray, record_id: str
-) -> np.ndarray:
+def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """dB value of the mean linear power of each inclusive span.
 
-    Bit-identical to ``mw_to_dbm(power_sum(powers) / count)`` of each span,
+    Bit-identical to ``mw_to_dbm(math.fsum(powers) / count)`` of each span,
     one IEEE operation at a time, with no Python call per span: ``math.fsum``
     and ``math.log10`` are mapped over the spans, the division and the
     scaling by 10 are numpy's. Only in-span samples are converted to linear
-    power. DomainError names the record and the first span whose mean power
-    is 0 or beyond the float range.
+    power. A SampleRecord's levels keep every mean > 0 and finite.
     """
     counts = end - start + 1
     bounds = np.cumsum(counts)
     inside = np.repeat(start - (bounds - counts), counts) + np.arange(counts.sum())
-    powers = np.power(10.0, levels[inside] / 10.0).tolist()  # finite: a SampleRecord invariant
+    powers = np.power(10.0, levels[inside] / 10.0).tolist()
     edges = [0, *bounds.tolist()]
-    sums: list[float] = []
-    try:
-        sums.extend(map(math.fsum, map(powers.__getitem__, map(slice, edges, edges[1:]))))
-    except OverflowError:  # span len(sums) sums past the float range; extend kept the sums before it
-        sums.append(math.inf)
-    mean = np.array(sums) / counts[: len(sums)]
-    bad = ~((mean > 0.0) & (mean < math.inf))
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DomainError(
-            f"{record_id or 'record'}: burst [{start[row]}, {end[row]}] has mean power "
-            f"{float(mean[row])!r} mW; it must be > 0 mW and finite"
-        )
+    sums = map(math.fsum, map(powers.__getitem__, map(slice, edges, edges[1:])))
+    mean = np.fromiter(sums, np.float64, count=counts.size) / counts
     return 10.0 * np.fromiter(map(math.log10, mean.tolist()), np.float64, count=mean.size)
 
 
 def detect_bursts(record: SampleRecord, baseline: Baseline, record_id: str = "") -> BurstSet:
-    """Full impulse pipeline for one record against a derived baseline.
-
-    Returns an empty BurstSet when no sample exceeds the threshold. A burst
-    whose mean linear power is beyond the float range raises DomainError
-    naming ``record_id`` and the burst's span.
-    """
+    """The bursts of ``record`` above ``baseline``: none when no sample exceeds it."""
     threshold = baseline.threshold_dbm
     spans, above_count = combine_pulses(extract_pulses(record, threshold))
     start, end = spans[:, 0], spans[:, 1]
@@ -187,7 +168,7 @@ def detect_bursts(record: SampleRecord, baseline: Baseline, record_id: str = "")
         start_idx=start,
         end_idx=end,
         above_count=above_count,
-        amplitude_dbm=_span_amplitudes(record.levels, start, end, record_id),
+        amplitude_dbm=_span_amplitudes(record.levels, start, end),
         threshold_dbm=threshold,
         record_id=record_id,
         sample_rate_hz=record.sample_rate_hz,

@@ -51,7 +51,7 @@ def _baseline_step(
 ) -> tuple[Baseline, WgnValidation, Output]:
     """Derive and check the baseline of the WGN record at ``wgn``."""
     record = io.read_record(wgn)
-    rms = compute_rms_level(record, record_id)
+    rms = compute_rms_level(record)
     base = derive_threshold(rms, offset_db, source_record_id=record_id)
     validation = validate_wgn(record, base, fraction)
     return base, validation, ("baseline.json", partial(io.write_baseline_report, base, validation))

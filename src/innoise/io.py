@@ -144,23 +144,21 @@ def _laid_out(pieces: Sequence[str], cells: list[list[str]], sep: str) -> str:
 
 
 def _write_table(
-    path: Path | str, head: str, pieces: Sequence[str] | None, columns: list,
+    path: Path | str, head: str, pieces: Sequence[str], columns: list,
     sep: str = "\n", tail: str = "\n",
 ) -> None:
     """Write ``head``, one row per element of the equal-length ``columns``
     joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
     through one open file. A row is its cells between the literal ``pieces``
     (one more than there are columns), laid out by ``_laid_out`` with no call
-    per row; with ``pieces`` None, the one column's cells are the rows. Each
-    block of a column becomes its cells through ``_spelled``, so a float is
-    spelled as its ``repr``, once per run of equal values; any other column
-    must hold ``str``."""
+    per row. Each block of a column becomes its cells through ``_spelled``,
+    so a float is spelled as its ``repr``, once per run of equal values; any
+    other column must hold ``str``."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(head)
         for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
             cells = [_spelled(c[i : i + _ROWS_PER_WRITE]) for c in columns]
-            rows = sep.join(cells[0]) if pieces is None else _laid_out(pieces, cells, sep)
-            fh.write((sep if i else "") + rows)
+            fh.write((sep if i else "") + _laid_out(pieces, cells, sep))
         fh.write(tail)
 
 
@@ -520,7 +518,7 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
             raise ConfigError(f"{key} must not hold a line break, got {value!r}")
         if value is not None and value != "":
             head += f"# {key}={value}\n"
-    _write_table(path, head, None, [record.levels])
+    _write_table(path, head, ("", ""), [record.levels])
 
 
 # ---------------------------------------------------------------------------

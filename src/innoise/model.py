@@ -3,6 +3,10 @@
 Levels travel through the pipeline in dBm (receiver-native). Wherever a
 "linear average" is required it is taken over linear power in milliwatts
 and converted back to dB, never over the dB values themselves.
+
+Every level lies in [LEVEL_MIN_DBM, LEVEL_MAX_DBM], far beyond any receiver:
+each linear power is a normal double in [1e-300, 1e290] mW, and as an array
+holds under 2^60 doubles, every sum of them is below 1.2e308 mW.
 """
 
 from __future__ import annotations
@@ -10,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
 WGN = "WGN"
 IN = "IN"
 RECORD_KINDS = (WGN, IN)
+
+LEVEL_MIN_DBM = -3000.0
+LEVEL_MAX_DBM = 2900.0
 
 # Semantic aliases: a level in dBm, a linear power in milliwatts (> 0).
 LevelDbm = float
@@ -60,10 +66,10 @@ class SampleRecord:
     construction so records are safe to share between threads.
 
     Construction checks every record invariant and raises DomainError for
-    an empty record, a non-finite sample, a sample whose linear power in mW
-    is beyond the float range, a sample rate that is not finite or is below
-    1e-3 Hz (``checked_sample_rate``), an unknown ``kind`` or a
-    ``meta.frequency_khz`` that is not a positive finite number.
+    an empty record, a sample outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM] (NaN
+    and infinities included; ``_check_levels``), a sample rate that is not
+    finite or is below 1e-3 Hz (``checked_sample_rate``), an unknown
+    ``kind`` or a ``meta.frequency_khz`` that is not a positive finite number.
     """
 
     levels: np.ndarray
@@ -77,15 +83,7 @@ class SampleRecord:
         object.__setattr__(self, "levels", levels)
         if levels.size == 0:
             raise DomainError("empty record")
-        finite = np.isfinite(levels)
-        if not finite.all():
-            raise DomainError(f"non-finite sample at index {int(np.argmin(finite))}")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.power(10.0, levels.max() / 10.0)):
-                i = int(np.argmin(np.isfinite(np.power(10.0, levels / 10.0))))
-                raise DomainError(
-                    f"sample at index {i}: {float(levels[i])!r} dBm has no finite power in mW"
-                )
+        _check_levels(levels, "sample at index {}")
         object.__setattr__(self, "sample_rate_hz", checked_sample_rate(self.sample_rate_hz))
         if self.kind not in RECORD_KINDS:
             raise DomainError(f"kind must be one of {RECORD_KINDS}, got {self.kind!r}")
@@ -109,15 +107,22 @@ def checked_sample_rate(rate_hz: float) -> float:
     return rate_hz
 
 
+def _check_levels(levels: np.ndarray, name: str) -> None:
+    """DomainError naming the first level outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM]
+    as ``name.format(index)``, looked for only when a min or max (or NaN) fails."""
+    if not (levels.min() >= LEVEL_MIN_DBM and levels.max() <= LEVEL_MAX_DBM):
+        i = int(np.argmin((levels >= LEVEL_MIN_DBM) & (levels <= LEVEL_MAX_DBM)))
+        raise DomainError(
+            f"{name.format(i)}: {float(levels[i])!r} dBm; a level must be finite "
+            f"and in [{LEVEL_MIN_DBM:g}, {LEVEL_MAX_DBM:g}] dBm"
+        )
+
+
 def dbm_to_mw(level: LevelDbm) -> PowerMw:
-    """Convert a dBm level to linear power in milliwatts: 10^(level/10)."""
+    """Convert a dBm level in [LEVEL_MIN_DBM, LEVEL_MAX_DBM] to milliwatts."""
     level = float(level)
-    if not math.isfinite(level):
-        raise DomainError(f"level must be finite, got {level!r}")
-    try:
-        return 10.0 ** (level / 10.0)
-    except OverflowError:
-        raise DomainError(f"level {level!r} dBm is beyond the float range in mW") from None
+    _check_levels(np.array([level]), "level")
+    return 10.0 ** (level / 10.0)
 
 
 def mw_to_dbm(power: PowerMw) -> LevelDbm:
@@ -134,31 +139,17 @@ _POWER_BLOCK = 1 << 16
 
 
 def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
-    """dB value of the mean linear power of ``levels``.
+    """dB value of the mean linear power of ``levels`` (a SampleRecord's).
 
     The sum is accumulated exactly (math.fsum), so the result is invariant
     under sample permutation, and under the block size, down to the last
-    bit. A mean power beyond the float range raises DomainError.
+    bit.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if levels.size == 0:
         raise DomainError("empty record")
-    with np.errstate(over="ignore"):
-        total = power_sum(chain.from_iterable(
-            np.power(10.0, levels[i : i + _POWER_BLOCK] / 10.0).tolist()
-            for i in range(0, levels.size, _POWER_BLOCK)
-        ))
-    if total == math.inf:
-        raise DomainError(
-            f"mean power of {levels.size} samples is not finite: "
-            "their summed linear power is beyond the float range"
-        )
+    total = math.fsum(chain.from_iterable(
+        np.power(10.0, levels[i : i + _POWER_BLOCK] / 10.0).tolist()
+        for i in range(0, levels.size, _POWER_BLOCK)
+    ))
     return mw_to_dbm(total / levels.size)
-
-
-def power_sum(powers: Iterable[PowerMw]) -> PowerMw:
-    """Exact sum of linear powers (math.fsum); inf when it overflows."""
-    try:
-        return math.fsum(powers)
-    except OverflowError:
-        return math.inf

@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import (
     IN,
+    LEVEL_MIN_DBM,
     WGN,
     ConfigError,
     DomainError,
@@ -83,11 +84,13 @@ def generate_wgn(
         raise DomainError(f"seed must be non-negative, got {seed}")
     mean_mw = dbm_to_mw(mean_level_dbm)
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    u = rng.random(n)  # [0, 1)
-    with np.errstate(over="ignore"):  # an overflow is a non-finite sample, rejected below
-        power_mw = -mean_mw * np.log1p(-u)
-    # u == 0.0 would give zero power (undefined in dB); clamp to subnormal floor
-    power_mw = np.maximum(power_mw, np.finfo(np.float64).tiny)
+    try:
+        u = rng.random(n)  # [0, 1)
+    except (MemoryError, ValueError):  # past the memory, or numpy's largest array
+        raise DomainError(f"n = {n} samples do not fit in memory") from None
+    # at most 53 ln 2 times the mean, so finite; u == 0.0 gives zero power
+    # (undefined in dB), clamped to the lowest level's
+    power_mw = np.maximum(-mean_mw * np.log1p(-u), dbm_to_mw(LEVEL_MIN_DBM))
     return SampleRecord(
         levels=10.0 * np.log10(power_mw),
         sample_rate_hz=sample_rate_hz,

@@ -75,7 +75,7 @@ def test_grid_point_count_checked_before_allocation(monkeypatch):
     with pytest.raises(ConfigError, match="points"):
         compute_apd(record, grid_db=1e-12)
     with pytest.raises(ConfigError, match="points"):
-        apd_pair(record, _rec([-1e300, 3000.0]), grid_db=1e-300)  # the ratio overflows
+        apd_pair(record, _rec([-3000.0, 2900.0]), grid_db=1e-306)  # the ratio overflows
 
 
 def test_pair_identical_inputs_identical_curves():

@@ -1,5 +1,5 @@
 import itertools
-import re
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from innoise.baseline import derive_threshold
 from innoise.bursts import BurstSet, combine_pulses, detect_bursts, extract_pulses
-from innoise.model import DomainError, SampleRecord, mw_to_dbm, power_sum
+from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, DomainError, SampleRecord, mw_to_dbm
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
 from segment_oracle import brute_force_segment
 
@@ -245,12 +245,13 @@ _FLAGS = st.one_of(
 
 def _flag_record(flags, margins):
     """Levels above THRESHOLD where a flag is set (by a positive margin),
-    at or below it elsewhere (a zero margin lands exactly on it)."""
+    at or below it elsewhere (a zero margin lands exactly on it), held in
+    [LEVEL_MIN_DBM, LEVEL_MAX_DBM]."""
     levels = [
         THRESHOLD + (m or 0.5) if up else THRESHOLD - m
         for up, m in zip(flags, itertools.cycle(margins))
     ]
-    return _rec(levels)
+    return _rec(np.clip(levels, LEVEL_MIN_DBM, LEVEL_MAX_DBM))
 
 
 @settings(max_examples=300)
@@ -260,10 +261,13 @@ def test_combine_matches_brute_force_oracle(flags, magnitudes):
     assert _combined(record) == [list(s) for s in brute_force_segment(record, THRESHOLD)]
 
 
-# Margins up to 3149 dB put a level at up to 3082 dBm, about 1.6e308 mW: two
-# such samples in one span sum past the float range.
+# Margins up to LEVEL_MAX_DBM - THRESHOLD reach both ends of the level range:
+# a span of 64 samples at LEVEL_MAX_DBM sums to 6.4e291 mW.
+_WIDE = LEVEL_MAX_DBM - THRESHOLD
 _WIDE_MARGINS = st.lists(
-    st.floats(0.0, 60.0) | st.floats(0.0, 3149.0) | st.sampled_from([3149.0, 3146.0, 3140.0]),
+    st.floats(0.0, 60.0)
+    | st.floats(0.0, _WIDE)
+    | st.sampled_from([_WIDE, THRESHOLD - LEVEL_MIN_DBM, _WIDE - 3.0, _WIDE - 9.0]),
     min_size=1,
     max_size=64,
 )
@@ -271,7 +275,7 @@ _WIDE_MARGINS = st.lists(
 
 def _frozen_amplitude(levels):
     """A span's amplitude as it was computed one span at a time."""
-    return mw_to_dbm(power_sum(np.power(10.0, levels / 10.0).tolist()) / levels.size)
+    return mw_to_dbm(math.fsum(np.power(10.0, levels / 10.0).tolist()) / levels.size)
 
 
 @settings(max_examples=300)
@@ -279,14 +283,7 @@ def _frozen_amplitude(levels):
 def test_detect_table_matches_oracle_and_exact_amplitudes(flags, magnitudes):
     record = _flag_record(flags, magnitudes)
     spans = brute_force_segment(record, THRESHOLD)
-    amplitudes = []
-    for s, e in spans:
-        try:
-            amplitudes.append(_frozen_amplitude(record.levels[s : e + 1]))
-        except DomainError:  # the first span without a finite mean power is named
-            with pytest.raises(DomainError, match=re.escape(f"in.csv: burst [{s}, {e}] ")):
-                detect_bursts(record, BASE, record_id="in.csv")
-            return
+    amplitudes = [_frozen_amplitude(record.levels[s : e + 1]) for s, e in spans]
     burst_set = detect_bursts(record, BASE, record_id="in.csv")
     assert list(zip(burst_set.start_idx.tolist(), burst_set.end_idx.tolist())) == spans
     # bit-identical, not approximately equal

@@ -467,14 +467,22 @@ FAILING_RUNS = {
         ["campaign", "overflow_wgn_manifest.json"], ExitStatus.BAD_INPUT
     ),
     "simulate event past int64": ([*SIMULATE, "--events", "past_int64.json"], ExitStatus.BAD_INPUT),
+    # malloc refuses 800 TB at once, without touching memory
+    "simulate 1e14 samples": (
+        ["simulate", "--n", "100000000000000", "--mean-dbm", "-100", "--seed", "1"],
+        ExitStatus.BAD_INPUT,
+    ),
+    "simulate past numpy's largest array": (
+        ["simulate", "--n", str(2**63), "--mean-dbm", "-100", "--seed", "1"], ExitStatus.BAD_INPUT
+    ),
 }
 
 # the file a case's error line names: below 1e-3 Hz, the durations overflow
 # the report's Decimal rounding, the campaign's deviation or a float; a JSON
 # file nested too deeply or holding an integer of more digits than Python
-# converts fails in the decoder; a burst whose linear powers sum past the
-# float range is named by its record and span, and a WGN record whose
-# samples do so by the record
+# converts fails in the decoder; a record holding a level outside
+# [-3000, 2900] dBm, whose linear powers could sum past the float range, is
+# named with the sample's index
 NAMED_FILES = {
     "analyze rate 1e-24": "rate_1e-24.csv",
     "analyze rate 1e-305": "rate_1e-305.csv",
@@ -484,11 +492,13 @@ NAMED_FILES = {
     "campaign over-long integer": "long_manifest.json",
     "analyze over-long integer": "long_baseline.json",
     "simulate over-long integer": "long_events.json",
-    "analyze span power overflow": "overflow.csv: burst [1, 2]",
-    "campaign span power overflow": "overflow.csv: burst [1, 2]",
-    "baseline power sum overflow": "overflow.csv: mean power of 4 samples is not finite: "
-    "their summed linear power is beyond the float range",
-    "campaign baseline power sum overflow": "overflow.csv: mean power of 4 samples",
+    "analyze span power overflow": "overflow.csv: sample at index 1: 3082.0 dBm",
+    "campaign span power overflow": "overflow.csv: sample at index 1: 3082.0 dBm",
+    "baseline power sum overflow": "overflow.csv: sample at index 1: 3082.0 dBm; "
+    "a level must be finite and in [-3000, 2900] dBm",
+    "campaign baseline power sum overflow": "overflow.csv: sample at index 1",
+    "simulate 1e14 samples": "n = 100000000000000 samples do not fit in memory",
+    "simulate past numpy's largest array": "n = 9223372036854775808 samples",
     "simulate event past int64": f"event 0 spans [{10**30}, {10**30 + 4}] outside record",
 }
 
@@ -540,7 +550,8 @@ def _failing_inputs(directory):
     (directory / "long_events.json").write_text(
         f'[{{"start_idx": {digits}, "length_samples": 5, "level_offset_db": 25.0}}]'
     )
-    # each sample's power is finite (about 1.6e308 mW), the sum of the two is not
+    # each sample's power is finite (about 1.6e308 mW), the sum of the two is
+    # not: 3082 dBm is outside the level range
     (directory / "overflow.csv").write_text("# sample_rate_hz=8001\n-100.0\n3082\n3082\n-100.0\n")
     _write_rate_record(directory / "one_burst.csv", "8001", 1)
     _write_manifest(directory, "overflow_manifest.json", ["one_burst.csv", "overflow.csv"])

@@ -7,12 +7,26 @@ from hypothesis import given, strategies as st
 
 from innoise import model
 from innoise.model import (
+    LEVEL_MAX_DBM,
+    LEVEL_MIN_DBM,
     DomainError,
     MeasurementMeta,
     SampleRecord,
     dbm_to_mw,
     mean_power_dbm,
     mw_to_dbm,
+)
+
+
+OUTSIDE_LEVELS = (
+    np.nextafter(LEVEL_MIN_DBM, -math.inf),
+    np.nextafter(LEVEL_MAX_DBM, math.inf),
+    3082.0,  # about 1.6e308 mW: two such powers sum past the float range
+    -1e300,
+    1e308,
+    math.nan,
+    math.inf,
+    -math.inf,
 )
 
 
@@ -42,17 +56,12 @@ def test_conversion_domain_errors():
         mw_to_dbm(float("nan"))
     with pytest.raises(DomainError):
         mw_to_dbm(float("inf"))
-    with pytest.raises(DomainError, match="float range"):
-        dbm_to_mw(1e308)  # 10^(1e307) mW overflows: a DomainError, not OverflowError
-    assert math.isfinite(dbm_to_mw(3082.0))
-
-
-def test_mean_power_beyond_float_range_is_a_domain_error():
-    # one sample overflowing to inf, and finite powers whose exact sum overflows;
-    # under filterwarnings=error a numpy overflow warning would fail this test
-    for levels in ([-80.0, 1e308], [3082.0, 3082.0]):
-        with pytest.raises(DomainError, match="not finite: their summed linear power is beyond"):
-            mean_power_dbm(np.array(levels))
+    # both bounds are levels; the next double outside either, or far past it, is not
+    assert dbm_to_mw(LEVEL_MIN_DBM) == 1e-300
+    assert dbm_to_mw(LEVEL_MAX_DBM) == 1e290
+    for level in OUTSIDE_LEVELS:
+        with pytest.raises(DomainError, match=r"^level: .* a level must be finite and in \[-3000, 2900\] dBm$"):
+            dbm_to_mw(level)
 
 
 @given(st.lists(st.floats(min_value=-400.0, max_value=400.0), min_size=1, max_size=50))
@@ -113,6 +122,17 @@ def test_validate_record_names_nan_index():
     levels[7] = -math.inf
     with pytest.raises(DomainError, match="index 7"):
         SampleRecord(levels=levels, sample_rate_hz=8001.0)
+
+
+def test_validate_record_level_range():
+    record = SampleRecord(levels=[LEVEL_MAX_DBM, -80.0, LEVEL_MIN_DBM], sample_rate_hz=8001.0)
+    assert record.levels.tolist() == [2900.0, -80.0, -3000.0]
+    assert math.isfinite(mean_power_dbm(np.full(10, LEVEL_MAX_DBM)))
+    for level in OUTSIDE_LEVELS:
+        # the first sample outside the range is named, after one inside it
+        levels = [-80.0, LEVEL_MIN_DBM, level, LEVEL_MAX_DBM, level]
+        with pytest.raises(DomainError, match=r"^sample at index 2: .* dBm; a level must be"):
+            SampleRecord(levels=levels, sample_rate_hz=8001.0)
 
 
 def test_validate_record_bad_rate_kind_and_frequency():

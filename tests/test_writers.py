@@ -18,17 +18,16 @@ from innoise import io
 from innoise.apd import apd_pair, compute_apd
 from innoise.baseline import derive_threshold
 from innoise.bursts import BurstSet, detect_bursts
-from innoise.model import MeasurementMeta, SampleRecord
+from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, MeasurementMeta, SampleRecord
 from innoise.stats import main_burst, measurement_stats
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
 from writer_oracle import write_apd_csv_oracle, write_plot_data_oracle
 
 ROWS_PER_WRITE = st.sampled_from([1, 3, 4096])
-# up to 3000 dBm: a SampleRecord needs a finite linear power for each sample
 LEVELS = st.one_of(
     st.floats(min_value=-200.0, max_value=50.0),
-    st.floats(min_value=-1e300, max_value=3000.0),
-    st.sampled_from([-0.0, 0.0, 5e-324, -100.0, -1e16, 0.1]),
+    st.floats(min_value=LEVEL_MIN_DBM, max_value=LEVEL_MAX_DBM),
+    st.sampled_from([LEVEL_MIN_DBM, LEVEL_MAX_DBM, -0.0, 0.0, 5e-324, -100.0, 0.1]),
 )
 # a small pool, so that a list drawn from it holds long runs of equal values
 # and -0.0 next to 0.0
@@ -80,15 +79,15 @@ def test_spelled_is_the_repr_of_each_value(block):
 
 @st.composite
 def tables(draw):
-    """A separator, the literal pieces around a row's cells (None for one
-    column whose cells are the rows) and 1-3 equal-length columns of floats
-    or of text cells, with no rows or several."""
+    """A separator, the literal pieces around a row's cells and 1-3
+    equal-length columns of floats or of text cells, with no rows or
+    several."""
     sep = draw(st.sampled_from(["\n", ",", "}{"]))
     n_columns, n_rows = draw(st.integers(1, 3)), draw(st.integers(0, 12))
     piece = st.lists(st.sampled_from(["{", "}", "{}", "%", "%s", sep, "x"]), max_size=3).map("".join)
     pieces = draw(st.lists(piece, min_size=n_columns + 1, max_size=n_columns + 1))
     if n_columns == 1 and draw(st.booleans()):
-        pieces = None
+        pieces = ["", ""]  # write_record's rows: the bare cells
     floats = RUN_HEAVY | st.floats()
     texts = st.sampled_from(["", "1", "12", "{}", "%"])
     columns = [
@@ -108,8 +107,7 @@ def test_write_table_matches_a_row_at_a_time(tmp_path_factory, table, rows):
     with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
         io._write_table(path, "head\n", pieces, columns, sep=sep, tail="|tail\n")
     cells = [[repr(v) if isinstance(v, float) else v for v in c.tolist()] for c in columns]
-    around = ("", "") if pieces is None else pieces
-    lines = ("".join(p + c for p, c in zip(around, row)) + around[-1] for row in zip(*cells))
+    lines = ("".join(p + c for p, c in zip(pieces, row)) + pieces[-1] for row in zip(*cells))
     assert path.read_bytes() == ("head\n" + sep.join(lines) + "|tail\n").encode("utf-8")
 
 
