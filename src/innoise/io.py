@@ -8,10 +8,10 @@ record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  lines are skipped anywhere, LF, CRLF and CR all end a
                  line, and errors name the line. Read as bytes in blocks
                  of whole lines; a block of plain lines (``-?[0-9]+\\.[0-9]+``
-                 of at most 18 digits, as written) is parsed as arrays,
-                 exactly, through a long double quotient where that has a
-                 64-bit significand, any other block line by line with
-                 ``float()``: each sample gets ``float()``'s bits.
+                 of at most 18 significant digits, as written) is parsed as
+                 arrays, exactly, through a long double quotient where that
+                 has a 64-bit significand, any other block line by line
+                 with ``float()``: each sample gets ``float()``'s bits.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -29,13 +29,13 @@ CSV tables round to 2 decimals; the JSON keeps full precision. The four
 per-row tables (record CSV, the measurement report's burst rows, plot CSV
 and APD CSV) go through one writer, ``_write_table``, which formats them a
 block of rows at a time through one open file, never as one whole text. It
-spells a float as its ``repr`` once per run of consecutive values in a column
-that are equal bit for bit (``-0.0`` and ``0.0`` differ), and repeats that
-spelling across the run: an exact-grid APD column changes only at its own
-record's levels. A table row is its cells between literal pieces of text
+spells a float as the bytes of its ``repr``, built with array arithmetic
+(``_shortest``; a few values go to ``repr()`` itself), once per run of
+consecutive values in a column that are equal bit for bit (``-0.0`` and
+``0.0`` differ): an exact-grid APD column changes only at its own record's
+levels. A table row is its cells between literal pieces of text
 (``("", ",", ",", "")`` for a plot row), and a block is laid out with no
-call per row: one list repeats the row's pieces, strided slice assignments
-put each column's cells between them, and one ``"".join`` makes the text.
+call per row, as one byte matrix whose bytes that are not text are 0.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import types
@@ -58,7 +59,9 @@ import numpy as np
 from .apd import ApdCurve
 from .baseline import DEFAULT_OFFSET_DB, Baseline, WgnValidation
 from .bursts import BurstSet
-from .model import ConfigError, DomainError, FormatError, IN, MeasurementMeta, SampleRecord
+from .model import (
+    ConfigError, DomainError, FormatError, IN, LevelError, MeasurementMeta, SampleRecord,
+)
 from .stats import MeasurementStats, SourceCharacterization
 from .synth import BurstEventSpec
 
@@ -107,40 +110,176 @@ def _write_json(payload: dict, path: Path | str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+# Where a long double has a 64-bit significand (x87 extended precision), every
+# integer below 2**64 and every 10**k up to k = 27 is exact in it, and a sum,
+# product or quotient of two of its values is rounded once. The writer's and
+# the reader's array paths rest on that; elsewhere they hand every value to
+# repr() and float().
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
+_POW10_LD = np.array([float(10**k) for k in range(22)], dtype=np.longdouble)
+_HALF_POW10_LD = np.array([10**k / 2 for k in range(22)], dtype=np.longdouble)
+
 # rows of a per-row table formatted and written at a time
 _ROWS_PER_WRITE = 4096
 
+# A float cell is 40 bytes: "-0.000", then 17 digits, each followed by a byte
+# for a '.'. It holds its text's bytes in their places and 0 bytes elsewhere.
+_CELL = 40
+# _LANES[g]: the 4 digits of g < 10**4, each followed by a 0xFF byte, as one
+# word; _LANES[10**4 + d]: 6 0xFF bytes, the digit d and a 0xFF byte
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # _DIGITS[g]: g's 4 digits
+_LANES = np.full((10**4, 4, 2), 0xFF, np.uint8)
+_LANES[:, :, 0] = _DIGITS + 48
+_LANES = _LANES.reshape(-1, 8).view(np.uint64).ravel()
+_LANES = np.concatenate(
+    [_LANES, _LANES[:10] | np.frombuffer(b"\xff\x00\xff\x00\xff\x00\x00\x00", np.uint64)]
+)
+# _TRAILING_ZEROS[g]: the trailing '0's of g < 10**4 spelled in 4 digits
+_TRAILING_ZEROS = np.logical_and.accumulate(_DIGITS[:, ::-1] == 0, axis=1).sum(axis=1)
 
-def _spelled(block: np.ndarray) -> list:
-    """The cells of one block of a column: a float64 block as the ``repr`` of
-    each value, computed once per run of bit-identical values (so ``-0.0``
-    and ``0.0`` stay apart); any other block as its elements."""
-    if block.dtype != np.float64:
-        return block.tolist()
+
+def _cell_masks() -> np.ndarray:
+    """_CELL_MASKS[(20 * negative + e10 + 4) * 18 + kept]: the cell of a
+    number with 10**e10 <= |x| < 10**(e10 + 1), -4 <= e10 <= 15, spelled
+    with ``kept`` digits, as words: its fixed bytes ('-', "0.000", '.')
+    where it has them, 0xFF at each of its digits and 0 elsewhere."""
+    pos = np.arange(_CELL)
+    negative, e10, kept = (a[..., None] for a in np.ix_(range(2), range(-4, 16), range(18)))
+    prefix = (pos == 0) & (negative == 1) | (pos >= 1) & (pos < 2 - e10) & (e10 < 0)
+    digits = np.where(pos % 2 == 0, (pos - 6) // 2 < kept, (pos - 7) // 2 == e10)
+    chars = np.frombuffer(b"-0.000" + b"\xff." * 17, np.uint8)
+    return (chars * np.where(pos < 6, prefix, digits)).reshape(-1, _CELL).view(np.uint64)
+
+
+_CELL_MASKS = _cell_masks()
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Positive doubles ``a`` scaled by 10**(16 - e10) into X, with the
+    midpoints lo and hi between each and its neighbouring doubles scaled
+    alike: floor(X) as int64, then X, lo and hi less floor(X) as doubles.
+
+    a, a plus a neighbour and 10**k are exact in a long double, so X, lo
+    and hi are each a product rounded once. Where X >= 2**53, each less
+    floor(X) is exact, a multiple of 2**-10 below 32 in magnitude."""
+    k = 16 - e10
+    x = a.astype(np.longdouble)
+    big = x * _POW10_LD[k]
+    whole = big.astype(np.int64)
+    w = whole.astype(np.longdouble)
+    scaled = [whole, np.subtract(big, w, out=big).astype(np.float64)]
+    for step in (-1, 1):  # a's neighbouring doubles have the bit patterns next to a's
+        neighbour = (a.view(np.int64) + step).view(np.float64)
+        end = np.add(x, neighbour.astype(np.longdouble), out=big)
+        end *= _HALF_POW10_LD[k]
+        scaled.append(np.subtract(end, w, out=end).astype(np.float64))
+    return tuple(scaled)
+
+
+def _shortest_digits(
+    whole: np.ndarray, frac: np.ndarray, lo: np.ndarray, hi: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The shortest decimal between lo and hi nearest X, given ``_scaled``, as
+    a 17-digit integer; whether a multiple of 10 and of 100 lies between lo
+    and hi; and ``ok`` cleared where a rounded value decides the result."""
+    low, high = np.floor(lo), np.floor(hi)
+    ok &= (lo != low) & (hi != high) & (whole >= 10**16) & (whole < 10**17)
+    # relative to floor(X), the integers between lo and hi are low + 1 .. high
+    low, high = low.astype(np.int64), high.astype(np.int64)
+    span = high - low
+    unit = whole - whole // 100 * 100  # floor(X) % 100
+    r100 = unit + high
+    r100 -= 100 * (r100 >= 100)  # (floor(X) + high) % 100
+    hundreds = r100 < span  # a multiple of 100 in there
+    tens = r100 - r100 // 10 * 10 < span  # a multiple of 10 in there
+    unit -= unit // 10 * 10  # floor(X) % 10: X is place above the multiple of 10 at -unit
+    place = unit + frac
+    # the multiple of 10 at -unit or at 10 - unit; else the integer nearest X
+    up = ((place > 5) | (unit + low >= 0)) & (10 - unit <= high)
+    nearest = np.where(tens, 10 * up - unit, frac > 0.5)
+    digits = whole + np.where(hundreds, high - r100, nearest)
+    tie = np.where(tens, place == 5, frac == 0.5)
+    ok &= (hundreds | ~tie) & (span > 0) & (digits < 10**17)
+    return digits, tens, hundreds
+
+
+def _shortest(values: np.ndarray) -> np.ndarray:
+    """The float cells of ``values``, as words: each one's ``repr``.
+
+    ``repr`` spells a double x with 1e-4 <= |x| < 1e16 in positional form,
+    with the digits of the shortest decimal that reads back as x, the
+    nearest to x of those. Scaled by 10**(16 - e10), with e10 =
+    floor(log10(|x|)), |x| becomes X in [1e16, 1e17), and those decimals
+    become the integers strictly between lo and hi, the scaled midpoints
+    between x and its neighbouring doubles (``_scaled``). Both midpoints lie
+    over 0.55 from X, and at most 23 integers lie between them. Their
+    shortest is a multiple of the largest power of ten among them: a
+    multiple of 100 is the only one, a multiple of 10 the nearer of two
+    around X, and else the integer nearest X (``_shortest_digits``).
+
+    Rounding is monotone and every integer and half below 2**63 is a long
+    double, so a rounded X, lo or hi lies on the same side of each integer
+    and half as the exact one unless it lands on it. These values go to
+    ``repr()`` instead: one whose lo or hi lands on an integer, whose X
+    lands halfway between the two nearest candidates, or whose e10 estimate
+    (``np.log10``) is off; any value outside [1e-4, 1e16) (zeros, NaN and
+    infinities among them); and every value where a long double lacks a
+    64-bit significand. So the bytes do not depend on the platform or on the
+    SIMD path numpy takes.
+    """
+    a = np.abs(values)
+    ok = (a >= 1e-4) & (a < 1e16) & _EXACT_LONG_DOUBLE
+    a[~ok] = 1.0
+    e10 = np.floor(np.log10(a)).astype(np.intp)
+    digits, tens, hundreds = _shortest_digits(*_scaled(a, e10), ok)
+    digits[~ok] = 10**16
+    # the 17 digits in groups of 1, 4, 4, 4 and 4
+    upper = digits // 10**8
+    lower = digits - upper * 10**8
+    top, mid = upper // 10**4, lower // 10**4
+    first = top // 10**4
+    groups = np.stack([first, top - first * 10**4, upper - top * 10**4, mid, lower - mid * 10**4])
+    # the digits end in no 0 without a multiple of 10 in there, in one 0
+    # without a multiple of 100, and else in the multiple's trailing 0s
+    kept = 17 - tens
+    some = np.flatnonzero(hundreds)
+    if some.size:
+        g = groups[1:, some]
+        zeros, empty = _TRAILING_ZEROS[g], g == 0
+        trailing = zeros[3] + empty[3] * (zeros[2] + empty[2] * (zeros[1] + empty[1] * zeros[0]))
+        kept[some] = 17 - trailing
+    kept = np.maximum(kept, e10 + 2)  # at least one digit after the point
+    groups[0] += 10**4  # the first digit's lanes
+    cells = np.take(_CELL_MASKS, (((values < 0) * 20 + e10 + 4) * 18 + kept) * ok, axis=0)
+    for k, group in enumerate(groups):
+        cells[:, k] &= _LANES[group]
+    declined = np.flatnonzero(~ok)
+    if declined.size:
+        spellings = list(map(repr, values[declined].tolist()))
+        cells[declined] = np.array(spellings, dtype=f"S{_CELL}").view(np.uint64).reshape(-1, 5)
+    return cells
+
+
+def _float_cells(block: np.ndarray) -> np.ndarray:
+    """The cells of a float64 block, a row of ``_CELL`` bytes per value: the
+    bytes of its ``repr`` (``_shortest``), computed once per run of
+    bit-identical values (so ``-0.0`` and ``0.0`` stay apart), and 0s."""
     bits = block.view(np.int64)
     new_run = np.empty(len(block), dtype=bool)
     new_run[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
-    spellings = list(map(repr, block[new_run].tolist()))
-    if len(spellings) == len(block):
-        return spellings
-    return np.array(spellings, dtype=object)[np.cumsum(new_run) - 1].tolist()
+    if new_run.all():
+        return _shortest(block).view(np.uint8)
+    return _shortest(block[new_run]).view(np.uint8)[np.cumsum(new_run) - 1]
 
 
-def _laid_out(pieces: Sequence[str], cells: list[list[str]], sep: str) -> str:
-    """``sep.join(pieces[0] + c[0] + pieces[1] + ... + c[-1] + pieces[-1])``
-    over the rows of the ``cells`` columns: one list repeats a row's pieces
-    (its first joined to the previous row's last and ``sep``), one strided
-    slice assignment per column puts the cells in place, and one join."""
-    width = 2 * len(cells)
-    row = [part for piece in pieces[:-1] for part in (piece, None)]
-    row[0] = pieces[-1] + sep + pieces[0]
-    parts = row * len(cells[0])
-    parts[0] = pieces[0]
-    parts.append(pieces[-1])
-    for k, column in enumerate(cells):
-        parts[2 * k + 1 :: width] = column
-    return "".join(parts)
+def _cells(block: np.ndarray) -> np.ndarray:
+    """A row of bytes per element of a block of a column: a float64 block
+    through ``_float_cells``, a bytes block as its elements, each followed
+    by 0 bytes."""
+    if block.dtype == np.float64:
+        return _float_cells(block)
+    return block.view(np.uint8).reshape(len(block), -1)
 
 
 def _write_table(
@@ -150,16 +289,31 @@ def _write_table(
     """Write ``head``, one row per element of the equal-length ``columns``
     joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
     through one open file. A row is its cells between the literal ``pieces``
-    (one more than there are columns), laid out by ``_laid_out`` with no call
-    per row. Each block of a column becomes its cells through ``_spelled``,
-    so a float is spelled as its ``repr``, once per run of equal values; any
-    other column must hold ``str``."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(head)
+    (one more than there are columns). A float is spelled as its ``repr``,
+    once per run of equal values; any other column must hold ``bytes``. No
+    piece, ``sep`` or cell holds a NUL.
+
+    A block is laid out as one byte matrix with a row per table row:
+    ``sep`` and the first piece, then each column's cells (``_cells``) and
+    the piece after them. Every byte that is not text is 0, and one pass
+    drops those."""
+    pieces = [np.frombuffer(p.encode(), np.uint8) for p in (sep + pieces[0], *pieces[1:])]
+    with Path(path).open("wb") as fh:
+        fh.write(head.encode())
         for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            cells = [_spelled(c[i : i + _ROWS_PER_WRITE]) for c in columns]
-            fh.write((sep if i else "") + _laid_out(pieces, cells, sep))
-        fh.write(tail)
+            parts = [pieces[0]]
+            for column, piece in zip(columns, pieces[1:]):
+                parts += [_cells(column[i : i + _ROWS_PER_WRITE]), piece]
+            width = sum(part.shape[-1] for part in parts)
+            matrix = bytearray(len(parts[1]) * width)
+            rows = np.frombuffer(matrix, np.uint8).reshape(-1, width)
+            at = 0
+            for part in parts:
+                rows[:, at : at + part.shape[-1]] = part
+                at += part.shape[-1]
+            text = matrix.translate(None, b"\0")
+            fh.write(text if i else text[len(sep.encode()) :])
+        fh.write(tail.encode())
 
 
 def _write_summary(path: Path | str, rows: list[tuple[str, object]]) -> None:
@@ -270,13 +424,8 @@ def _fmt2(value: float | None) -> str:
 # bytes of record text read and parsed at a time
 _CHUNK_CHARS = 1 << 16
 
-# The plain tier's quotient m / 10**k is exact to the double only where a
-# long double has a 64-bit significand (x87 extended precision).
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
-
 _PAD = 24  # b"0" bytes before a block, so the 3 words ending at its first LF start in it
 _POW10 = np.array([10**k for k in range(19)], dtype=np.uint64)
-_POW10_LD = _POW10.astype(np.longdouble)
 # _KEEP[j][c]: the bytes of word j (the 8 digits before the last 8 j) that
 # hold digits of a c-digit number, its last min(max(c - 8 j, 0), 8) bytes
 _KEEP = np.array(
@@ -311,8 +460,10 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     None for any other block, and for every block where a long double lacks
     a 64-bit significand.
 
-    A plain line is ``-?[0-9]+\\.[0-9]+\\n`` with at most 18 digits, as
-    ``repr`` spells every double from 0.1 up to 1e16 in magnitude. Its digits
+    A plain line is ``-?[0-9]+\\.[0-9]+`` with at most 18 digits before the
+    point, at most 21 after it and at most 18 from the first non-zero one,
+    as ``repr`` spells every double from 1e-4 up to 1e16 in magnitude, and
+    it ends in LF, or in CRLF as every line of its block does. Its digits
     make an integer ``m < 10**18`` and its fraction digits number ``k``:
     ``m`` and ``10**k`` are exact in a 64-bit significand and the division
     is correctly rounded, so the long double ``m / 10**k`` is the exact
@@ -320,33 +471,49 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     gives unless it lies exactly halfway between two doubles (where the
     exact quotient may not); those few lines are parsed by ``float()``.
     """
-    if not (_EXACT_LONG_DOUBLE and block.endswith(b"\n")) or b"\r" in block:
+    if not (_EXACT_LONG_DOUBLE and block.endswith(b"\n")):
         return None
     a = np.frombuffer(block, np.uint8)
-    n_lines, n_minus = np.count_nonzero(a == 10), np.count_nonzero(a == 45)
-    # no bytes but digits, '-', '.' and LF (all below '0' but for the digits),
-    # and one '.' per line: counts decline any other block cheaply
+    n_lines, n_minus, n_cr = (np.count_nonzero(a == c) for c in (10, 45, 13))
+    # no bytes but digits, '-', '.', CR and LF (all below '0' but for the
+    # digits), one '.' per line, and a CR in every line or in none: counts
+    # decline any other block cheaply
     if (
         a.max() > 57
         or np.count_nonzero(a == 46) != n_lines
-        or np.count_nonzero(a < 48) != 2 * n_lines + n_minus
+        or n_cr not in (0, n_lines)
+        or np.count_nonzero(a < 48) != 2 * n_lines + n_minus + n_cr
     ):
         return None
-    ends = np.flatnonzero(a == 10)
+    lfs = np.flatnonzero(a == 10)
+    ends = np.flatnonzero(a == 13) if n_cr else lfs  # where each line's digits end
+    if n_cr and (lfs - ends != 1).any():  # a CR that does not begin a CRLF ends a line too
+        return None
     dots = np.flatnonzero(a == 46)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts = np.concatenate(([0], lfs[:-1] + 1))
     neg = a[starts] == 45
     if np.count_nonzero(neg) != n_minus:  # a '-' past the start of a line
         return None
     int_digits = dots - starts - neg
     frac_digits = ends - dots - 1
-    if min(int_digits.min(), frac_digits.min()) < 1 or (int_digits + frac_digits).max() > 18:
+    if min(int_digits.min(), frac_digits.min()) < 1:
         return None
     digits = np.frombuffer(b"0" * _PAD + block, np.uint8) ^ np.uint8(48)  # '0'..'9' -> 0..9
     # every 8-byte window of the digit values, one per byte offset
     words = np.ndarray((len(digits) - 7,), "<u8", digits, strides=(1,))
-    m = _digits_value(words, dots + _PAD, int_digits) * _POW10[frac_digits]
-    m += _digits_value(words, ends + _PAD, frac_digits)
+    if (int_digits + frac_digits).max() <= 18:
+        m = _digits_value(words, dots + _PAD, int_digits) * _POW10[frac_digits]
+        m += _digits_value(words, ends + _PAD, frac_digits)
+    else:  # m < 10**18 still, with at most 18 digits from the first non-zero one
+        if int_digits.max() > 18 or frac_digits.max() > 21:
+            return None
+        integer = _digits_value(words, dots + _PAD, int_digits)
+        # the fraction digits before its last 16
+        top = _digits_value(words, ends + (_PAD - 16), np.maximum(frac_digits - 16, 0))
+        if (integer >= _POW10[np.maximum(18 - frac_digits, 0)]).any() or (top >= 100).any():
+            return None
+        m = integer * _POW10[np.minimum(frac_digits, 18)] + top * _POW10[16]
+        m += _digits_value(words, ends + _PAD, np.minimum(frac_digits, 16))
     quotient = m.astype(np.longdouble) / _POW10_LD[frac_digits]
     levels = quotient.astype(np.float64)
     # a midpoint's mirror image across it is the double on its other side
@@ -364,7 +531,7 @@ def _parse_lines(
     """The record CSV line rules, applied one line at a time.
 
     Blank lines are skipped, a ``#`` line sets ``header[key]`` when it holds
-    ``key=value``, and any other line must be one finite number. The lines'
+    ``key=value``, and any other line must be one number. The lines'
     samples are appended to ``levels`` as one array.
     """
     values = []
@@ -382,8 +549,6 @@ def _parse_lines(
             value = float(line)
         except ValueError:
             raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
-        if not math.isfinite(value):
-            raise FormatError(f"{path.name}: non-finite sample at line {lineno}")
         values.append(value)
     if values:
         levels.append(np.array(values, dtype=np.float64))
@@ -439,17 +604,19 @@ def read_record(path: Path | str) -> SampleRecord:
     first tier that takes it:
 
     1. ``_plain_levels``, when every line is plain, ``-?[0-9]+\\.[0-9]+`` of
-       at most 18 digits, as ``write_record`` spells levels from 0.1 up to
-       1e16 in magnitude: the samples are parsed as arrays, exactly, through
-       a long double quotient. It takes no block on a platform whose long
-       double lacks a 64-bit significand.
+       at most 18 significant digits, as ``write_record`` spells levels from
+       1e-4 up to 1e16 in magnitude, and every CR begins a CRLF: the samples
+       are parsed as arrays, exactly, through a long double quotient. It
+       takes no block on a platform whose long double lacks a 64-bit
+       significand.
     2. one ``float`` per line of the decoded block, straight into an array;
     3. ``_parse_lines``, which gives the identical levels or the error
-       naming the first bad line (a blank line, a comment, a bad or
-       non-finite sample).
+       naming the first bad line (a blank line, a comment, a bad sample).
 
     Every tier gives each sample the bits ``float()`` gives its line, so the
-    levels do not depend on the tier, the platform or the block size.
+    levels do not depend on the tier, the platform or the block size. A
+    sample outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM], NaN and infinities
+    included, is refused by ``SampleRecord``, and the error names its line.
     """
     path = Path(path)
     header: dict[str, str] = {}
@@ -471,12 +638,8 @@ def read_record(path: Path | str) -> SampleRecord:
                 continue
             lines = _text_lines(path, block)
             try:
-                values = np.fromiter(map(float, lines), np.float64, count=len(lines))
+                levels.append(np.fromiter(map(float, lines), np.float64, count=len(lines)))
             except ValueError:
-                values = None
-            if values is not None and np.isfinite(values).all():
-                levels.append(values)
-            else:
                 _parse_lines(path, lines, lineno, header, levels)
             lineno += len(lines)
     levels = np.concatenate(levels) if levels else np.empty(0)
@@ -499,8 +662,19 @@ def read_record(path: Path | str) -> SampleRecord:
             kind=header.get("kind", IN),
             meta=MeasurementMeta(**meta),
         )
+    except LevelError as exc:  # named by its line, not its index
+        line = _sample_line(path, exc.index)
+        raise FormatError(f"{path.name}: line {line}: {exc.reason}") from exc
     except DomainError as exc:
         raise FormatError(f"{path.name}: {exc}") from exc
+
+
+def _sample_line(path: Path, index: int) -> int:
+    """The 1-based line of the record at ``path`` that holds sample ``index``,
+    counted as ``read_record`` counts lines."""
+    with path.open(encoding="utf-8") as fh:
+        samples = (n for n, line in enumerate(fh, start=1) if line.strip()[:1] not in ("", "#"))
+        return next(itertools.islice(samples, index, None))
 
 
 def write_record(record: SampleRecord, path: Path | str) -> None:
@@ -654,14 +828,24 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
             f"burst span ending at {burst_set.end_idx[-1]} does not fit the record "
             f"({n} samples); was the set derived from this record?"
         )
-    tags = np.full(n, "", dtype=object)
-    spans = zip(burst_set.start_idx.tolist(), burst_set.end_idx.tolist())
-    for i, (start, end) in enumerate(spans, start=1):
-        tags[start : end + 1] = str(i)
     # entry i is the double float(i) * (1000.0 / rate), the index converted exactly
     time_ms = np.arange(n) * (1000.0 / record.sample_rate_hz)
-    columns = [time_ms, record.levels, tags]
+    columns = [time_ms, record.levels, _burst_tags(burst_set, n)]
     _write_table(path, "time_ms,level_dbm,burst_id\n", ("", ",", ",", ""), columns)
+
+
+def _burst_tags(burst_set: BurstSet, n: int) -> np.ndarray:
+    """The plot tag of each of ``n`` samples, as bytes: the 1-based number of
+    the burst it falls in, or empty outside the bursts."""
+    numbers = np.arange(len(burst_set) + 1)
+    # a running sum of each number, added at its burst's start and taken
+    # away after its end, is each sample's number, 0 outside the bursts
+    steps = np.zeros(n + 1, dtype=np.int64)
+    steps[burst_set.start_idx] = numbers[1:]
+    steps[burst_set.end_idx + 1] -= numbers[1:]
+    spellings = numbers.astype(f"S{len(str(len(burst_set)))}")
+    spellings[0] = b""
+    return spellings[np.cumsum(steps, out=steps)[:-1]]
 
 
 # ---------------------------------------------------------------------------

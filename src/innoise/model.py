@@ -41,6 +41,16 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
+class LevelError(DomainError):
+    """A level outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM], NaN and infinities
+    included: ``index`` is its place in its array and ``reason`` the message
+    after the place."""
+
+    def __init__(self, where: str, index: int, reason: str) -> None:
+        super().__init__(f"{where}: {reason}")
+        self.index, self.reason = index, reason
+
+
 @dataclass(frozen=True)
 class MeasurementMeta:
     """Scenario description attached to a record.
@@ -108,13 +118,15 @@ def checked_sample_rate(rate_hz: float) -> float:
 
 
 def _check_levels(levels: np.ndarray, name: str) -> None:
-    """DomainError naming the first level outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM]
+    """LevelError naming the first level outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM]
     as ``name.format(index)``, looked for only when a min or max (or NaN) fails."""
     if not (levels.min() >= LEVEL_MIN_DBM and levels.max() <= LEVEL_MAX_DBM):
         i = int(np.argmin((levels >= LEVEL_MIN_DBM) & (levels <= LEVEL_MAX_DBM)))
-        raise DomainError(
-            f"{name.format(i)}: {float(levels[i])!r} dBm; a level must be finite "
-            f"and in [{LEVEL_MIN_DBM:g}, {LEVEL_MAX_DBM:g}] dBm"
+        raise LevelError(
+            name.format(i),
+            i,
+            f"{float(levels[i])!r} dBm; a level must be finite "
+            f"and in [{LEVEL_MIN_DBM:g}, {LEVEL_MAX_DBM:g}] dBm",
         )
 
 

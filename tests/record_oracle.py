@@ -1,17 +1,19 @@
 """Frozen reference reader for record CSV files.
 
 ``read_record_oracle`` is the line-at-a-time reader that ``io.read_record``
-replaced, kept verbatim so that the chunked reader can be checked against
-it: same levels bit for bit, same header, or the same FormatError message.
-It is test-only code and is not part of the library.
+replaced, kept so that the chunked reader can be checked against it: same
+levels bit for bit, same header, or the same FormatError message. It is
+verbatim but for one rule: a sample is refused by ``SampleRecord``'s level
+range (NaN and infinities included), not by a finiteness check of its own,
+and the error names the sample's line. It is test-only code and is not part
+of the library.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
-from innoise.model import IN, DomainError, FormatError, MeasurementMeta, SampleRecord
+from innoise.model import IN, DomainError, FormatError, LevelError, MeasurementMeta, SampleRecord
 
 
 def read_record_oracle(path: Path | str) -> SampleRecord:
@@ -24,6 +26,7 @@ def read_record_oracle(path: Path | str) -> SampleRecord:
     path = Path(path)
     header: dict[str, str] = {}
     levels: list[float] = []
+    sample_lines: list[int] = []
     with path.open(encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
@@ -40,9 +43,8 @@ def read_record_oracle(path: Path | str) -> SampleRecord:
                     value = float(line)
                 except ValueError:
                     raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
-                if not math.isfinite(value):
-                    raise FormatError(f"{path.name}: non-finite sample at line {lineno}")
                 levels.append(value)
+                sample_lines.append(lineno)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
     if "sample_rate_hz" not in header:
@@ -70,5 +72,7 @@ def read_record_oracle(path: Path | str) -> SampleRecord:
             kind=header.get("kind", IN),
             meta=meta,
         )
+    except LevelError as exc:
+        raise FormatError(f"{path.name}: line {sample_lines[exc.index]}: {exc.reason}") from exc
     except DomainError as exc:
         raise FormatError(f"{path.name}: {exc}") from exc

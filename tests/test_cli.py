@@ -72,7 +72,7 @@ def test_baseline_level_overflow_exits_3(tmp_path, capsys):
     assert main(["baseline", str(path), "--out", str(out)]) == ExitStatus.BAD_INPUT
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err and "Traceback" not in err
-    assert "huge.csv: sample at index 1: 1e+308 dBm" in err
+    assert "huge.csv: line 3: 1e+308 dBm" in err
     assert not (out / "baseline.json").exists()
 
 
@@ -131,7 +131,7 @@ def test_analyze_level_overflow_exits_3(tmp_path, capsys):
     assert main(argv) == ExitStatus.BAD_INPUT
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err and "Traceback" not in err
-    assert "huge.csv: sample at index 1: 1e+308 dBm" in err
+    assert "huge.csv: line 3: 1e+308 dBm" in err
 
 
 def test_analyze_accepts_hand_written_baseline(tmp_path):
@@ -482,7 +482,7 @@ FAILING_RUNS = {
 # file nested too deeply or holding an integer of more digits than Python
 # converts fails in the decoder; a record holding a level outside
 # [-3000, 2900] dBm, whose linear powers could sum past the float range, is
-# named with the sample's index
+# named with the sample's line
 NAMED_FILES = {
     "analyze rate 1e-24": "rate_1e-24.csv",
     "analyze rate 1e-305": "rate_1e-305.csv",
@@ -492,11 +492,11 @@ NAMED_FILES = {
     "campaign over-long integer": "long_manifest.json",
     "analyze over-long integer": "long_baseline.json",
     "simulate over-long integer": "long_events.json",
-    "analyze span power overflow": "overflow.csv: sample at index 1: 3082.0 dBm",
-    "campaign span power overflow": "overflow.csv: sample at index 1: 3082.0 dBm",
-    "baseline power sum overflow": "overflow.csv: sample at index 1: 3082.0 dBm; "
+    "analyze span power overflow": "overflow.csv: line 3: 3082.0 dBm",
+    "campaign span power overflow": "overflow.csv: line 3: 3082.0 dBm",
+    "baseline power sum overflow": "overflow.csv: line 3: 3082.0 dBm; "
     "a level must be finite and in [-3000, 2900] dBm",
-    "campaign baseline power sum overflow": "overflow.csv: sample at index 1",
+    "campaign baseline power sum overflow": "overflow.csv: line 3",
     "simulate 1e14 samples": "n = 100000000000000 samples do not fit in memory",
     "simulate past numpy's largest array": "n = 9223372036854775808 samples",
     "simulate event past int64": f"event 0 spans [{10**30}, {10**30 + 4}] outside record",

@@ -175,11 +175,11 @@ def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path, tier):
     rng = np.random.default_rng(1)
     values = _signed(rng, 10 ** rng.uniform(-4.0, 16.0, 20_000))
     values = values[np.abs(values) < 1e16]
-    # from 0.1 up, repr spells a double in at most 17 significant digits
-    # and so in 18 digits at most; below 0.1 its leading zeros may add more
+    # from 1e-4 up, repr spells a double in at most 17 significant digits;
+    # below 0.1 up to 4 leading zeros come first, which the tier does not count
     large = np.abs(values) >= 0.1
     _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()), tier)
-    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()), tier, plain=False)
+    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()), tier)
 
 
 def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path, tier):
@@ -255,5 +255,43 @@ def test_error_names_the_line_in_any_newline_convention(tmp_path, monkeypatch, n
     lines = ["# sample_rate_hz=8001", "", "-85.0"] + ["-85.25"] * 500 + ["nan"] + ["-85.0"] * 9
     path.write_bytes(newline.join(lines).encode())
     for read in (io.read_record, read_record_oracle):
-        with pytest.raises(FormatError, match="^bad.csv: non-finite sample at line 504$"):
+        with pytest.raises(FormatError, match=r"^bad.csv: line 504: nan dBm; a level must be"):
             read(path)
+
+
+def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
+    # repr of a level in [1e-4, 0.1): up to 4 zeros, then up to 17 digits
+    taken = [
+        "-0.018447362809681143", "0.00012345678901234567", "0.000123456789012345678",
+        "0.0000000000000000001", "-0.000000000000000000000", "0.100000000000000000",
+    ]
+    _assert_parses_like_float(tmp_path / "a.csv", taken, tier)
+    # 19 digits from the first non-zero one, or 22 after the point
+    for line in ["0.1234567890123456789", "1.00000000000000000001", "0.0000000000000000000001"]:
+        _assert_parses_like_float(tmp_path / "b.csv", taken + [line], tier, plain=False)
+
+
+def test_plain_tier_reads_crlf_lines(tmp_path, tier):
+    lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
+    crlf = "".join(f"{line}\r\n" for line in lines).encode()
+    levels = io._plain_levels(crlf)
+    if tier:
+        assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
+    else:
+        assert levels is None
+    # a CR alone ends a line as well: such a block is left to the other tiers
+    assert io._plain_levels(crlf.replace(b"\r\n", b"\r", 1)) is None
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
+    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("sample", ["3000", "-3000.5", "nan", "-inf", "1e400"])
+def test_a_level_out_of_range_is_named_by_its_line(tmp_path, newline, sample):
+    path = tmp_path / "hot.csv"
+    lines = ["# sample_rate_hz=8001", "", "-100.0", sample, "-100.0", "# note", "-100.0"]
+    path.write_bytes(newline.join(lines).encode())
+    expected = f"hot.csv: line 4: {float(sample)!r} dBm; a level must be finite and in [-3000, 2900] dBm"
+    for read in (io.read_record, read_record_oracle):
+        assert _outcome(read, path) == expected

@@ -21,7 +21,7 @@ from innoise.bursts import BurstSet, detect_bursts
 from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, MeasurementMeta, SampleRecord
 from innoise.stats import main_burst, measurement_stats
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
-from writer_oracle import write_apd_csv_oracle, write_plot_data_oracle
+from writer_oracle import table_text_oracle, write_apd_csv_oracle, write_plot_data_oracle
 
 ROWS_PER_WRITE = st.sampled_from([1, 3, 4096])
 LEVELS = st.one_of(
@@ -32,6 +32,37 @@ LEVELS = st.one_of(
 # a small pool, so that a list drawn from it holds long runs of equal values
 # and -0.0 next to 0.0
 RUN_HEAVY = st.sampled_from([-0.0, 0.0, 5e-324, -100.0, 0.1])
+
+
+def _from_bits(bits):
+    """The double with the 64-bit pattern ``bits``."""
+    return float(np.array([bits], np.uint64).view(np.float64)[0])
+
+
+def _bit_neighbour(value, step):
+    """The double whose bit pattern is ``step`` past ``value``'s."""
+    return float((np.array([value]).view(np.int64) + step).view(np.float64)[0])
+
+
+SHORT_DECIMALS = st.builds(
+    lambda digits, exponent: float(f"{digits}e{exponent}"),
+    st.integers(-(10**6), 10**6),
+    st.integers(-12, 18),
+)
+# the values the array spelling of a float must get right, by class
+HARD_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.builds(_bit_neighbour, SHORT_DECIMALS, st.integers(-3, 3)),
+    st.builds(_bit_neighbour, st.sampled_from([1e-4, -1e-4, 1e16, -1e16]), st.integers(-3, 3)),
+    st.integers(-70, 70).map(lambda k: 2.0**k) | st.integers(-7, 18).map(lambda k: float(f"1e{k}")),
+    st.sampled_from([0.0, -0.0]),
+)
+# the writer with its array spelling, and with every float handed to repr()
+TIERS = [
+    pytest.param(True, id="long-double", marks=pytest.mark.skipif(
+        not io._EXACT_LONG_DOUBLE, reason="long double lacks a 64-bit significand")),
+    pytest.param(False, id="repr-only"),
+]
 METAS = st.builds(
     MeasurementMeta,
     frequency_khz=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e9), st.just(1910.0)),
@@ -72,15 +103,22 @@ def burst_sets(draw, n, rate):
     return BurstSet(start, end, end - start + 1, amplitude, -87.0, "in.csv", rate)
 
 
-@given(block=st.lists(RUN_HEAVY, max_size=40) | st.lists(st.floats(), max_size=40))
+def _spellings(cells):
+    """The text of each row of float cells: its bytes but the 0 bytes."""
+    return [bytes(row[row != 0]).decode() for row in cells]
+
+
+@settings(max_examples=300)
+@given(block=st.lists(RUN_HEAVY | HARD_FLOATS, max_size=40) | st.lists(st.floats(), max_size=40))
 def test_spelled_is_the_repr_of_each_value(block):
-    assert io._spelled(np.array(block, dtype=np.float64)) == [repr(v) for v in block]
+    cells = io._float_cells(np.array(block, dtype=np.float64))
+    assert _spellings(cells) == [repr(v) for v in block]
 
 
 @st.composite
-def tables(draw):
+def tables(draw, floats=RUN_HEAVY | st.floats()):
     """A separator, the literal pieces around a row's cells and 1-3
-    equal-length columns of floats or of text cells, with no rows or
+    equal-length columns of ``floats`` or of text cells, with no rows or
     several."""
     sep = draw(st.sampled_from(["\n", ",", "}{"]))
     n_columns, n_rows = draw(st.integers(1, 3)), draw(st.integers(0, 12))
@@ -88,12 +126,11 @@ def tables(draw):
     pieces = draw(st.lists(piece, min_size=n_columns + 1, max_size=n_columns + 1))
     if n_columns == 1 and draw(st.booleans()):
         pieces = ["", ""]  # write_record's rows: the bare cells
-    floats = RUN_HEAVY | st.floats()
-    texts = st.sampled_from(["", "1", "12", "{}", "%"])
+    texts = st.sampled_from([b"", b"1", b"12", b"{}", b"%"])
     columns = [
         np.array(draw(st.lists(floats, min_size=n_rows, max_size=n_rows)), dtype=np.float64)
         if draw(st.booleans())
-        else np.array(draw(st.lists(texts, min_size=n_rows, max_size=n_rows)), dtype=object)
+        else np.array(draw(st.lists(texts, min_size=n_rows, max_size=n_rows)), dtype="S2")
         for _ in range(n_columns)
     ]
     return sep, pieces, columns
@@ -106,9 +143,45 @@ def test_write_table_matches_a_row_at_a_time(tmp_path_factory, table, rows):
     path = tmp_path_factory.getbasetemp() / "table.txt"
     with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
         io._write_table(path, "head\n", pieces, columns, sep=sep, tail="|tail\n")
-    cells = [[repr(v) if isinstance(v, float) else v for v in c.tolist()] for c in columns]
-    lines = ("".join(p + c for p, c in zip(pieces, row)) + pieces[-1] for row in zip(*cells))
-    assert path.read_bytes() == ("head\n" + sep.join(lines) + "|tail\n").encode("utf-8")
+    expected = table_text_oracle("head\n", pieces, columns, sep=sep, tail="|tail\n")
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("exact", TIERS)
+@settings(max_examples=200, deadline=None)
+@given(table=tables(HARD_FLOATS), rows=ROWS_PER_WRITE)
+def test_write_table_spells_hard_values_as_repr(tmp_path_factory, exact, table, rows):
+    sep, pieces, columns = table
+    path = tmp_path_factory.getbasetemp() / "hard.txt"
+    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
+        with mock.patch.object(io, "_EXACT_LONG_DOUBLE", exact):
+            io._write_table(path, "", pieces, columns, sep=sep, tail="")
+    assert path.read_bytes() == table_text_oracle("", pieces, columns, sep=sep, tail="").encode()
+
+
+@pytest.mark.parametrize("exact", TIERS)
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(
+        LEVELS | HARD_FLOATS.filter(lambda v: LEVEL_MIN_DBM <= v <= LEVEL_MAX_DBM),
+        min_size=1,
+        max_size=40,
+    ),
+    chunk_chars=st.sampled_from([16, io._CHUNK_CHARS]),
+)
+def test_record_round_trips_every_level_bit_for_bit(tmp_path_factory, exact, levels, chunk_chars):
+    record = SampleRecord(levels, 8001.0)
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    with mock.patch.object(io, "_EXACT_LONG_DOUBLE", exact):
+        with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
+            io.write_record(record, path)
+            assert io.read_record(path).levels.tobytes() == record.levels.tobytes()
+        # a zero or a level of 1e-4 or more in magnitude is written as a plain
+        # line, which the reader parses as arrays
+        body = b"".join(line for line in path.read_bytes().splitlines(True) if line[:1] != b"#")
+        plain = io._plain_levels(body)
+    if exact and all(v == 0 or abs(v) >= 1e-4 for v in levels):
+        assert plain is not None and plain.tobytes() == record.levels.tobytes()
 
 
 def _record_oracle(record):

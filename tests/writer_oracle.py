@@ -1,10 +1,12 @@
-"""Frozen reference writers for the plot CSV and the APD CSV.
+"""Frozen reference writers for the plot CSV and the APD CSV, and the table
+text every per-row table writer must give.
 
 ``write_plot_data_oracle`` and ``write_apd_csv_oracle`` are the writers that
 one element at a time built each row and joined the whole file in memory,
 kept verbatim apart from their names so that the block writer in ``io`` can
-be checked against them byte for byte. They are test-only code and are not
-part of the library.
+be checked against them byte for byte. ``table_text_oracle`` spells each
+float cell with one ``repr()`` call, the spelling ``io._write_table`` builds
+as arrays. They are test-only code and are not part of the library.
 """
 
 from __future__ import annotations
@@ -21,6 +23,21 @@ from innoise.model import ConfigError, SampleRecord
 
 def _write_text(path: Path | str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def table_text_oracle(
+    head: str, pieces: Sequence[str], columns: list, sep: str = "\n", tail: str = "\n"
+) -> str:
+    """``head``, then each row's cells between ``pieces``, the rows joined by
+    ``sep``, then ``tail``: a float cell is its ``repr()`` and a bytes cell
+    its UTF-8 text."""
+
+    def spelled(value: float | bytes) -> str:
+        return repr(value) if isinstance(value, float) else value.decode("utf-8")
+
+    cells = [list(map(spelled, column.tolist())) for column in columns]
+    rows = ("".join(p + c for p, c in zip(pieces, row)) + pieces[-1] for row in zip(*cells))
+    return head + sep.join(rows) + tail
 
 
 def write_plot_data_oracle(record: SampleRecord, burst_set: BurstSet, path: Path | str) -> None:
