@@ -222,13 +222,15 @@ def _shortest(values: np.ndarray) -> np.ndarray:
     and half as the exact one unless it lands on it. These values go to
     ``repr()`` instead: one whose lo or hi lands on an integer, whose X
     lands halfway between the two nearest candidates, or whose e10 estimate
-    (``np.log10``) is off; any value outside [1e-4, 1e16) (zeros, NaN and
-    infinities among them); and every value where a long double lacks a
-    64-bit significand. So the bytes do not depend on the platform or on the
-    SIMD path numpy takes.
+    (``np.log10``) is off; and any value outside [1e-4, 1e16) (zeros, NaN
+    and infinities among them). Where a long double lacks a 64-bit
+    significand, every value goes to ``repr()``, with no array work. So the
+    bytes do not depend on the platform or on the SIMD path numpy takes.
     """
+    if not _EXACT_LONG_DOUBLE:
+        return _repr_cells(values)
     a = np.abs(values)
-    ok = (a >= 1e-4) & (a < 1e16) & _EXACT_LONG_DOUBLE
+    ok = (a >= 1e-4) & (a < 1e16)
     a[~ok] = 1.0
     e10 = np.floor(np.log10(a)).astype(np.intp)
     digits, tens, hundreds = _shortest_digits(*_scaled(a, e10), ok)
@@ -255,9 +257,14 @@ def _shortest(values: np.ndarray) -> np.ndarray:
         cells[:, k] &= _LANES[group]
     declined = np.flatnonzero(~ok)
     if declined.size:
-        spellings = list(map(repr, values[declined].tolist()))
-        cells[declined] = np.array(spellings, dtype=f"S{_CELL}").view(np.uint64).reshape(-1, 5)
+        cells[declined] = _repr_cells(values[declined])
     return cells
+
+
+def _repr_cells(values: np.ndarray) -> np.ndarray:
+    """The float cells of ``values``, as words, spelled by ``repr()`` itself."""
+    spellings = list(map(repr, values.tolist()))
+    return np.array(spellings, dtype=f"S{_CELL}").view(np.uint64).reshape(-1, 5)
 
 
 def _float_cells(block: np.ndarray) -> np.ndarray:
@@ -474,20 +481,17 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     if not (_EXACT_LONG_DOUBLE and block.endswith(b"\n")):
         return None
     a = np.frombuffer(block, np.uint8)
-    n_lines, n_minus, n_cr = (np.count_nonzero(a == c) for c in (10, 45, 13))
-    # no bytes but digits, '-', '.', CR and LF (all below '0' but for the
+    n_lines, n_minus = (np.count_nonzero(a == c) for c in (10, 45))
+    # no bytes but digits, '-', '.', LF and CR (all below '0' but for the
     # digits), one '.' per line, and a CR in every line or in none: counts
     # decline any other block cheaply
-    if (
-        a.max() > 57
-        or np.count_nonzero(a == 46) != n_lines
-        or n_cr not in (0, n_lines)
-        or np.count_nonzero(a < 48) != 2 * n_lines + n_minus + n_cr
-    ):
+    n_cr = np.count_nonzero(a < 48) - 2 * n_lines - n_minus  # if no other byte is below '0'
+    if a.max() > 57 or np.count_nonzero(a == 46) != n_lines or n_cr not in (0, n_lines):
         return None
     lfs = np.flatnonzero(a == 10)
     ends = np.flatnonzero(a == 13) if n_cr else lfs  # where each line's digits end
-    if n_cr and (lfs - ends != 1).any():  # a CR that does not begin a CRLF ends a line too
+    # each of those bytes a CR, and each CR begins a CRLF (a lone CR ends a line too)
+    if n_cr and (len(ends) != n_lines or (lfs - ends != 1).any()):
         return None
     dots = np.flatnonzero(a == 46)
     starts = np.concatenate(([0], lfs[:-1] + 1))
@@ -501,19 +505,18 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     digits = np.frombuffer(b"0" * _PAD + block, np.uint8) ^ np.uint8(48)  # '0'..'9' -> 0..9
     # every 8-byte window of the digit values, one per byte offset
     words = np.ndarray((len(digits) - 7,), "<u8", digits, strides=(1,))
-    if (int_digits + frac_digits).max() <= 18:
-        m = _digits_value(words, dots + _PAD, int_digits) * _POW10[frac_digits]
-        m += _digits_value(words, ends + _PAD, frac_digits)
-    else:  # m < 10**18 still, with at most 18 digits from the first non-zero one
-        if int_digits.max() > 18 or frac_digits.max() > 21:
-            return None
-        integer = _digits_value(words, dots + _PAD, int_digits)
-        # the fraction digits before its last 16
-        top = _digits_value(words, ends + (_PAD - 16), np.maximum(frac_digits - 16, 0))
-        if (integer >= _POW10[np.maximum(18 - frac_digits, 0)]).any() or (top >= 100).any():
-            return None
-        m = integer * _POW10[np.minimum(frac_digits, 18)] + top * _POW10[16]
-        m += _digits_value(words, ends + _PAD, np.minimum(frac_digits, 16))
+    # over 18 digits in a line, m < 10**18 holds only where the first are 0s
+    wide = (int_digits + frac_digits).max() > 18
+    if wide and (int_digits.max() > 18 or frac_digits.max() > 21):
+        return None
+    kept = np.minimum(frac_digits, 18)  # the fraction digits that m needs
+    integer = _digits_value(words, dots + _PAD, int_digits)
+    if wide and (
+        (integer >= _POW10[18 - kept]).any()
+        or _digits_value(words, ends + (_PAD - 18), frac_digits - kept).any()
+    ):
+        return None
+    m = integer * _POW10[kept] + _digits_value(words, ends + _PAD, kept)
     quotient = m.astype(np.longdouble) / _POW10_LD[frac_digits]
     levels = quotient.astype(np.float64)
     # a midpoint's mirror image across it is the double on its other side
@@ -828,24 +831,14 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
             f"burst span ending at {burst_set.end_idx[-1]} does not fit the record "
             f"({n} samples); was the set derived from this record?"
         )
+    tags = np.zeros(n, dtype=f"S{len(str(len(burst_set)))}")  # empty outside the bursts
+    spans = zip(burst_set.start_idx.tolist(), burst_set.end_idx.tolist())
+    for i, (start, end) in enumerate(spans, start=1):
+        tags[start : end + 1] = str(i).encode()
     # entry i is the double float(i) * (1000.0 / rate), the index converted exactly
     time_ms = np.arange(n) * (1000.0 / record.sample_rate_hz)
-    columns = [time_ms, record.levels, _burst_tags(burst_set, n)]
+    columns = [time_ms, record.levels, tags]
     _write_table(path, "time_ms,level_dbm,burst_id\n", ("", ",", ",", ""), columns)
-
-
-def _burst_tags(burst_set: BurstSet, n: int) -> np.ndarray:
-    """The plot tag of each of ``n`` samples, as bytes: the 1-based number of
-    the burst it falls in, or empty outside the bursts."""
-    numbers = np.arange(len(burst_set) + 1)
-    # a running sum of each number, added at its burst's start and taken
-    # away after its end, is each sample's number, 0 outside the bursts
-    steps = np.zeros(n + 1, dtype=np.int64)
-    steps[burst_set.start_idx] = numbers[1:]
-    steps[burst_set.end_idx + 1] -= numbers[1:]
-    spellings = numbers.astype(f"S{len(str(len(burst_set)))}")
-    spellings[0] = b""
-    return spellings[np.cumsum(steps, out=steps)[:-1]]
 
 
 # ---------------------------------------------------------------------------
