@@ -7,11 +7,13 @@ record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  optional), then one dBm level per line. Blank and ``#``
                  lines are skipped anywhere, LF, CRLF and CR all end a
                  line, and errors name the line. Read as bytes in blocks
-                 of whole lines; a block of plain lines (``-?[0-9]+\\.[0-9]+``
-                 of at most 18 significant digits, as written) is parsed as
-                 arrays, exactly, through a long double quotient where that
-                 has a 64-bit significand, any other block line by line
-                 with ``float()``: each sample gets ``float()``'s bits.
+                 of whole lines, each ending in LF, with the blank and
+                 ``#`` lines that begin a block in a block of their own; a
+                 block of plain lines (``-?[0-9]+\\.[0-9]+`` of at most 18
+                 significant digits, as written) is parsed as arrays,
+                 exactly, through a long double quotient where that has a
+                 64-bit significand, any other block line by line with
+                 ``float()``: each sample gets ``float()``'s bits.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -46,11 +48,10 @@ import functools
 import itertools
 import json
 import math
-import types
+import re
 import typing
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from io import StringIO
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -369,10 +370,9 @@ def _json_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
 
 
 @functools.cache
-def _hint_parts(hint: Any) -> tuple[Any, tuple, bool]:
-    """A type hint's origin and arguments and whether it is a dataclass,
-    looked up once."""
-    return typing.get_origin(hint), typing.get_args(hint), dataclasses.is_dataclass(hint)
+def _hint_parts(hint: Any) -> tuple[Any, tuple]:
+    """A type hint's origin and arguments, looked up once."""
+    return typing.get_origin(hint), typing.get_args(hint)
 
 
 def _from_json(cls: type, data: Any, where: str) -> Any:
@@ -396,16 +396,11 @@ def _from_json(cls: type, data: Any, where: str) -> Any:
 
 def _json_value(hint: Any, value: Any, where: str) -> Any:
     """Check one decoded JSON value against a field's type hint."""
-    origin, args, is_dataclass = _hint_parts(hint)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        inner = next(a for a in args if a is not type(None))
-        return None if value is None else _json_value(inner, value, where)
+    origin, args = _hint_parts(hint)
     if origin is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
             raise FormatError(f"{where} must be a list, got {value!r}")
         return tuple(_json_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if is_dataclass:
-        return _from_json(hint, value, where)
     if hint is float and type(value) in (int, float):
         with contextlib.suppress(OverflowError):  # an int too large for a float
             if math.isfinite(value):
@@ -470,31 +465,29 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     A plain line is ``-?[0-9]+\\.[0-9]+`` with at most 18 digits before the
     point, at most 21 after it and at most 18 from the first non-zero one,
     as ``repr`` spells every double from 1e-4 up to 1e16 in magnitude, and
-    it ends in LF, or in CRLF as every line of its block does. Its digits
-    make an integer ``m < 10**18`` and its fraction digits number ``k``:
-    ``m`` and ``10**k`` are exact in a 64-bit significand and the division
-    is correctly rounded, so the long double ``m / 10**k`` is the exact
-    quotient rounded once. Rounding it to a double gives the bits ``float()``
-    gives unless it lies exactly halfway between two doubles (where the
-    exact quotient may not); those few lines are parsed by ``float()``.
+    it ends in LF. Its digits make an integer ``m < 10**18`` and its
+    fraction digits number ``k``: ``m`` and ``10**k`` are exact in a 64-bit
+    significand and the division is correctly rounded, so the long double
+    ``m / 10**k`` is the exact quotient rounded once. Rounding it to a
+    double gives the bits ``float()`` gives unless it lies exactly halfway
+    between two doubles (where the exact quotient may not); those few lines
+    are parsed by ``float()``.
     """
     if not (_EXACT_LONG_DOUBLE and block.endswith(b"\n")):
         return None
     a = np.frombuffer(block, np.uint8)
     n_lines, n_minus = (np.count_nonzero(a == c) for c in (10, 45))
-    # no bytes but digits, '-', '.', LF and CR (all below '0' but for the
-    # digits), one '.' per line, and a CR in every line or in none: counts
-    # decline any other block cheaply
-    n_cr = np.count_nonzero(a < 48) - 2 * n_lines - n_minus  # if no other byte is below '0'
-    if a.max() > 57 or np.count_nonzero(a == 46) != n_lines or n_cr not in (0, n_lines):
+    # no bytes but digits, '-', '.' and LF (all below '0' but for the
+    # digits), and one '.' per line: counts decline any other block cheaply
+    if (
+        a.max() > 57
+        or np.count_nonzero(a == 46) != n_lines
+        or np.count_nonzero(a < 48) != 2 * n_lines + n_minus
+    ):
         return None
-    lfs = np.flatnonzero(a == 10)
-    ends = np.flatnonzero(a == 13) if n_cr else lfs  # where each line's digits end
-    # each of those bytes a CR, and each CR begins a CRLF (a lone CR ends a line too)
-    if n_cr and (len(ends) != n_lines or (lfs - ends != 1).any()):
-        return None
+    ends = np.flatnonzero(a == 10)  # where each line's digits end
     dots = np.flatnonzero(a == 46)
-    starts = np.concatenate(([0], lfs[:-1] + 1))
+    starts = np.concatenate(([0], ends[:-1] + 1))
     neg = a[starts] == 45
     if np.count_nonzero(neg) != n_minus:  # a '-' past the start of a line
         return None
@@ -528,14 +521,12 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     return levels
 
 
-def _parse_lines(
-    path: Path, lines: list[str], first_lineno: int, header: dict, levels: list
-) -> None:
+def _parse_lines(path: Path, lines: list[str], first_lineno: int, header: dict) -> np.ndarray:
     """The record CSV line rules, applied one line at a time.
 
     Blank lines are skipped, a ``#`` line sets ``header[key]`` when it holds
-    ``key=value``, and any other line must be one number. The lines'
-    samples are appended to ``levels`` as one array.
+    ``key=value``, and any other line must be one number. Returns the
+    lines' samples as one array.
     """
     values = []
     for lineno, raw in enumerate(lines, start=first_lineno):
@@ -553,45 +544,45 @@ def _parse_lines(
         except ValueError:
             raise FormatError(f"{path.name}: malformed line {lineno}: {line!r}") from None
         values.append(value)
-    if values:
-        levels.append(np.array(values, dtype=np.float64))
+    return np.array(values, dtype=np.float64)
+
+
+# the blank and comment lines at the start of a block of LF-ended lines
+_NOTE_LINES = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*")
 
 
 def _blocks(fh: typing.BinaryIO) -> typing.Iterator[bytes]:
-    """The rest of ``fh`` in blocks of whole lines, read ``_CHUNK_CHARS``
-    bytes at a time. A block ends after its last LF, or after a later CR
-    that is not the last byte read (which may begin a CRLF). The last block
-    gets an LF when the file ends without one."""
+    """The rest of ``fh`` in blocks of whole lines, each ending in one LF
+    (``_lf_blocks``), read ``_CHUNK_CHARS`` bytes at a time. A block is cut
+    after its last LF, or after a later CR that is not the last byte read
+    (which may begin a CRLF), so no CRLF is split. The last block gets an
+    LF when the file ends without one."""
     rest = b""
     while data := fh.read(_CHUNK_CHARS):
         block = rest + data
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-        if cut:
-            yield block[:cut]
+        yield from _lf_blocks(block[:cut])
         rest = block[cut:]
     if rest:
-        yield rest + b"\n"
+        yield from _lf_blocks(rest + b"\n")
+
+
+def _lf_blocks(block: bytes) -> typing.Iterator[bytes]:
+    """A block of whole lines with each line ending in one LF (a CRLF, then a
+    CR alone, becomes an LF), as the blank and ``#`` lines that begin it and
+    the rest, leaving out either when empty."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    notes = _NOTE_LINES.match(block).end()
+    yield from filter(None, (block[:notes], block[notes:]))
 
 
 def _text_lines(path: Path, block: bytes) -> list[str]:
-    """A block's lines as text, each ending in LF where it ends in LF, CRLF
-    or CR, as a text-mode file reads them."""
+    """The lines of a block from ``_blocks`` as text, without their LFs."""
     try:
-        text = block.decode("utf-8")
+        return block.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
-    return StringIO(text, newline=None).readlines()
-
-
-def _header_lines(
-    path: Path, block: bytes, first_lineno: int, header: dict, levels: list
-) -> tuple[int, bytes]:
-    """Apply the line rules to the comment and blank lines that begin a block:
-    their number, and the bytes of the block after them."""
-    lines = _text_lines(path, block)
-    n = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")), len(lines))
-    _parse_lines(path, lines[:n], first_lineno, header, levels)
-    return n, "".join(lines[n:]).encode("utf-8")
 
 
 def read_record(path: Path | str) -> SampleRecord:
@@ -601,20 +592,20 @@ def read_record(path: Path | str) -> SampleRecord:
     offending line) for malformed content. ``kind`` defaults to IN when the
     header does not say otherwise.
 
-    The file is read as bytes in blocks of whole lines (``_blocks``). The
-    comment and blank lines before the first sample go through
-    ``_parse_lines`` (``_header_lines``); the rest of each block through the
-    first tier that takes it:
+    The file is read as bytes in blocks of whole lines (``_blocks``), where
+    a CRLF or a CR alone has become an LF, so every tier sees LF-ended
+    lines. The blank and ``#`` lines that begin a block, the header among
+    them, come as a block of their own. Each block goes through the first
+    tier that takes it:
 
     1. ``_plain_levels``, when every line is plain, ``-?[0-9]+\\.[0-9]+`` of
        at most 18 significant digits, as ``write_record`` spells levels from
-       1e-4 up to 1e16 in magnitude, and every CR begins a CRLF: the samples
-       are parsed as arrays, exactly, through a long double quotient. It
-       takes no block on a platform whose long double lacks a 64-bit
-       significand.
+       1e-4 up to 1e16 in magnitude: the samples are parsed as arrays,
+       exactly, through a long double quotient. It takes no block on a
+       platform whose long double lacks a 64-bit significand.
     2. one ``float`` per line of the decoded block, straight into an array;
-    3. ``_parse_lines``, which gives the identical levels or the error
-       naming the first bad line (a blank line, a comment, a bad sample).
+    3. ``_parse_lines``, which applies the header lines, skips blank lines
+       and gives the identical levels or the error naming the first bad line.
 
     Every tier gives each sample the bits ``float()`` gives its line, so the
     levels do not depend on the tier, the platform or the block size. A
@@ -625,26 +616,19 @@ def read_record(path: Path | str) -> SampleRecord:
     header: dict[str, str] = {}
     levels: list[np.ndarray] = []  # one array per block
     lineno = 1  # of the block's first line
-    in_header = True
     with path.open("rb") as fh:
         for block in _blocks(fh):
-            if in_header:
-                n, block = _header_lines(path, block, lineno, header, levels)
-                lineno += n
-                if not block:
-                    continue
-                in_header = False
             values = _plain_levels(block)
-            if values is not None:
-                levels.append(values)
+            if values is None:
+                lines = _text_lines(path, block)
+                try:
+                    values = np.fromiter(map(float, lines), np.float64, count=len(lines))
+                except ValueError:
+                    values = _parse_lines(path, lines, lineno, header)
+                lineno += len(lines)
+            else:
                 lineno += len(values)
-                continue
-            lines = _text_lines(path, block)
-            try:
-                levels.append(np.fromiter(map(float, lines), np.float64, count=len(lines)))
-            except ValueError:
-                _parse_lines(path, lines, lineno, header, levels)
-            lineno += len(lines)
+            levels.append(values)
     levels = np.concatenate(levels) if levels else np.empty(0)
     if "sample_rate_hz" not in header:
         raise FormatError(f"{path.name}: missing '# sample_rate_hz=...' header")
@@ -675,8 +659,9 @@ def read_record(path: Path | str) -> SampleRecord:
 def _sample_line(path: Path, index: int) -> int:
     """The 1-based line of the record at ``path`` that holds sample ``index``,
     counted as ``read_record`` counts lines."""
-    with path.open(encoding="utf-8") as fh:
-        samples = (n for n, line in enumerate(fh, start=1) if line.strip()[:1] not in ("", "#"))
+    with path.open("rb") as fh:
+        lines = itertools.chain.from_iterable(_text_lines(path, block) for block in _blocks(fh))
+        samples = (n for n, line in enumerate(lines, start=1) if line.strip()[:1] not in ("", "#"))
         return next(itertools.islice(samples, index, None))
 
 

@@ -1,8 +1,12 @@
+import contextlib
 import json
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from innoise import io
 from innoise.cli import ExitStatus, main
@@ -609,3 +613,68 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--out", str(earlier)]) == ExitStatus.IO_ERROR
     assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
     assert capsys.readouterr().err.count("No space left on device") == 2
+
+
+# --- exit codes on any record bytes ------------------------------------------
+
+# each run's arguments but --out; {rec} is the drawn record
+RECORD_RUNS = [
+    ["baseline", "{rec}"],
+    ["analyze", "{rec}", "--baseline", "{base}", "--plot-data", "--main-burst"],
+    ["apd", "{rec}"],
+    ["apd", "{wgn}", "{rec}"],
+    ["apd", "{wgn}", "{rec}", "--grid-db"],
+]
+
+
+@pytest.fixture(scope="module")
+def record_inputs(tmp_path_factory):
+    """A clean WGN record, its baseline, and its bytes and an IN record's."""
+    directory = tmp_path_factory.mktemp("record_runs")
+    wgn, in_path = directory / "wgn.csv", directory / "in.csv"
+    _write_wgn(wgn, n=1000)
+    _write_in(in_path, [BurstEventSpec(100 + 300 * i, 5, 25.0) for i in range(3)], n=1000)
+    assert main(["baseline", str(wgn), "--out", str(directory)]) == ExitStatus.OK
+    return wgn, directory / "baseline.json", [wgn.read_bytes(), in_path.read_bytes()]
+
+
+# bytes spliced into a valid record: any, or those of numbers, lines and comments
+SPLICES = st.binary(max_size=8) | st.text("0123456789.-e# \n\r", max_size=8).map(str.encode)
+
+
+@st.composite
+def record_bytes(draw, valid):
+    """Random bytes, or one of the ``valid`` records with drawn line ends and
+    a few byte runs spliced in, as often in its header as anywhere."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = draw(st.sampled_from(valid))
+    data = data.replace(b"\n", draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, 80) | st.integers(0, len(data)))
+        end = draw(st.integers(start, start + 8))
+        data = data[:start] + draw(SPLICES) + data[end:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_record_exits_with_a_documented_code(record_inputs, data):
+    # 0, 2 or 3, or 1 from a baseline whose WGN check failed; never an
+    # exception, and with warnings as errors no warning either
+    wgn, base, valid = record_inputs
+    with tempfile.TemporaryDirectory() as directory:
+        rec = Path(directory, "rec.csv")
+        rec.write_bytes(data.draw(record_bytes(valid)))
+        for i, run in enumerate(RECORD_RUNS):
+            out = Path(directory, str(i))
+            argv = [arg.format(rec=rec, wgn=wgn, base=base) for arg in run]
+            err = StringIO()
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(out)])
+            event(f"{run[0]} exits {code}")
+            if code == ExitStatus.VALIDATION_FAILED:
+                assert run[0] == "baseline" and "WGN check FAIL" in err.getvalue()
+                assert json.loads((out / "baseline.json").read_text())["validation"]["passed"] is False
+            else:
+                assert code in (ExitStatus.OK, ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT), (run, code)

@@ -83,21 +83,33 @@ def test_reader_gives_a_record_or_a_format_error(tmp_path_factory, data, chunk_c
             pass
 
 
-def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypatch):
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypatch, newline):
+    # every line end becomes an LF in _blocks, so the header is a block of its
+    # own and the plain tier takes every sample line in each form
+    n = 20_000
     path = tmp_path / "rec.csv"
-    io.write_record(generate_wgn(20_000, -100.0, seed=4), path)
-    seen = []
-    parse_lines = io._parse_lines
+    io.write_record(generate_wgn(n, -100.0, seed=4), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    seen, plain = [], []
+    parse_lines, plain_levels = io._parse_lines, io._plain_levels
 
-    def spy(path, lines, first_lineno, header, levels):
+    def spy(path, lines, first_lineno, header):
         seen.extend(lines)
-        return parse_lines(path, lines, first_lineno, header, levels)
+        return parse_lines(path, lines, first_lineno, header)
+
+    def plain_spy(block):
+        levels = plain_levels(block)
+        plain.append(0 if levels is None else len(levels))
+        return levels
 
     monkeypatch.setattr(io, "_CHUNK_CHARS", 4096)  # many chunks
     monkeypatch.setattr(io, "_parse_lines", spy)
+    monkeypatch.setattr(io, "_plain_levels", plain_spy)
     record = io.read_record(path)
-    assert seen == ["# sample_rate_hz=8001.0\n", "# kind=WGN\n"]
-    assert np.array_equal(record.levels, read_record_oracle(path).levels)
+    assert seen == ["# sample_rate_hz=8001.0", "# kind=WGN"]
+    assert sum(plain) == (n if io._EXACT_LONG_DOUBLE else 0)
+    assert record.levels.tobytes() == read_record_oracle(path).levels.tobytes()
 
 
 def test_chunked_error_names_the_line(tmp_path, monkeypatch):
@@ -272,17 +284,22 @@ def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
 
 
 def test_plain_tier_reads_crlf_lines(tmp_path, tier):
+    # the tier takes LF-ended lines only: _blocks gives it a CRLF record's
+    # lines with each CRLF turned into an LF, the header in a block of its own
     lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
     crlf = "".join(f"{line}\r\n" for line in lines).encode()
-    levels = io._plain_levels(crlf)
+    assert io._plain_levels(crlf) is None
+    assert io._plain_levels(crlf.replace(b"\r\n", b"\n", len(lines) - 1)) is None
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
+    with path.open("rb") as fh:
+        header, body = io._blocks(fh)
+    assert (header, body) == (HEADER.encode(), crlf.replace(b"\r\n", b"\n"))
+    levels = io._plain_levels(body)
     if tier:
         assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
     else:
         assert levels is None
-    # a CR alone ends a line as well: such a block is left to the other tiers
-    assert io._plain_levels(crlf.replace(b"\r\n", b"\r", 1)) is None
-    path = tmp_path / "crlf.csv"
-    path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
     assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
 
