@@ -7,6 +7,11 @@ than 50% of all samples inside a burst must exceed the threshold, and
 result is one ``BurstSet``: a table of read-only numpy columns
 (``start_idx``, ``end_idx``, ``above_count``, ``amplitude_dbm``) from which
 span counts, durations, start times and separations are derived.
+
+The work is array steps, except where the rule or an exact sum needs
+Python: one step per merged pulse in ``combine_pulses``, and one
+``math.fsum`` call per span of three or more samples in
+``_span_amplitudes``. A record of one-sample bursts takes neither.
 """
 
 from __future__ import annotations
@@ -119,6 +124,14 @@ def combine_pulses(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the pulse opens a new one. Every returned span therefore has a
     >50% above fraction and begins/ends on above-threshold samples.
 
+    With ``above[k]`` the above-threshold samples before pulse ``k``, pulse
+    ``k`` stays in the burst headed by pulse ``h`` iff ``tail[k] > head[h]``,
+    where ``tail[k] = 2*above[k+1] - end[k] - 1`` and ``head[h] =
+    2*above[h] - start[h]``. One array step finds each pulse that would join
+    its predecessor were that a head; any other pulse after a head is a head
+    itself. So Python walks only from each such join to the next head: once
+    per merged pulse, and not at all when nothing merges.
+
     ``pulses`` must be the ordered, maximal output of ``extract_pulses``, so
     the above-threshold samples of a span are exactly its pulses' samples.
     Returns the ``(n_bursts, 2)`` inclusive spans and each span's above count.
@@ -126,36 +139,51 @@ def combine_pulses(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts, ends = pulses[:, 0], pulses[:, 1]
     # above[k] = number of above-threshold samples in pulses 0..k-1
     above = np.concatenate(([0], np.cumsum(ends - starts + 1)))
-    if not len(pulses):
+    n = len(pulses)
+    if not n:
         return pulses, above[1:]
-    start_list, end_list, above_list = starts.tolist(), ends.tolist(), above.tolist()
-    heads = [0]  # index of each burst's first pulse
-    head = 0
-    for k in range(1, len(pulses)):
-        if 2 * (above_list[k + 1] - above_list[head]) <= end_list[k] - start_list[head] + 1:
-            head = k
-            heads.append(k)
-    first = np.array(heads, dtype=np.int64)
-    last = np.append(first[1:] - 1, len(pulses) - 1)
-    return np.column_stack((starts[first], ends[last])), above[last + 1] - above[first]
+    tail, head = 2 * above[1:] - ends - 1, 2 * above[:-1] - starts
+    opens = np.ones(n, dtype=bool)  # the pulse heads a burst
+    placed = 0  # the last pulse placed so far; it heads a burst
+    for h in np.flatnonzero(tail[1:] > head[:-1]).tolist():
+        if h < placed:  # h lies inside a burst already walked
+            continue
+        k = h + 2  # pulse h + 1 joins the burst that h heads
+        while k < n and tail[k] > head[h]:
+            k += 1
+        opens[h + 1 : k] = False
+        placed = k
+    closes = np.append(opens[1:], True)  # the pulse ends a burst
+    spans = pulses[np.column_stack((opens, closes))].reshape(-1, 2)
+    return spans, above[1:][closes] - above[:-1][opens]
 
 
 def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """dB value of the mean linear power of each inclusive span.
 
     Bit-identical to ``mw_to_dbm(math.fsum(powers) / count)`` of each span,
-    one IEEE operation at a time, with no Python call per span: ``math.fsum``
-    and ``math.log10`` are mapped over the spans, the division and the
-    scaling by 10 are numpy's. Only in-span samples are converted to linear
-    power. A SampleRecord's levels keep every mean > 0 and finite.
+    one IEEE operation at a time, with no Python call per span. A span of
+    one sample sums to its power, and one of two to a single IEEE addition,
+    which is correctly rounded as ``math.fsum`` is; so numpy sums both.
+    ``math.fsum`` is mapped over the spans of three or more samples only,
+    and ``math.log10`` over every mean; the division and the scaling by 10
+    are numpy's. Only in-span samples are converted to linear power. A
+    SampleRecord's levels keep every mean > 0 and finite.
     """
     counts = end - start + 1
     bounds = np.cumsum(counts)
-    inside = np.repeat(start - (bounds - counts), counts) + np.arange(counts.sum())
-    powers = np.power(10.0, levels[inside] / 10.0).tolist()
-    edges = [0, *bounds.tolist()]
-    sums = map(math.fsum, map(powers.__getitem__, map(slice, edges, edges[1:])))
-    mean = np.fromiter(sums, np.float64, count=counts.size) / counts
+    first = bounds - counts  # each span's first power
+    inside = np.repeat(start - first, counts) + np.arange(counts.sum())
+    powers = np.power(10.0, levels[inside] / 10.0)
+    sums = powers[first]
+    two = counts == 2
+    sums[two] += powers[first[two] + 1]
+    long = np.flatnonzero(counts > 2)
+    if long.size:
+        listed = powers.tolist()
+        spans = map(listed.__getitem__, map(slice, first[long].tolist(), bounds[long].tolist()))
+        sums[long] = np.fromiter(map(math.fsum, spans), np.float64, count=long.size)
+    mean = sums / counts
     return 10.0 * np.fromiter(map(math.log10, mean.tolist()), np.float64, count=mean.size)
 
 

@@ -349,11 +349,21 @@ def _read_json(path: Path) -> Any:
 
 def _to_json(obj: Any) -> dict:
     payload = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.compare and value is not None:
-            payload[f.name] = _to_json(value) if dataclasses.is_dataclass(value) else value
+    for name, nested in _json_keys(type(obj)):
+        value = getattr(obj, name)
+        if value is not None:
+            payload[name] = _to_json(value) if nested else value
     return payload
+
+
+@functools.cache
+def _json_keys(cls: type) -> tuple[tuple[str, bool], ...]:
+    """A dataclass's keys for writing, looked up once: each compared
+    field's name and whether its hint names a dataclass, written nested."""
+    return tuple(
+        (name, any(map(dataclasses.is_dataclass, (hint, *typing.get_args(hint)))))
+        for name, hint, _ in _json_fields(cls)
+    )
 
 
 @functools.cache

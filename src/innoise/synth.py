@@ -38,27 +38,37 @@ BURST_SHAPES = (SHAPE_CONSTANT, SHAPE_DECAYING)
 DECAY_DB = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BurstEventSpec:
-    """One synthetic burst event: where, how long, how far above the noise."""
+    """One synthetic burst event: where, how long, how far above the noise.
+
+    Construction coerces and checks each field once; ConfigError names a bad one.
+    """
 
     start_idx: int
     length_samples: int
     level_offset_db: float
     shape: str = SHAPE_CONSTANT
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_idx", int(self.start_idx))
-        object.__setattr__(self, "length_samples", int(self.length_samples))
-        object.__setattr__(self, "level_offset_db", float(self.level_offset_db))
-        if self.length_samples < 1:
-            raise ConfigError(f"event length must be >= 1, got {self.length_samples}")
-        if self.start_idx < 0:
-            raise ConfigError(f"event start must be >= 0, got {self.start_idx}")
-        if self.shape not in BURST_SHAPES:
-            raise ConfigError(f"shape must be one of {BURST_SHAPES}, got {self.shape!r}")
-        if not math.isfinite(self.level_offset_db):
+    def __init__(
+        self, start_idx: int, length_samples: int, level_offset_db: float, shape: str = SHAPE_CONSTANT
+    ) -> None:
+        start_idx, length_samples = int(start_idx), int(length_samples)
+        level_offset_db = float(level_offset_db)
+        if length_samples < 1:
+            raise ConfigError(f"event length must be >= 1, got {length_samples}")
+        if start_idx < 0:
+            raise ConfigError(f"event start must be >= 0, got {start_idx}")
+        if shape not in BURST_SHAPES:
+            raise ConfigError(f"shape must be one of {BURST_SHAPES}, got {shape!r}")
+        if not math.isfinite(level_offset_db):
             raise ConfigError("level_offset_db must be finite")
+        # frozen: set the checked values once, past the dataclass's __setattr__
+        setattr_ = object.__setattr__
+        setattr_(self, "start_idx", start_idx)
+        setattr_(self, "length_samples", length_samples)
+        setattr_(self, "level_offset_db", level_offset_db)
+        setattr_(self, "shape", shape)
 
     @property
     def end_idx(self) -> int:
