@@ -10,7 +10,7 @@ span counts, durations, start times and separations are derived.
 
 The work is array steps, except where the rule or an exact sum needs
 Python: one step per merged pulse in ``combine_pulses``, and one
-``math.fsum`` call per span of three or more samples in
+``math.fsum`` call per span of two or more samples in
 ``_span_amplitudes``. A record of one-sample bursts takes neither.
 """
 
@@ -148,8 +148,8 @@ def combine_pulses(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for h in np.flatnonzero(tail[1:] > head[:-1]).tolist():
         if h < placed:  # h lies inside a burst already walked
             continue
-        k = h + 2  # pulse h + 1 joins the burst that h heads
-        while k < n and tail[k] > head[h]:
+        k, bar = h + 2, head[h]  # pulse h + 1 joins the burst that h heads
+        while k < n and tail[k] > bar:
             k += 1
         opens[h + 1 : k] = False
         placed = k
@@ -162,13 +162,12 @@ def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> 
     """dB value of the mean linear power of each inclusive span.
 
     Bit-identical to ``mw_to_dbm(math.fsum(powers) / count)`` of each span,
-    one IEEE operation at a time, with no Python call per span. A span of
-    one sample sums to its power, and one of two to a single IEEE addition,
-    which is correctly rounded as ``math.fsum`` is; so numpy sums both.
-    ``math.fsum`` is mapped over the spans of three or more samples only,
-    and ``math.log10`` over every mean; the division and the scaling by 10
-    are numpy's. Only in-span samples are converted to linear power. A
-    SampleRecord's levels keep every mean > 0 and finite.
+    one IEEE operation at a time, with no Python call per span. A
+    one-sample span's sum is its power. ``math.fsum`` is mapped over the
+    spans of two or more samples only, and ``math.log10`` over every mean;
+    the division and the scaling by 10 are numpy's. Only in-span samples
+    are converted to linear power. A SampleRecord's levels keep every
+    mean > 0 and finite.
     """
     counts = end - start + 1
     bounds = np.cumsum(counts)
@@ -176,9 +175,7 @@ def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> 
     inside = np.repeat(start - first, counts) + np.arange(counts.sum())
     powers = np.power(10.0, levels[inside] / 10.0)
     sums = powers[first]
-    two = counts == 2
-    sums[two] += powers[first[two] + 1]
-    long = np.flatnonzero(counts > 2)
+    long = np.flatnonzero(counts > 1)
     if long.size:
         listed = powers.tolist()
         spans = map(listed.__getitem__, map(slice, first[long].tolist(), bounds[long].tolist()))

@@ -349,21 +349,11 @@ def _read_json(path: Path) -> Any:
 
 def _to_json(obj: Any) -> dict:
     payload = {}
-    for name, nested in _json_keys(type(obj)):
+    for name, _, _ in _json_fields(type(obj)):
         value = getattr(obj, name)
         if value is not None:
-            payload[name] = _to_json(value) if nested else value
+            payload[name] = _to_json(value) if dataclasses.is_dataclass(value) else value
     return payload
-
-
-@functools.cache
-def _json_keys(cls: type) -> tuple[tuple[str, bool], ...]:
-    """A dataclass's keys for writing, looked up once: each compared
-    field's name and whether its hint names a dataclass, written nested."""
-    return tuple(
-        (name, any(map(dataclasses.is_dataclass, (hint, *typing.get_args(hint)))))
-        for name, hint, _ in _json_fields(cls)
-    )
 
 
 @functools.cache

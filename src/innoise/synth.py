@@ -50,8 +50,9 @@ class BurstEventSpec:
     level_offset_db: float
     shape: str = SHAPE_CONSTANT
 
+    # ``shape=shape`` reads the field's default from the class body, so it is stated once
     def __init__(
-        self, start_idx: int, length_samples: int, level_offset_db: float, shape: str = SHAPE_CONSTANT
+        self, start_idx: int, length_samples: int, level_offset_db: float, shape: str = shape
     ) -> None:
         start_idx, length_samples = int(start_idx), int(length_samples)
         level_offset_db = float(level_offset_db)
