@@ -18,7 +18,7 @@ LOW, HIGH = -90.0, -50.0
 
 # detect_bursts may run at most this many lines of innoise.bursts per merged
 # pulse, plus a fixed number. 5 a merge and 6 a merged pair were measured
-# (Python 3.11), and 78 lines on a record without merges.
+# (Python 3.11), and 76 lines on a record without merges.
 LINES_PER_MERGE = 8
 LINES_FIXED = 100
 
