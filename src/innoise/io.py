@@ -6,14 +6,8 @@ record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  kind, frequency_khz, event, location, source, started_at
                  optional), then one dBm level per line. Blank and ``#``
                  lines are skipped anywhere, LF, CRLF and CR all end a
-                 line, and errors name the line. Read as bytes in blocks
-                 of whole lines, each ending in LF, with the blank and
-                 ``#`` lines that begin a block in a block of their own; a
-                 block of plain lines (``-?[0-9]+\\.[0-9]+`` of at most 18
-                 significant digits, as written) is parsed as arrays,
-                 exactly, through a long double quotient where that has a
-                 64-bit significand, any other block line by line with
-                 ``float()``: each sample gets ``float()``'s bits.
+                 line, and errors name the line. Each sample gets the
+                 bits ``float()`` gives its line (``read_record``).
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -27,17 +21,16 @@ APD CSV          level_dbm plus one exceedance column per curve.
 All writers are deterministic (identical inputs give byte-identical files)
 and JSON numbers use the shortest round-trip representation, so a read of
 what was written reproduces the in-memory values exactly. The human-facing
-CSV tables round to 2 decimals; the JSON keeps full precision. The four
-per-row tables (record CSV, the measurement report's burst rows, plot CSV
-and APD CSV) go through one writer, ``_write_table``, which formats them a
-block of rows at a time through one open file, never as one whole text. It
-spells a float as the bytes of its ``repr``, built with array arithmetic
+CSV tables round to 2 decimals; the JSON keeps full precision. The per-row
+tables (record CSV, plot CSV, APD CSV and the arrays of the measurement
+report and the ground truth) go through one writer, ``_write_table``, which
+lays out a block of rows at a time with no call per row, never the whole
+text at once. It spells a float as the bytes of its ``repr``, built with
+double and integer array arithmetic that rounds alike on every platform
 (``_shortest``; a few values go to ``repr()`` itself), once per run of
 consecutive values in a column that are equal bit for bit (``-0.0`` and
 ``0.0`` differ): an exact-grid APD column changes only at its own record's
-levels. A table row is its cells between literal pieces of text
-(``("", ",", ",", "")`` for a plot row), and a block is laid out with no
-call per row, as one byte matrix whose bytes that are not text are 0.
+levels.
 """
 
 from __future__ import annotations
@@ -107,18 +100,39 @@ class CampaignManifest:
         return [self.base_dir / p for p in self.in_records]
 
 
-def _write_json(payload: dict, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _write_json(payload: dict, path: Path | str, **arrays: dict | list) -> None:
+    """Write ``payload`` (not empty) as ``json.dumps(indent=2)`` lays it out,
+    and an LF, with ``arrays`` as its last keys: each an array of a row per
+    element of its columns (``_write_table``), an object of a dict's named
+    columns or a list of a list's, each cell spelling its JSON text."""
+    with Path(path).open("wb") as fh:
+        fh.write(json.dumps(payload, indent=2).removesuffix("\n}").encode())
+        for key, columns in arrays.items():
+            named = isinstance(columns, dict)
+            cells = list(columns.values()) if named else columns
+            opening, closing = "{}" if named else "[]"
+            pieces = [f',\n      "{name}": ' if named else ",\n      " for name in columns]
+            pieces = [f"\n    {opening}{pieces[0][1:]}", *pieces[1:], f"\n    {closing}"]
+            end = "\n  ]" if len(cells[0]) else "]"
+            _write_table(fh, f',\n  "{key}": [', pieces, cells, ",", end)
+        fh.write(b"\n}\n")
 
 
-# Where a long double has a 64-bit significand (x87 extended precision), every
-# integer below 2**64 and every 10**k up to k = 27 is exact in it, and a sum,
-# product or quotient of two of its values is rounded once. The writer's and
-# the reader's array paths rest on that; elsewhere they hand every value to
-# repr() and float().
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles: hi + lo == x, each of at most 26
+    significant bits, exactly while x * (2**27 + 1) does not overflow."""
+    c = x * 134217729.0
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_F = np.array([float(10**k) for k in range(22)])  # each an exact double
+_POW10_HI, _POW10_LO = _split(_POW10_F)
+# Where a long double has a 64-bit significand (x87), every integer below 2**64
+# and 10**k up to k = 27 are exact in it and a quotient is rounded once: the
+# reader's array path rests on that, and elsewhere hands each line to float().
 _EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
-_POW10_LD = np.array([float(10**k) for k in range(22)], dtype=np.longdouble)
-_HALF_POW10_LD = np.array([10**k / 2 for k in range(22)], dtype=np.longdouble)
+_POW10_LD = _POW10_F.astype(np.longdouble)
 
 # rows of a per-row table formatted and written at a time
 _ROWS_PER_WRITE = 4096
@@ -156,24 +170,32 @@ _CELL_MASKS = _cell_masks()
 
 
 def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Positive doubles ``a`` scaled by 10**(16 - e10) into X, with the
+    """Positive doubles ``a`` scaled by 10**k, k = 16 - e10, into X, with the
     midpoints lo and hi between each and its neighbouring doubles scaled
     alike: floor(X) as int64, then X, lo and hi less floor(X) as doubles.
 
-    a, a plus a neighbour and 10**k are exact in a long double, so X, lo
-    and hi are each a product rounded once. Where X >= 2**53, each less
-    floor(X) is exact, a multiple of 2**-10 below 32 in magnitude."""
+    Dekker's product of a and 10**k, each split into halves of 26 bits,
+    gives P = fl(a 10**k) and E = a 10**k - P exactly, as no partial product
+    overflows or underflows: for a in [1e-4, 1e16) and k in [1, 20] (or 0
+    and 21, where ``np.log10`` misjudges e10 by one), each is below 2**100,
+    and each but 0 is at least 2**-66, a's last bit times an integer. P <
+    2**60 and |E| <= 64; floor(X) = P + floor(E) where X >= 2**53, and the
+    sum is at most X elsewhere, so an X below 1e16 shows. a's gap to a
+    neighbour is a power of 2, so a midpoint's distance from X, the gap
+    times 10**k / 2, is exact. So X, lo and hi less floor(X) are exact
+    values rounded twice, after adding E and that distance and after
+    subtracting floor(E). Rounding is monotone and every integer and half
+    of magnitude below 2**52 is a double, so each lies on the side of every
+    integer and half that its exact value does, or lands on it."""
     k = 16 - e10
-    x = a.astype(np.longdouble)
-    big = x * _POW10_LD[k]
-    whole = big.astype(np.int64)
-    w = whole.astype(np.longdouble)
-    scaled = [whole, np.subtract(big, w, out=big).astype(np.float64)]
+    (a_hi, a_lo), p10, p_hi, p_lo = _split(a), _POW10_F[k], _POW10_HI[k], _POW10_LO[k]
+    big = a * p10
+    err = a_hi * p_hi - big + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo  # in this order
+    floor = np.floor(err)
+    scaled = [big.astype(np.int64) + floor.astype(np.int64), err - floor]
     for step in (-1, 1):  # a's neighbouring doubles have the bit patterns next to a's
-        neighbour = (a.view(np.int64) + step).view(np.float64)
-        end = np.add(x, neighbour.astype(np.longdouble), out=big)
-        end *= _HALF_POW10_LD[k]
-        scaled.append(np.subtract(end, w, out=end).astype(np.float64))
+        gap = (a.view(np.int64) + step).view(np.float64) - a
+        scaled.append(gap * p10 / 2 + err - floor)
     return tuple(scaled)
 
 
@@ -218,18 +240,14 @@ def _shortest(values: np.ndarray) -> np.ndarray:
     multiple of 100 is the only one, a multiple of 10 the nearer of two
     around X, and else the integer nearest X (``_shortest_digits``).
 
-    Rounding is monotone and every integer and half below 2**63 is a long
-    double, so a rounded X, lo or hi lies on the same side of each integer
-    and half as the exact one unless it lands on it. These values go to
-    ``repr()`` instead: one whose lo or hi lands on an integer, whose X
-    lands halfway between the two nearest candidates, or whose e10 estimate
+    X, lo and hi lie on the side of every integer and half that their exact
+    values do, or land on it (``_scaled``). These values go to ``repr()``
+    instead: one whose lo or hi lands on an integer, whose X lands halfway
+    between the two nearest candidates, or whose e10 estimate
     (``np.log10``) is off; and any value outside [1e-4, 1e16) (zeros, NaN
-    and infinities among them). Where a long double lacks a 64-bit
-    significand, every value goes to ``repr()``, with no array work. So the
-    bytes do not depend on the platform or on the SIMD path numpy takes.
+    and infinities among them). The double and integer steps round alike
+    on every platform and SIMD path, so the bytes do too.
     """
-    if not _EXACT_LONG_DOUBLE:
-        return _repr_cells(values)
     a = np.abs(values)
     ok = (a >= 1e-4) & (a < 1e16)
     a[~ok] = 1.0
@@ -269,59 +287,56 @@ def _repr_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _float_cells(block: np.ndarray) -> np.ndarray:
-    """The cells of a float64 block, a row of ``_CELL`` bytes per value: the
-    bytes of its ``repr`` (``_shortest``), computed once per run of
-    bit-identical values (so ``-0.0`` and ``0.0`` stay apart), and 0s."""
-    bits = block.view(np.int64)
-    new_run = np.empty(len(block), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
-    if new_run.all():
-        return _shortest(block).view(np.uint8)
-    return _shortest(block[new_run]).view(np.uint8)[np.cumsum(new_run) - 1]
+    """The cells of a float64 block, a row of bytes per value: the bytes of
+    its ``repr`` (``_shortest``), once per run of bit-identical values (so
+    ``-0.0`` and ``0.0`` stay apart), and 0s, but no byte column all 0s."""
+    new_run = np.append(True, block[1:].view(np.int64) != block[:-1].view(np.int64))
+    words = _shortest(block if new_run.all() else block[new_run])
+    if len(words) < len(block):
+        words = np.take(words, np.cumsum(new_run) - 1, axis=0)
+    used = np.bitwise_or.reduce(np.ascontiguousarray(words.T), axis=1).view(np.uint8) != 0
+    return words.view(np.uint8)[:, used]
 
 
-def _cells(block: np.ndarray) -> np.ndarray:
-    """A row of bytes per element of a block of a column: a float64 block
-    through ``_float_cells``, a bytes block as its elements, each followed
-    by 0 bytes."""
+def _cells(block: np.ndarray | list) -> np.ndarray:
+    """A row of bytes per element of a block of a column, its text and 0
+    bytes: a float64 block through ``_float_cells``, a bytes block as its
+    elements and a list as the ``str()`` of its elements (ASCII)."""
+    if isinstance(block, list):
+        block = np.array(list(map(str, block)), "S")
     if block.dtype == np.float64:
         return _float_cells(block)
     return block.view(np.uint8).reshape(len(block), -1)
 
 
 def _write_table(
-    path: Path | str, head: str, pieces: Sequence[str], columns: list,
+    fh: typing.BinaryIO, head: str, pieces: Sequence[str], columns: list,
     sep: str = "\n", tail: str = "\n",
 ) -> None:
     """Write ``head``, one row per element of the equal-length ``columns``
-    joined by ``sep``, and ``tail``, ``_ROWS_PER_WRITE`` rows at a time
-    through one open file. A row is its cells between the literal ``pieces``
-    (one more than there are columns). A float is spelled as its ``repr``,
-    once per run of equal values; any other column must hold ``bytes``. No
-    piece, ``sep`` or cell holds a NUL.
+    joined by ``sep``, and ``tail`` to ``fh``, ``_ROWS_PER_WRITE`` rows at a
+    time. A row is its cells (``_cells``) between the literal ``pieces``,
+    one more than there are columns. No piece, ``sep`` or cell holds a NUL.
 
     A block is laid out as one byte matrix with a row per table row:
-    ``sep`` and the first piece, then each column's cells (``_cells``) and
-    the piece after them. Every byte that is not text is 0, and one pass
-    drops those."""
+    ``sep`` and the first piece, then each column's cells and the piece
+    after them. Every byte that is not text is 0, and one pass drops those."""
+    fh.write(head.encode())
     pieces = [np.frombuffer(p.encode(), np.uint8) for p in (sep + pieces[0], *pieces[1:])]
-    with Path(path).open("wb") as fh:
-        fh.write(head.encode())
-        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            parts = [pieces[0]]
-            for column, piece in zip(columns, pieces[1:]):
-                parts += [_cells(column[i : i + _ROWS_PER_WRITE]), piece]
-            width = sum(part.shape[-1] for part in parts)
-            matrix = bytearray(len(parts[1]) * width)
-            rows = np.frombuffer(matrix, np.uint8).reshape(-1, width)
-            at = 0
-            for part in parts:
-                rows[:, at : at + part.shape[-1]] = part
-                at += part.shape[-1]
-            text = matrix.translate(None, b"\0")
-            fh.write(text if i else text[len(sep.encode()) :])
-        fh.write(tail.encode())
+    for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        parts = [pieces[0]]
+        for column, piece in zip(columns, pieces[1:]):
+            parts += [_cells(column[i : i + _ROWS_PER_WRITE]), piece]
+        width = sum(part.shape[-1] for part in parts)
+        matrix = bytearray(len(parts[1]) * width)
+        rows = np.frombuffer(matrix, np.uint8).reshape(-1, width)
+        at = 0
+        for part in parts:
+            rows[:, at : at + part.shape[-1]] = part
+            at += part.shape[-1]
+        text = matrix.translate(None, b"\0")
+        fh.write(text if i else text[len(sep.encode()) :])
+    fh.write(tail.encode())
 
 
 def _write_summary(path: Path | str, rows: list[tuple[str, object]]) -> None:
@@ -568,11 +583,13 @@ def _blocks(fh: typing.BinaryIO) -> typing.Iterator[bytes]:
 
 
 def _lf_blocks(block: bytes) -> typing.Iterator[bytes]:
-    """A block of whole lines with each line ending in one LF (a CRLF, then a
-    CR alone, becomes an LF), as the blank and ``#`` lines that begin it and
-    the rest, leaving out either when empty."""
+    """A block of whole lines with each line ending in one LF (the CR of a
+    CRLF is dropped, then a CR alone becomes an LF), as the blank and ``#``
+    lines that begin it and the rest, leaving out either when empty."""
     if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        a = np.frombuffer(block, np.uint8)
+        crlf = (a[:-1] == 13) & (a[1:] == 10)
+        block = a[np.append(~crlf, True)].tobytes().replace(b"\r", b"\n")
     notes = _NOTE_LINES.match(block).end()
     yield from filter(None, (block[:notes], block[notes:]))
 
@@ -598,11 +615,9 @@ def read_record(path: Path | str) -> SampleRecord:
     them, come as a block of their own. Each block goes through the first
     tier that takes it:
 
-    1. ``_plain_levels``, when every line is plain, ``-?[0-9]+\\.[0-9]+`` of
-       at most 18 significant digits, as ``write_record`` spells levels from
-       1e-4 up to 1e16 in magnitude: the samples are parsed as arrays,
-       exactly, through a long double quotient. It takes no block on a
-       platform whose long double lacks a 64-bit significand.
+    1. ``_plain_levels``, when every line is plain, as ``write_record``
+       spells levels from 1e-4 up to 1e16 in magnitude: the samples are
+       parsed as arrays, where the long double has a 64-bit significand.
     2. one ``float`` per line of the decoded block, straight into an array;
     3. ``_parse_lines``, which applies the header lines, skips blank lines
        and gives the identical levels or the error naming the first bad line.
@@ -680,7 +695,8 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
             raise ConfigError(f"{key} must not hold a line break, got {value!r}")
         if value is not None and value != "":
             head += f"# {key}={value}\n"
-    _write_table(path, head, ("", ""), [record.levels])
+    with Path(path).open("wb") as fh:
+        _write_table(fh, head, ("", ""), [record.levels])
 
 
 # ---------------------------------------------------------------------------
@@ -737,16 +753,6 @@ def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | No
 # ---------------------------------------------------------------------------
 # measurement reports
 
-# one element of the "bursts" array as json.dumps(indent=2) lays it out,
-# after the "[" or "," before it; JSON spells a finite float as its repr
-_BURST_ROW = (
-    '\n    {\n      "start_ms": ',
-    ',\n      "duration_ms": ',
-    ',\n      "amplitude_dbm": ',
-    "\n    }",
-)
-
-
 def write_measurement_report(
     stats: MeasurementStats,
     burst_set: BurstSet,
@@ -759,20 +765,12 @@ def write_measurement_report(
     duration_ms, amplitude_dbm); the CSV mirrors the summary table
     rounded to 2 decimals.
     """
-    payload: dict = {
-        "record_id": burst_set.record_id,
-        "threshold_dbm": burst_set.threshold_dbm,
-        "sample_rate_hz": burst_set.sample_rate_hz,
-    }
+    payload = {k: getattr(burst_set, k) for k in ("record_id", "threshold_dbm", "sample_rate_hz")}
     payload.update(_to_json(stats))
     if stats_excluding_main is not None:
         payload["stats_excluding_main"] = _to_json(stats_excluding_main)
-    # json.dumps(indent=2) of the whole payload, "bursts" being its last key
-    payload["bursts"] = []
-    head = json.dumps(payload, indent=2).removesuffix("]\n}")
-    tail = "\n  ]\n}\n" if len(burst_set) else "]\n}\n"
-    columns = [burst_set.start_ms, burst_set.duration_ms, burst_set.amplitude_dbm]
-    _write_table(path, head, _BURST_ROW, columns, sep=",", tail=tail)
+    row_keys = ("start_ms", "duration_ms", "amplitude_dbm")
+    _write_json(payload, path, bursts={k: getattr(burst_set, k) for k in row_keys})
     _write_summary(path, [
         ("Number of Bursts", stats.n_bursts),
         ("Average Burst Duration (ms)", _fmt2(stats.avg_duration_ms)),
@@ -823,7 +821,8 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
     # entry i is the double float(i) * (1000.0 / rate), the index converted exactly
     time_ms = np.arange(n) * (1000.0 / record.sample_rate_hz)
     columns = [time_ms, record.levels, tags]
-    _write_table(path, "time_ms,level_dbm,burst_id\n", ("", ",", ",", ""), columns)
+    with Path(path).open("wb") as fh:
+        _write_table(fh, "time_ms,level_dbm,burst_id\n", ("", ",", ",", ""), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +841,8 @@ def write_apd_csv(curves: Sequence[ApdCurve], path: Path | str) -> None:
     names = "exceedance" if len(curves) == 1 else "exceedance_wgn,exceedance_in"
     columns = [curves[0].levels_dbm, *(c.exceedance for c in curves)]
     pieces = ("", *[","] * (len(columns) - 1), "")
-    _write_table(path, f"level_dbm,{names}\n", pieces, columns)
+    with Path(path).open("wb") as fh:
+        _write_table(fh, f"level_dbm,{names}\n", pieces, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +865,9 @@ def write_ground_truth(
     spans: Sequence[tuple[int, int]], events: Sequence[BurstEventSpec], path: Path | str
 ) -> None:
     """Record the exact injected spans and the events of a simulation."""
-    payload = {
-        "n_events": len(spans),
-        "spans": [[int(s), int(e)] for s, e in spans],
-        "events": [_to_json(e) for e in events],
-    }
-    _write_json(payload, path)
+    names = [name for name, _, _ in _json_fields(BurstEventSpec)]
+    columns = {name: [getattr(e, name) for e in events] for name in names}
+    # a shape is one of BURST_SHAPES, which JSON spells as they are, in quotes
+    columns["shape"] = [f'"{shape}"' for shape in columns["shape"]]
+    pairs = [[start for start, _ in spans], [end for _, end in spans]]
+    _write_json({"n_events": len(spans)}, path, spans=pairs, events=columns)

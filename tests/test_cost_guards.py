@@ -1,17 +1,22 @@
 """Cost guards: the Python work of a stage, counted, not timed.
 
-A count of executed lines does not depend on the host, so these tests catch
-a Python step per sample, pulse or burst coming back, which a noisy timing
-would not.
+A count of executed lines or of Python calls does not depend on the host, so
+these tests catch a Python step per sample, row, pulse or burst coming back,
+which a noisy timing would not.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
+import pytest
 
-from innoise import bursts
+from innoise import bursts, io
+from innoise.apd import apd_pair
 from innoise.baseline import derive_threshold
-from innoise.model import SampleRecord
+from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, SampleRecord
+from innoise.stats import measurement_stats
+from innoise.synth import generate_wgn
 
 BASE = derive_threshold(-80.0)  # threshold -67 dBm
 LOW, HIGH = -90.0, -50.0
@@ -65,3 +70,75 @@ def test_detection_runs_python_per_merge_not_per_pulse():
     for pairs in (10, 100, 1_000):
         lines = _detect_lines(np.tile([HIGH, LOW, HIGH] + [LOW] * 5, pairs))
         assert lines <= LINES_PER_MERGE * pairs + LINES_FIXED, (pairs, lines)
+
+
+# _shortest hands a value in [1e-4, 1e16) to repr() only where a rounded step
+# lands on an integer or half. 0 of 100,000 levels were measured on each set
+# below (804 and 651 with the long double products it had before).
+MAX_REPR_FALLBACKS = 10
+
+
+def _repr_fallbacks(levels) -> int:
+    """How many of ``levels`` ``io._shortest`` hands to ``repr()``."""
+    with mock.patch.object(io, "_repr_cells", wraps=io._repr_cells) as spy:
+        io._shortest(levels)
+    return sum(len(call.args[0]) for call in spy.call_args_list)
+
+
+def test_levels_are_rarely_spelled_by_repr():
+    wgn = generate_wgn(100_000, -100.0, seed=1).levels
+    uniform = np.random.default_rng(1).uniform(LEVEL_MIN_DBM, LEVEL_MAX_DBM, 100_000)
+    assert _repr_fallbacks(wgn) <= MAX_REPR_FALLBACKS
+    assert _repr_fallbacks(uniform) <= MAX_REPR_FALLBACKS
+
+
+def _calls(write, *args) -> int:
+    """Python function calls (``sys.setprofile`` "call" events) of ``write``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        write(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+# A table writer makes at most a calls per block of io._ROWS_PER_WRITE rows
+# plus b. Measured (Python 3.11, numpy 2.4) at 10,000 and 100,000 samples:
+# write_record 43 a block + 16, write_plot_data 93 + 20, write_apd_csv
+# 137 + 24 and write_measurement_report 125 + 240 (json.dumps of its head).
+# The bounds leave about twice that, for numpy versions whose functions make
+# more Python calls; a Python call per row would make thousands a block.
+CALLS_PER_BLOCK = {
+    "write_record": (90, 100),
+    "write_plot_data": (190, 100),
+    "write_apd_csv": (280, 100),
+    "write_measurement_report": (250, 500),
+}
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_table_writers_call_python_per_block_not_per_row(tmp_path, n):
+    wgn = generate_wgn(n, -100.0, seed=1)
+    dense = SampleRecord(_pulse_every_third_sample(n), 8001.0)
+    burst_set = bursts.detect_bursts(dense, BASE, record_id="dense.csv")
+    curves = apd_pair(wgn, generate_wgn(n, -100.0, seed=2))
+    writes = {  # (rows, the writer's arguments)
+        "write_record": (n, [wgn, tmp_path / "record.csv"]),
+        "write_plot_data": (n, [dense, burst_set, tmp_path / "plot.csv"]),
+        "write_apd_csv": (len(curves[0].levels_dbm), [curves, tmp_path / "apd.csv"]),
+        "write_measurement_report": (
+            len(burst_set), [measurement_stats(burst_set), burst_set, tmp_path / "m.json"]
+        ),
+    }
+    for name, (rows, args) in writes.items():
+        a, b = CALLS_PER_BLOCK[name]
+        blocks = -(-rows // io._ROWS_PER_WRITE)
+        calls = _calls(getattr(io, name), *args)
+        assert calls <= a * blocks + b, (name, rows, calls)

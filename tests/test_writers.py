@@ -20,7 +20,7 @@ from innoise.baseline import derive_threshold
 from innoise.bursts import BurstSet, detect_bursts
 from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, MeasurementMeta, SampleRecord
 from innoise.stats import main_burst, measurement_stats
-from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bursts
 from writer_oracle import table_text_oracle, write_apd_csv_oracle, write_plot_data_oracle
 
 ROWS_PER_WRITE = st.sampled_from([1, 3, 4096])
@@ -49,19 +49,31 @@ SHORT_DECIMALS = st.builds(
     st.integers(-(10**6), 10**6),
     st.integers(-12, 18),
 )
+# Doubles from 2**50 up to 2**54, where the scaled value X = |x| 10**(16 - e10)
+# or a scaled midpoint between x and a neighbour lands exactly on a half or an
+# integer, the cases that _shortest must hand to repr(): in [2**50, 2**51) X
+# ends in .5 where x ends in .25 or .75, in [2**51, 2**52) the midpoints end in
+# .5 and from 2**52 on they are integers
+LANDING = st.builds(
+    lambda whole, part, sign: sign * (whole + part),
+    st.integers(50, 53).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+    st.sampled_from([1.0, -1.0]),
+)
 # the values the array spelling of a float must get right, by class
 HARD_FLOATS = st.one_of(
     st.integers(0, 2**64 - 1).map(_from_bits),
     st.builds(_bit_neighbour, SHORT_DECIMALS, st.integers(-3, 3)),
     st.builds(_bit_neighbour, st.sampled_from([1e-4, -1e-4, 1e16, -1e16]), st.integers(-3, 3)),
     st.integers(-70, 70).map(lambda k: 2.0**k) | st.integers(-7, 18).map(lambda k: float(f"1e{k}")),
+    LANDING,
     st.sampled_from([0.0, -0.0]),
 )
-# the writer with its array spelling, and with every float handed to repr()
+# the reader with its long double tier, and with every line handed to float()
 TIERS = [
     pytest.param(True, id="long-double", marks=pytest.mark.skipif(
         not io._EXACT_LONG_DOUBLE, reason="long double lacks a 64-bit significand")),
-    pytest.param(False, id="repr-only"),
+    pytest.param(False, id="float-only"),
 ]
 METAS = st.builds(
     MeasurementMeta,
@@ -141,21 +153,19 @@ def tables(draw, floats=RUN_HEAVY | st.floats()):
 def test_write_table_matches_a_row_at_a_time(tmp_path_factory, table, rows):
     sep, pieces, columns = table
     path = tmp_path_factory.getbasetemp() / "table.txt"
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
-        io._write_table(path, "head\n", pieces, columns, sep=sep, tail="|tail\n")
+    with mock.patch.object(io, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
+        io._write_table(fh, "head\n", pieces, columns, sep=sep, tail="|tail\n")
     expected = table_text_oracle("head\n", pieces, columns, sep=sep, tail="|tail\n")
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("exact", TIERS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(table=tables(HARD_FLOATS), rows=ROWS_PER_WRITE)
-def test_write_table_spells_hard_values_as_repr(tmp_path_factory, exact, table, rows):
+def test_write_table_spells_hard_values_as_repr(tmp_path_factory, table, rows):
     sep, pieces, columns = table
     path = tmp_path_factory.getbasetemp() / "hard.txt"
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
-        with mock.patch.object(io, "_EXACT_LONG_DOUBLE", exact):
-            io._write_table(path, "", pieces, columns, sep=sep, tail="")
+    with mock.patch.object(io, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
+        io._write_table(fh, "", pieces, columns, sep=sep, tail="")
     assert path.read_bytes() == table_text_oracle("", pieces, columns, sep=sep, tail="").encode()
 
 
@@ -253,6 +263,33 @@ def test_apd_writer_matches_reference(tmp_path_factory, first, second, grid_db, 
         io.write_apd_csv(curves, base / "apd.csv")
     write_apd_csv_oracle(curves, base / "apd_oracle.csv")
     assert (base / "apd.csv").read_bytes() == (base / "apd_oracle.csv").read_bytes()
+
+
+EVENTS = st.builds(
+    BurstEventSpec,
+    st.integers(0, 2**64) | st.integers(0, 100),
+    st.integers(1, 10**6),
+    RUN_HEAVY | HARD_FLOATS.filter(np.isfinite),
+    st.sampled_from(BURST_SHAPES),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spans=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=12),
+    events=st.lists(EVENTS, max_size=12),
+    rows=ROWS_PER_WRITE,
+)
+def test_ground_truth_is_json_dumps_indent_2(tmp_path_factory, spans, events, rows):
+    path = tmp_path_factory.getbasetemp() / "ground_truth.json"
+    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
+        io.write_ground_truth(spans, events, path)
+    payload = {
+        "n_events": len(spans),
+        "spans": [[s, e] for s, e in spans],
+        "events": [io._to_json(e) for e in events],
+    }
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def _peak(write, *args):
