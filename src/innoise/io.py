@@ -175,18 +175,18 @@ def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, ...]:
     alike: floor(X) as int64, then X, lo and hi less floor(X) as doubles.
 
     Dekker's product of a and 10**k, each split into halves of 26 bits,
-    gives P = fl(a 10**k) and E = a 10**k - P exactly, as no partial product
-    overflows or underflows: for a in [1e-4, 1e16) and k in [1, 20] (or 0
-    and 21, where ``np.log10`` misjudges e10 by one), each is below 2**100,
-    and each but 0 is at least 2**-66, a's last bit times an integer. P <
-    2**60 and |E| <= 64; floor(X) = P + floor(E) where X >= 2**53, and the
-    sum is at most X elsewhere, so an X below 1e16 shows. a's gap to a
-    neighbour is a power of 2, so a midpoint's distance from X, the gap
-    times 10**k / 2, is exact. So X, lo and hi less floor(X) are exact
-    values rounded twice, after adding E and that distance and after
-    subtracting floor(E). Rounding is monotone and every integer and half
-    of magnitude below 2**52 is a double, so each lies on the side of every
-    integer and half that its exact value does, or lands on it."""
+    gives P = fl(a 10**k) and E = a 10**k - P exactly, as no split or
+    partial product overflows or underflows: for a in [1e-4, 1e16) and k
+    in [1, 20] (or 0 and 21, where ``np.log10`` misjudges e10 by one), each
+    is below 2**100, and each but 0 is at least 2**-66, a's last bit times
+    an integer. P < 2**60 and |E| <= 64; floor(X) = P + floor(E) where X >=
+    2**53, and the sum is at most X elsewhere, so an X below 1e16 shows.
+    a's gap to a neighbour is a power of 2, so a midpoint's distance from
+    X, the gap times 10**k / 2, is exact. So X, lo and hi less floor(X) are
+    exact values rounded at most twice, after adding E and that distance
+    and after subtracting floor(E). Rounding is monotone and every integer
+    and half of magnitude below 2**52 is a double, so each lies on the side
+    of every integer and half that its exact value does, or lands on it."""
     k = 16 - e10
     (a_hi, a_lo), p10, p_hi, p_lo = _split(a), _POW10_F[k], _POW10_HI[k], _POW10_LO[k]
     big = a * p10
