@@ -69,22 +69,42 @@ def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     return grid
 
 
-def _exceedance(sorted_levels: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    n = sorted_levels.size
-    return (n - np.searchsorted(sorted_levels, grid, side="right")) / n
+def _merged(records: list[SampleRecord]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct sample levels of ``records``, ascending, and each
+    record's count of samples at or below each, from one stable merge of
+    the sorted records: a level is the first of its run of equal values, as
+    ``np.unique`` keeps, and a count a running sum at the run's last.
+
+    ``np.sort`` orders equal zeros, and on some SIMD paths rewrites their
+    signs, by the CPU, so the zero is +0.0 if any record holds +0.0."""
+    levels = np.concatenate([np.sort(r.levels) for r in records])
+    order = np.argsort(levels, kind="stable")
+    levels = levels[order]
+    last = np.append(levels[1:] != levels[:-1], True)
+    grid = levels[np.append(True, last[:-1])]
+    zero = np.searchsorted(grid, 0.0)
+    if zero < grid.size and grid[zero] == 0.0:  # +0.0 is the double of bits 0
+        grid[zero] = 0.0 if any((r.levels.view(np.uint64) == 0).any() for r in records) else -0.0
+    starts = np.cumsum([0, *map(len, records)])[:-1]
+    counts = [np.cumsum(order >= start)[last] for start in starts]  # of this record and later ones
+    for count, later in zip(counts, counts[1:]):
+        count -= later
+    return grid, counts
 
 
 def _curves(records: list[SampleRecord], grid_db: float | None) -> tuple[ApdCurve, ...]:
-    """The APDs of ``records`` on one grid: their distinct sample levels, or
-    a ``grid_db`` spaced grid from the lowest minimum to the highest maximum."""
-    sorted_levels = [np.sort(r.levels) for r in records]
+    """The APDs of ``records`` on one grid: their distinct sample levels
+    (``_merged``), or a ``grid_db`` spaced grid from the lowest minimum to
+    the highest maximum, where a binary search of each sorted record counts."""
     if grid_db is None:
-        grid = np.unique(np.concatenate(sorted_levels))
+        grid, counts = _merged(records)
     else:
+        sorted_levels = [np.sort(r.levels) for r in records]
         lo = min(float(s[0]) for s in sorted_levels)
         hi = max(float(s[-1]) for s in sorted_levels)
         grid = _uniform_grid(lo, hi, float(grid_db))
-    return tuple(ApdCurve(grid, _exceedance(s, grid), s.size) for s in sorted_levels)
+        counts = [np.searchsorted(s, grid, side="right") for s in sorted_levels]
+    return tuple(ApdCurve(grid, (len(r) - c) / len(r), len(r)) for r, c in zip(records, counts))
 
 
 def compute_apd(record: SampleRecord, grid_db: float | None = None) -> ApdCurve:

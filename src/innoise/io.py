@@ -30,7 +30,8 @@ double and integer array arithmetic that rounds alike on every platform
 (``_shortest``; a few values go to ``repr()`` itself), once per run of
 consecutive values in a column that are equal bit for bit (``-0.0`` and
 ``0.0`` differ): an exact-grid APD column changes only at its own record's
-levels.
+levels. All the float columns of a block are spelled in one ``_shortest``
+call, since each call has a fixed cost.
 """
 
 from __future__ import annotations
@@ -247,6 +248,13 @@ def _shortest(values: np.ndarray) -> np.ndarray:
     (``np.log10``) is off; and any value outside [1e-4, 1e16) (zeros, NaN
     and infinities among them). The double and integer steps round alike
     on every platform and SIMD path, so the bytes do too.
+
+    Declining a landed lo or hi changes no spelling, so no test can see
+    it. Below 2**52 an exact scaled midpoint lies at least 2**-47 from
+    every integer, farther than its two roundings move it, so it never
+    lands. From 2**52 on, X is 10x, a multiple of 10, and the midpoints are
+    10x -+ 5 or, from 2**53 with x even, 10x -+ 10: no multiple of 100,
+    and farther from X than X is, so a landed one is never chosen.
     """
     a = np.abs(values)
     ok = (a >= 1e-4) & (a < 1e16)
@@ -286,27 +294,38 @@ def _repr_cells(values: np.ndarray) -> np.ndarray:
     return np.array(spellings, dtype=f"S{_CELL}").view(np.uint64).reshape(-1, 5)
 
 
-def _float_cells(block: np.ndarray) -> np.ndarray:
-    """The cells of a float64 block, a row of bytes per value: the bytes of
-    its ``repr`` (``_shortest``), once per run of bit-identical values (so
-    ``-0.0`` and ``0.0`` stay apart), and 0s, but no byte column all 0s."""
-    new_run = np.append(True, block[1:].view(np.int64) != block[:-1].view(np.int64))
-    words = _shortest(block if new_run.all() else block[new_run])
-    if len(words) < len(block):
-        words = np.take(words, np.cumsum(new_run) - 1, axis=0)
-    used = np.bitwise_or.reduce(np.ascontiguousarray(words.T), axis=1).view(np.uint8) != 0
-    return words.view(np.uint8)[:, used]
+def _float_cells(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The cells of float64 blocks, a row of bytes per value: the bytes of
+    its ``repr``, once per run of bit-identical values in a block (so
+    ``-0.0`` and ``0.0`` stay apart), and 0s, but no byte column all 0s of
+    its block. The first values of every block's runs are spelled in one
+    ``_shortest`` call, since each call has a fixed cost."""
+    runs = [np.append(True, b[1:].view(np.int64) != b[:-1].view(np.int64)) for b in blocks]
+    firsts = [b if run.all() else b[run] for b, run in zip(blocks, runs)]
+    words = _shortest(firsts[0] if len(firsts) == 1 else np.concatenate(firsts))
+    cells, start = [], 0
+    for block, run, first in zip(blocks, runs, firsts):
+        part = words[start : start + len(first)]
+        start += len(first)
+        if len(part) < len(block):
+            part = np.take(part, np.cumsum(run) - 1, axis=0)
+        used = np.bitwise_or.reduce(np.ascontiguousarray(part.T), axis=1).view(np.uint8) != 0
+        cells.append(part.view(np.uint8)[:, used])
+    return cells
 
 
-def _cells(block: np.ndarray | list) -> np.ndarray:
-    """A row of bytes per element of a block of a column, its text and 0
-    bytes: a float64 block through ``_float_cells``, a bytes block as its
-    elements and a list as the ``str()`` of its elements (ASCII)."""
-    if isinstance(block, list):
-        block = np.array(list(map(str, block)), "S")
-    if block.dtype == np.float64:
-        return _float_cells(block)
-    return block.view(np.uint8).reshape(len(block), -1)
+def _cells(blocks: list) -> list[np.ndarray]:
+    """A row of bytes per element of each block of a row of columns, its
+    text and 0 bytes: the float64 blocks through one ``_float_cells``, a
+    bytes block as its elements and a list as the ``str()`` of its
+    elements (ASCII)."""
+    blocks = [np.array(list(map(str, b)), "S") if isinstance(b, list) else b for b in blocks]
+    floats = [b for b in blocks if b.dtype == np.float64]
+    spelled = iter(_float_cells(floats) if floats else [])
+    return [
+        next(spelled) if b.dtype == np.float64 else b.view(np.uint8).reshape(len(b), -1)
+        for b in blocks
+    ]
 
 
 def _write_table(
@@ -320,13 +339,14 @@ def _write_table(
 
     A block is laid out as one byte matrix with a row per table row:
     ``sep`` and the first piece, then each column's cells and the piece
-    after them. Every byte that is not text is 0, and one pass drops those."""
+    after them. Every byte that is not text is 0, and one pass drops those.
+    The float columns of a block are spelled together, in one call."""
     fh.write(head.encode())
     pieces = [np.frombuffer(p.encode(), np.uint8) for p in (sep + pieces[0], *pieces[1:])]
     for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
         parts = [pieces[0]]
-        for column, piece in zip(columns, pieces[1:]):
-            parts += [_cells(column[i : i + _ROWS_PER_WRITE]), piece]
+        for cells, piece in zip(_cells([c[i : i + _ROWS_PER_WRITE] for c in columns]), pieces[1:]):
+            parts += [cells, piece]
         width = sum(part.shape[-1] for part in parts)
         matrix = bytearray(len(parts[1]) * width)
         rows = np.frombuffer(matrix, np.uint8).reshape(-1, width)

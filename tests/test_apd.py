@@ -1,4 +1,4 @@
-import bisect
+import math
 
 import numpy as np
 import pytest
@@ -7,17 +7,11 @@ from hypothesis import given, settings, strategies as st
 from innoise.apd import MAX_GRID_POINTS, apd_pair, compute_apd
 from innoise.model import ConfigError, DomainError, SampleRecord
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
-from apd_oracle import curve_points, exceedance_at
+from apd_oracle import curve_points, exact_grid_oracle, exceedance_at, exceedance_oracle
 
 
 def _rec(levels, rate=8001.0, kind="IN"):
     return SampleRecord(levels=levels, sample_rate_hz=rate, kind=kind)
-
-
-def _oracle_exceedance(samples, level):
-    """Naive sort-and-count: fraction of samples strictly above level."""
-    ordered = sorted(float(x) for x in samples)
-    return (len(ordered) - bisect.bisect_right(ordered, level)) / len(ordered)
 
 
 def test_three_sample_curve():
@@ -117,9 +111,49 @@ def test_matches_sort_and_count_oracle(levels):
     record = _rec(levels)
     curve = compute_apd(record)
     for level, prob in curve_points(curve):
-        assert prob == pytest.approx(_oracle_exceedance(levels, level), abs=1e-12)
+        assert prob == exceedance_oracle(levels, level)
     # between-level queries follow the step function
     for level in np.linspace(min(levels) - 1.0, max(levels) + 1.0, 13):
-        assert exceedance_at(curve, level) == pytest.approx(
-            _oracle_exceedance(levels, level), abs=1e-12
+        assert exceedance_at(curve, level) == exceedance_oracle(levels, level)
+
+
+# a few levels, so that two drawn records tie within and across themselves,
+# and both zeros
+FEW_LEVELS = st.sampled_from([-0.0, 0.0, -80.0, -70.5, 5e-324, 1e-300, 12.25])
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(FEW_LEVELS, min_size=n, max_size=n),
+            st.lists(FEW_LEVELS, min_size=1, max_size=41).filter(lambda b: len(b) != n),
         )
+    )
+)
+def test_pair_grid_and_exceedance_are_exactly_the_oracles(pair):
+    wgn, in_ = pair
+    curves = apd_pair(_rec(wgn, kind="WGN"), _rec(in_))
+    grid, exceedances = exact_grid_oracle(wgn, in_)
+    for curve, exceedance in zip(curves, exceedances):
+        # repr tells -0.0 from 0.0; each exceedance is count / n, rounded once
+        assert list(map(repr, curve.levels_dbm.tolist())) == list(map(repr, grid))
+        assert curve.exceedance.tolist() == exceedance
+
+
+@pytest.mark.parametrize("n", [10, 100, 1_000])
+def test_exact_grid_zero_does_not_depend_on_the_sort(n):
+    # np.sort orders equal zeros by its SIMD path, so which zero comes first
+    # differs between CPUs; the grid holds +0.0 if any record holds +0.0
+    mixed = np.random.default_rng(n).choice([-0.0, 0.0, -1.0, 1.0], n)
+    mixed[:2] = [0.0, -0.0]
+    negative = np.where(mixed == 0.0, -0.0, mixed)
+    cases = [
+        ([mixed], 0.0), ([negative], -0.0), ([mixed[::-1]], 0.0),
+        ([negative, mixed], 0.0), ([mixed, negative], 0.0), ([negative, negative[::-1]], -0.0),
+    ]
+    for levels, zero in cases:
+        records = [_rec(x) for x in levels]
+        curve = compute_apd(*records) if len(records) == 1 else apd_pair(*records)[0]
+        (at,) = np.flatnonzero(curve.levels_dbm == 0.0)
+        assert math.copysign(1.0, curve.levels_dbm[at]) == math.copysign(1.0, zero)

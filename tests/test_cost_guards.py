@@ -111,25 +111,25 @@ def _calls(write, *args) -> int:
 
 # A table writer makes at most a calls per block of io._ROWS_PER_WRITE rows
 # plus b. Measured (Python 3.11, numpy 2.4) at 10,000 and 100,000 samples:
-# write_record 43 a block + 16, write_plot_data 93 + 20, write_apd_csv
-# 137 + 24 and write_measurement_report 125 + 240 (json.dumps of its head).
+# write_record 49 a block + 17, write_plot_data 66 + 21, write_apd_csv
+# 78 + 24 and write_measurement_report 78 + 134 (json.dumps of its head).
 # The bounds leave about twice that, for numpy versions whose functions make
 # more Python calls; a Python call per row would make thousands a block.
 CALLS_PER_BLOCK = {
     "write_record": (90, 100),
-    "write_plot_data": (190, 100),
-    "write_apd_csv": (280, 100),
-    "write_measurement_report": (250, 500),
+    "write_plot_data": (140, 100),
+    "write_apd_csv": (160, 100),
+    "write_measurement_report": (160, 300),
 }
 
 
-@pytest.mark.parametrize("n", [10_000, 100_000])
-def test_table_writers_call_python_per_block_not_per_row(tmp_path, n):
+def _table_writes(tmp_path, n):
+    """Each table writer's rows and arguments, on records of ``n`` samples."""
     wgn = generate_wgn(n, -100.0, seed=1)
     dense = SampleRecord(_pulse_every_third_sample(n), 8001.0)
     burst_set = bursts.detect_bursts(dense, BASE, record_id="dense.csv")
     curves = apd_pair(wgn, generate_wgn(n, -100.0, seed=2))
-    writes = {  # (rows, the writer's arguments)
+    return {
         "write_record": (n, [wgn, tmp_path / "record.csv"]),
         "write_plot_data": (n, [dense, burst_set, tmp_path / "plot.csv"]),
         "write_apd_csv": (len(curves[0].levels_dbm), [curves, tmp_path / "apd.csv"]),
@@ -137,8 +137,23 @@ def test_table_writers_call_python_per_block_not_per_row(tmp_path, n):
             len(burst_set), [measurement_stats(burst_set), burst_set, tmp_path / "m.json"]
         ),
     }
-    for name, (rows, args) in writes.items():
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_table_writers_call_python_per_block_not_per_row(tmp_path, n):
+    for name, (rows, args) in _table_writes(tmp_path, n).items():
         a, b = CALLS_PER_BLOCK[name]
         blocks = -(-rows // io._ROWS_PER_WRITE)
         calls = _calls(getattr(io, name), *args)
         assert calls <= a * blocks + b, (name, rows, calls)
+
+
+def test_table_writers_spell_floats_once_per_block(tmp_path):
+    # io._shortest costs about 0.1 ms a call even for one value, so every
+    # float column of a block is spelled in one call: the plot data has 2,
+    # an APD pair 3 and the measurement report's bursts 3
+    for name, (rows, args) in _table_writes(tmp_path, 20_000).items():
+        blocks = -(-rows // io._ROWS_PER_WRITE)
+        with mock.patch.object(io, "_shortest", wraps=io._shortest) as spy:
+            getattr(io, name)(*args)
+        assert spy.call_count <= blocks, (name, rows, spy.call_count)

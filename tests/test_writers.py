@@ -121,10 +121,17 @@ def _spellings(cells):
 
 
 @settings(max_examples=300)
-@given(block=st.lists(RUN_HEAVY | HARD_FLOATS, max_size=40) | st.lists(st.floats(), max_size=40))
-def test_spelled_is_the_repr_of_each_value(block):
-    cells = io._float_cells(np.array(block, dtype=np.float64))
-    assert _spellings(cells) == [repr(v) for v in block]
+@given(
+    blocks=st.lists(
+        st.lists(RUN_HEAVY | HARD_FLOATS, max_size=40) | st.lists(st.floats(), max_size=40),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_spelled_is_the_repr_of_each_value(blocks):
+    # the blocks of a row of columns are spelled in one call
+    cells = io._float_cells([np.array(block, dtype=np.float64) for block in blocks])
+    assert [_spellings(c) for c in cells] == [[repr(v) for v in block] for block in blocks]
 
 
 @st.composite
