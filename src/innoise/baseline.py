@@ -87,5 +87,5 @@ def validate_wgn(
         passed=bool(passed),
         exceed_count=int(exceed.size),
         exceed_indices=tuple(int(i) for i in exceed),
-        max_level_dbm=float(record.levels.max()),
+        max_level_dbm=float(record.levels.max()) + 0.0,  # a zero maximum reads 0.0
     )

@@ -129,11 +129,6 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _POW10_F = np.array([float(10**k) for k in range(22)])  # each an exact double
 _POW10_HI, _POW10_LO = _split(_POW10_F)
-# Where a long double has a 64-bit significand (x87), every integer below 2**64
-# and 10**k up to k = 27 are exact in it and a quotient is rounded once: the
-# reader's array path rests on that, and elsewhere hands each line to float().
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
-_POW10_LD = _POW10_F.astype(np.longdouble)
 
 # rows of a per-row table formatted and written at a time
 _ROWS_PER_WRITE = 4096
@@ -170,34 +165,39 @@ def _cell_masks() -> np.ndarray:
 _CELL_MASKS = _cell_masks()
 
 
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dekker's product of positive doubles ``a`` and 10**k, 0 <= k <= 21,
+    each split into halves of 26 bits: P = fl(a 10**k) and E = a 10**k - P,
+    exact unless a split or partial product overflows or underflows; then
+    the midpoints between a and its neighbours (the bit patterns next to
+    a's) scaled alike, less P: E plus the gap to each times 10**k / 2."""
+    (a_hi, a_lo), p10, p_hi, p_lo = _split(a), _POW10_F[k], _POW10_HI[k], _POW10_LO[k]
+    big = a * p10
+    err = a_hi * p_hi - big + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo  # in this order
+    gaps = [(a.view(np.int64) + step).view(np.float64) - a for step in (-1, 1)]
+    return big, err, *(gap * p10 / 2 + err for gap in gaps)
+
+
 def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, ...]:
     """Positive doubles ``a`` scaled by 10**k, k = 16 - e10, into X, with the
     midpoints lo and hi between each and its neighbouring doubles scaled
     alike: floor(X) as int64, then X, lo and hi less floor(X) as doubles.
 
-    Dekker's product of a and 10**k, each split into halves of 26 bits,
-    gives P = fl(a 10**k) and E = a 10**k - P exactly, as no split or
-    partial product overflows or underflows: for a in [1e-4, 1e16) and k
-    in [1, 20] (or 0 and 21, where ``np.log10`` misjudges e10 by one), each
-    is below 2**100, and each but 0 is at least 2**-66, a's last bit times
-    an integer. P < 2**60 and |E| <= 64; floor(X) = P + floor(E) where X >=
-    2**53, and the sum is at most X elsewhere, so an X below 1e16 shows.
+    ``_times_pow10`` gives P = fl(a 10**k) and E = a 10**k - P exactly, as no
+    split or partial product overflows or underflows: for a in [1e-4, 1e16)
+    and k in [1, 20] (or 0 and 21, where ``np.log10`` misjudges e10 by one),
+    each is below 2**100, and each but 0 is at least 2**-66, a's last bit
+    times an integer. P < 2**60 and |E| <= 64; floor(X) = P + floor(E) where
+    X >= 2**53, and the sum is at most X elsewhere, so an X below 1e16 shows.
     a's gap to a neighbour is a power of 2, so a midpoint's distance from
     X, the gap times 10**k / 2, is exact. So X, lo and hi less floor(X) are
     exact values rounded at most twice, after adding E and that distance
     and after subtracting floor(E). Rounding is monotone and every integer
     and half of magnitude below 2**52 is a double, so each lies on the side
     of every integer and half that its exact value does, or lands on it."""
-    k = 16 - e10
-    (a_hi, a_lo), p10, p_hi, p_lo = _split(a), _POW10_F[k], _POW10_HI[k], _POW10_LO[k]
-    big = a * p10
-    err = a_hi * p_hi - big + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo  # in this order
+    big, err, below, above = _times_pow10(a, 16 - e10)
     floor = np.floor(err)
-    scaled = [big.astype(np.int64) + floor.astype(np.int64), err - floor]
-    for step in (-1, 1):  # a's neighbouring doubles have the bit patterns next to a's
-        gap = (a.view(np.int64) + step).view(np.float64) - a
-        scaled.append(gap * p10 / 2 + err - floor)
-    return tuple(scaled)
+    return big.astype(np.int64) + floor.astype(np.int64), err - floor, below - floor, above - floor
 
 
 def _shortest_digits(
@@ -494,21 +494,21 @@ def _digits_value(words: np.ndarray, stop: np.ndarray, count: np.ndarray) -> np.
 
 def _plain_levels(block: bytes) -> np.ndarray | None:
     """The samples of a block whose every line is plain, parsed as arrays;
-    None for any other block, and for every block where a long double lacks
-    a 64-bit significand.
+    None for any other block.
 
     A plain line is ``-?[0-9]+\\.[0-9]+`` with at most 18 digits before the
     point, at most 21 after it and at most 18 from the first non-zero one,
     as ``repr`` spells every double from 1e-4 up to 1e16 in magnitude, and
     it ends in LF. Its digits make an integer ``m < 10**18`` and its
-    fraction digits number ``k``: ``m`` and ``10**k`` are exact in a 64-bit
-    significand and the division is correctly rounded, so the long double
-    ``m / 10**k`` is the exact quotient rounded once. Rounding it to a
-    double gives the bits ``float()`` gives unless it lies exactly halfway
-    between two doubles (where the exact quotient may not); those few lines
-    are parsed by ``float()``.
+    fraction digits number ``k``; ``float()`` gives m / 10**k rounded once,
+    a tie to even. q = fl(fl(m) / 10**k) is that double where m < 2**53, and
+    within 1.5 units of m / 10**k elsewhere, so the sample is q or a
+    neighbour. Scaled by 10**k, less P = fl(q 10**k), the midpoints around q
+    (``_times_pow10``) are multiples of 2**(j + k - 2), 2**j being q's last
+    bit, below 2**51 times that, so exact, and so is m - P: m is set against
+    them exactly. (At q = 0 the midpoint below is NaN and moves nothing.)
     """
-    if not (_EXACT_LONG_DOUBLE and block.endswith(b"\n")):
+    if not block.endswith(b"\n"):
         return None
     a = np.frombuffer(block, np.uint8)
     n_lines, n_minus = (np.count_nonzero(a == c) for c in (10, 45))
@@ -545,14 +545,14 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     ):
         return None
     m = integer * _POW10[kept] + _digits_value(words, ends + _PAD, kept)
-    quotient = m.astype(np.longdouble) / _POW10_LD[frac_digits]
-    levels = quotient.astype(np.float64)
-    # a midpoint's mirror image across it is the double on its other side
-    mirror = 2 * quotient - levels
-    ties = np.flatnonzero((quotient != levels) & (mirror.astype(np.float64) == mirror))
+    near = m.view(np.int64).astype(np.float64)  # fl(m), within 2**7 of m
+    q = near / _POW10_F[frac_digits]
+    big, _, below, above = _times_pow10(q, frac_digits)
+    d = (near - big) + (m - near.astype(np.uint64)).view(np.int64)  # m - P
+    odd = (q.view(np.int64) & 1).astype(bool)
+    up, down = (d > above) | (d == above) & odd, (d < below) | (d == below) & odd
+    levels = (q.view(np.int64) + up - down).view(np.float64)
     np.negative(levels, out=levels, where=neg)
-    for i in ties.tolist():
-        levels[i] = float(block[starts[i] : ends[i]])
     return levels
 
 
@@ -637,7 +637,7 @@ def read_record(path: Path | str) -> SampleRecord:
 
     1. ``_plain_levels``, when every line is plain, as ``write_record``
        spells levels from 1e-4 up to 1e16 in magnitude: the samples are
-       parsed as arrays, where the long double has a 64-bit significand.
+       parsed as arrays, with float64 and integer steps on every platform.
     2. one ``float`` per line of the decoded block, straight into an array;
     3. ``_parse_lines``, which applies the header lines, skips blank lines
        and gives the identical levels or the error naming the first bad line.

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
+from innoise.io import write_baseline_report
 from innoise.model import ConfigError, DomainError, SampleRecord
 from innoise.synth import generate_wgn
 
@@ -106,6 +109,22 @@ def test_validate_wgn_passes_iff_max_below_threshold():
         levels = -90.0 + 30.0 * rng.random(40)
         result = validate_wgn(_rec(levels), base)
         assert result.passed == (levels.max() <= base.threshold_dbm)
+
+
+def test_a_zero_maximum_writes_one_baseline_whatever_the_sample_order(tmp_path):
+    # max() keeps whichever zero its SIMD path meets first: with -0.0 and 0.0
+    # among the levels, a record and its reversal may disagree on the sign
+    path = tmp_path / "baseline.json"
+    for i, j in itertools.permutations(range(9), 2):
+        levels = np.full(9, -5.0)
+        levels[[i, j]] = -0.0, 0.0
+        texts = []
+        for record in (_rec(levels), _rec(levels[::-1])):
+            baseline = derive_threshold(compute_rms_level(record))
+            write_baseline_report(baseline, validate_wgn(record, baseline), path)
+            texts.append(path.read_text())
+        assert texts[0] == texts[1], (i, j)
+        assert '"max_level_dbm": 0.0\n' in texts[0]
 
 
 def test_validate_wgn_on_synthetic_rayleigh_envelope():

@@ -92,8 +92,8 @@ def test_levels_are_rarely_spelled_by_repr():
     assert _repr_fallbacks(uniform) <= MAX_REPR_FALLBACKS
 
 
-def _calls(write, *args) -> int:
-    """Python function calls (``sys.setprofile`` "call" events) of ``write``."""
+def _calls(run, *args) -> int:
+    """Python function calls (``sys.setprofile`` "call" events) of ``run``."""
     count = 0
 
     def profile(frame, event, arg):
@@ -103,10 +103,27 @@ def _calls(write, *args) -> int:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        write(*args)
+        run(*args)
     finally:
         sys.setprofile(previous)
     return count
+
+
+# read_record makes at most a calls per block of io._CHUNK_CHARS bytes plus b.
+# Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and 100,000
+# samples, 3 and 30 blocks: 176 and 1,418 calls, 46 a block + 38. The bound
+# leaves about twice that; a Python call per line would add some 3,400 a block.
+READ_CALLS_PER_BLOCK = (90, 100)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_record_reader_calls_python_per_block_not_per_line(tmp_path, n):
+    path = tmp_path / "record.csv"
+    io.write_record(generate_wgn(n, -100.0, seed=1), path)
+    a, b = READ_CALLS_PER_BLOCK
+    blocks = -(-path.stat().st_size // io._CHUNK_CHARS)
+    calls = _calls(io.read_record, path)
+    assert calls <= a * blocks + b, (n, blocks, calls)
 
 
 # A table writer makes at most a calls per block of io._ROWS_PER_WRITE rows

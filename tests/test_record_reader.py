@@ -1,5 +1,6 @@
 """The chunked record reader against the frozen line-at-a-time oracle."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -108,7 +109,7 @@ def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypat
     monkeypatch.setattr(io, "_plain_levels", plain_spy)
     record = io.read_record(path)
     assert seen == ["# sample_rate_hz=8001.0", "# kind=WGN"]
-    assert sum(plain) == (n if io._EXACT_LONG_DOUBLE else 0)
+    assert sum(plain) == n
     assert record.levels.tobytes() == read_record_oracle(path).levels.tobytes()
 
 
@@ -142,35 +143,50 @@ def test_reader_holds_no_per_sample_python_objects(tmp_path):
 # --- the plain tier: every line -?[0-9]+.[0-9]+ of at most 18 digits, parsed as arrays
 
 HEADER = "# sample_rate_hz=8001\n# kind=WGN\n"
-# decimals whose long double quotient lies halfway between two doubles, so a
-# second rounding of it to a double would miss float() by one unit
+# The hard lines of the plain tier, by class. Its first guess at a line's
+# sample is the naive quotient q = fl(fl(m) / 10**k), which can miss float()
+# by one unit where m >= 2**53; m set against the midpoints around q, scaled
+# by 10**k, must move it (test_plain_tier_corrects_the_naive_quotient).
+# q one unit below float(), and one unit above it
+NAIVE_LOW = [
+    "-98.50627231245765", "-101.37068927681109", "14.927551604193825",
+    "9753001978.988937", "0.0009213661404105205", "-0.0009765624999999997",
+]
+NAIVE_HIGH = [
+    "-99.99384923321259", "-109.20867518895867", "0.9257809654061343",
+    "389785020415945.56", "-0.052021914380895644", "0.99999999999999983",
+]
+# exact ties between two doubles, which go to the even one; q is the odd one
+TIES_TO_EVEN = [
+    "5666345049340992.5", "-6219429999788171.5", "4355975654906063.25",
+    "-2808322619421615.25", "2566117198557713.75", "-3996667203629424.75",
+]
+# just below a power of 2, whose double q is: the gap below q is half the gap
+# above it, and the line lies nearer the double below
+BELOW_POWERS_OF_2 = [
+    "0.9999999999999999", "0.99999999999999994", "-0.99999999999999992",
+    "0.0039062499999999996", "-0.12499999999999999", "1.99999999999999988",
+]
+# decimals whose quotient, rounded to a 64-bit significand first, lies
+# halfway between two doubles, so a second rounding to a double misses
+# float() by one unit: a reader that rounds twice fails on these
 DOUBLE_ROUNDING_HAZARDS = [
     "-12.4002275125861674", "-2.36961292358733", "-5.344647944003730",
     "-23.0508257430954", "-637.445121396734919", "-4.37586658381163085",
 ]
 
 
-@pytest.fixture(params=[
-    pytest.param(True, id="long-double-tier", marks=pytest.mark.skipif(
-        not io._EXACT_LONG_DOUBLE, reason="long double lacks a 64-bit significand")),
-    pytest.param(False, id="tier-forced-off"),
-])
-def tier(request, monkeypatch):
-    monkeypatch.setattr(io, "_EXACT_LONG_DOUBLE", request.param)
-    return request.param
-
-
 def _plain(lines):
     return io._plain_levels("".join(f"{line}\n" for line in lines).encode())
 
 
-def _assert_parses_like_float(path, lines, tier, plain=True):
-    """Where the tier runs, it takes a block of ``plain`` lines and gives each
-    line the bits of its ``float()``, and it declines any other block; the
+def _assert_parses_like_float(path, lines, plain=True):
+    """The plain tier takes a block of ``plain`` lines and gives each line
+    the bits of its ``float()``, and it declines any other block; the
     reader gives the oracle's levels for the lines a record can hold."""
     lines = list(lines)
     levels = _plain(lines)
-    if tier and plain:
+    if plain:
         assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
     else:
         assert levels is None
@@ -183,61 +199,84 @@ def _signed(rng, values):
     return values * rng.choice([-1.0, 1.0], len(values))
 
 
-def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path, tier):
+def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path):
     rng = np.random.default_rng(1)
     values = _signed(rng, 10 ** rng.uniform(-4.0, 16.0, 20_000))
     values = values[np.abs(values) < 1e16]
     # from 1e-4 up, repr spells a double in at most 17 significant digits;
     # below 0.1 up to 4 leading zeros come first, which the tier does not count
     large = np.abs(values) >= 0.1
-    _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()), tier)
-    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()), tier)
+    _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()))
+    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()))
 
 
-def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path, tier):
+def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path):
     rng = np.random.default_rng(2)
     lines = []
     for n_digits in rng.integers(2, 19, 20_000).tolist():
         digits = "".join(map(str, rng.integers(0, 10, n_digits).tolist()))
         point = int(rng.integers(1, n_digits))
         lines.append("-" * int(rng.integers(0, 2)) + digits[:point] + "." + digits[point:])
-    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
+    _assert_parses_like_float(tmp_path / "rec.csv", lines)
 
 
-def test_plain_tier_reads_bit_neighbours_near_minus_100_dbm_exactly(tmp_path, tier):
+def test_plain_tier_reads_bit_neighbours_near_minus_100_dbm_exactly(tmp_path):
     rng = np.random.default_rng(3)
     levels = rng.normal(-100.0, 5.0, 2000)
     neighbours = (levels.view(np.int64)[:, None] + np.arange(-4, 5)).ravel().view(np.float64)
-    _assert_parses_like_float(tmp_path / "rec.csv", map(repr, neighbours.tolist()), tier)
+    _assert_parses_like_float(tmp_path / "rec.csv", map(repr, neighbours.tolist()))
 
 
-def test_plain_tier_reads_zeros_and_leading_zeros(tmp_path, tier):
+def test_plain_tier_reads_zeros_and_leading_zeros(tmp_path):
     lines = ["-0.0", "0.0", "-00.000", "007.50", "-0000000000000001.5", "0.00000000000000001"]
-    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
+    _assert_parses_like_float(tmp_path / "rec.csv", lines)
     assert io.read_record(tmp_path / "rec.csv").levels[:2].tobytes() == np.array([-0.0, 0.0]).tobytes()
 
 
-def test_plain_tier_takes_18_digits_and_declines_19(tmp_path, tier):
+def test_plain_tier_takes_18_digits_and_declines_19(tmp_path):
     eighteen = ["99999999999999999.9", "-123456789.123456789", "1.00000000000000001"]
     nineteen = ["999999999999999999.9", "-1234567890.123456789", "1.000000000000000001"]
-    _assert_parses_like_float(tmp_path / "a.csv", eighteen, tier)
+    _assert_parses_like_float(tmp_path / "a.csv", eighteen)
     for line in nineteen:
-        _assert_parses_like_float(tmp_path / "b.csv", eighteen + [line], tier, plain=False)
+        _assert_parses_like_float(tmp_path / "b.csv", eighteen + [line], plain=False)
 
 
-def test_plain_tier_reads_midpoints_exactly(tmp_path, tier):
-    # 2**53 + 1 and its kind lie halfway between two doubles and round to even;
-    # the hazards' quotients only become halfway in the long double
+def test_plain_tier_reads_midpoints_exactly(tmp_path):
+    # 2**53 + 1 and its kind lie halfway between two doubles and round to even
     midpoints = [f"{2**53 + i}.0" for i in range(-8, 9)] + [f"-{2**54 + i}.0" for i in range(-8, 9)]
-    _assert_parses_like_float(tmp_path / "rec.csv", midpoints + DOUBLE_ROUNDING_HAZARDS, tier)
+    _assert_parses_like_float(tmp_path / "rec.csv", midpoints + DOUBLE_ROUNDING_HAZARDS)
+
+
+def _bits(value):
+    """The bit pattern of the double ``abs(value)``, as an integer."""
+    return int(np.array([abs(value)]).view(np.int64)[0])
+
+
+def _naive(line):
+    """The naive quotient fl(fl(m) / 10**k) of a plain line."""
+    whole, _, fraction = line.partition(".")
+    return float(int(whole + fraction)) / float(10 ** len(fraction))
+
+
+def test_plain_tier_corrects_the_naive_quotient(tmp_path):
+    # each class is what it says, by float() of each line against its naive q
+    assert {_bits(float(line)) - _bits(_naive(line)) for line in NAIVE_LOW} == {1}
+    assert {_bits(float(line)) - _bits(_naive(line)) for line in NAIVE_HIGH} == {-1}
+    for line in TIES_TO_EVEN:
+        assert abs(_bits(float(line)) - _bits(_naive(line))) == 1 and _bits(float(line)) % 2 == 0
+    for line in BELOW_POWERS_OF_2:
+        power = abs(_naive(line))
+        assert math.frexp(power)[0] == 0.5 and abs(float(line)) == np.nextafter(power, 0)
+    lines = NAIVE_LOW + NAIVE_HIGH + TIES_TO_EVEN + BELOW_POWERS_OF_2
+    _assert_parses_like_float(tmp_path / "rec.csv", lines)
 
 
 @pytest.mark.parametrize("line", [
     "1-2.5", "--1.5", "-1.5-", "1.5.5", "-.5", "5.", ".5", "-", "1", "1.5e3", "1,5", "١.٢", "1.5\x00",
 ])
-def test_plain_tier_declines_a_line_of_any_other_form(tier, line):
+def test_plain_tier_declines_a_line_of_any_other_form(line):
     assert _plain(["-100.25", line, "-99.5"]) is None
-    assert (_plain(["-100.25", "-99.5"]) is not None) == tier
+    assert _plain(["-100.25", "-99.5"]) is not None
 
 
 @pytest.mark.parametrize(
@@ -271,19 +310,19 @@ def test_error_names_the_line_in_any_newline_convention(tmp_path, monkeypatch, n
             read(path)
 
 
-def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
+def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path):
     # repr of a level in [1e-4, 0.1): up to 4 zeros, then up to 17 digits
     taken = [
         "-0.018447362809681143", "0.00012345678901234567", "0.000123456789012345678",
         "0.0000000000000000001", "-0.000000000000000000000", "0.100000000000000000",
     ]
-    _assert_parses_like_float(tmp_path / "a.csv", taken, tier)
+    _assert_parses_like_float(tmp_path / "a.csv", taken)
     # 19 digits from the first non-zero one, or 22 after the point
     for line in ["0.1234567890123456789", "1.00000000000000000001", "0.0000000000000000000001"]:
-        _assert_parses_like_float(tmp_path / "b.csv", taken + [line], tier, plain=False)
+        _assert_parses_like_float(tmp_path / "b.csv", taken + [line], plain=False)
 
 
-def test_plain_tier_reads_crlf_lines(tmp_path, tier):
+def test_plain_tier_reads_crlf_lines(tmp_path):
     # the tier takes LF-ended lines only: _blocks gives it a CRLF record's
     # lines with each CRLF turned into an LF, the header in a block of its own
     lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
@@ -296,10 +335,7 @@ def test_plain_tier_reads_crlf_lines(tmp_path, tier):
         header, body = io._blocks(fh)
     assert (header, body) == (HEADER.encode(), crlf.replace(b"\r\n", b"\n"))
     levels = io._plain_levels(body)
-    if tier:
-        assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
-    else:
-        assert levels is None
+    assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
     assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
 
