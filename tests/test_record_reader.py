@@ -176,20 +176,34 @@ DOUBLE_ROUNDING_HAZARDS = [
 ]
 
 
+@pytest.fixture(params=[
+    pytest.param(True, id="plain-tier"),
+    pytest.param(False, id="tier-forced-off"),
+])
+def tier(request, monkeypatch):
+    """With the plain tier, or with it declining every block, so that the
+    reader hands each line to ``float()`` as it does a record that holds a
+    level below 1e-4 or in exponent notation."""
+    if not request.param:
+        monkeypatch.setattr(io, "_plain_levels", lambda block: None)
+    return request.param
+
+
 def _plain(lines):
     return io._plain_levels("".join(f"{line}\n" for line in lines).encode())
 
 
-def _assert_parses_like_float(path, lines, plain=True):
-    """The plain tier takes a block of ``plain`` lines and gives each line
-    the bits of its ``float()``, and it declines any other block; the
+def _assert_parses_like_float(path, lines, tier, plain=True):
+    """Where the tier runs, it takes a block of ``plain`` lines and gives each
+    line the bits of its ``float()``, and it declines any other block; the
     reader gives the oracle's levels for the lines a record can hold."""
     lines = list(lines)
-    levels = _plain(lines)
-    if plain:
-        assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
-    else:
-        assert levels is None
+    if tier:
+        levels = _plain(lines)
+        if plain:
+            assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
+        else:
+            assert levels is None
     samples = [line for line in lines if abs(float(line)) < 1000]  # of finite power in mW
     path.write_text(HEADER + "".join(f"{line}\n" for line in samples))
     assert io.read_record(path).levels.tobytes() == read_record_oracle(path).levels.tobytes()
@@ -199,52 +213,52 @@ def _signed(rng, values):
     return values * rng.choice([-1.0, 1.0], len(values))
 
 
-def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path):
+def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path, tier):
     rng = np.random.default_rng(1)
     values = _signed(rng, 10 ** rng.uniform(-4.0, 16.0, 20_000))
     values = values[np.abs(values) < 1e16]
     # from 1e-4 up, repr spells a double in at most 17 significant digits;
     # below 0.1 up to 4 leading zeros come first, which the tier does not count
     large = np.abs(values) >= 0.1
-    _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()))
-    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()))
+    _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()), tier)
+    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()), tier)
 
 
-def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path):
+def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path, tier):
     rng = np.random.default_rng(2)
     lines = []
     for n_digits in rng.integers(2, 19, 20_000).tolist():
         digits = "".join(map(str, rng.integers(0, 10, n_digits).tolist()))
         point = int(rng.integers(1, n_digits))
         lines.append("-" * int(rng.integers(0, 2)) + digits[:point] + "." + digits[point:])
-    _assert_parses_like_float(tmp_path / "rec.csv", lines)
+    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
 
 
-def test_plain_tier_reads_bit_neighbours_near_minus_100_dbm_exactly(tmp_path):
+def test_plain_tier_reads_bit_neighbours_near_minus_100_dbm_exactly(tmp_path, tier):
     rng = np.random.default_rng(3)
     levels = rng.normal(-100.0, 5.0, 2000)
     neighbours = (levels.view(np.int64)[:, None] + np.arange(-4, 5)).ravel().view(np.float64)
-    _assert_parses_like_float(tmp_path / "rec.csv", map(repr, neighbours.tolist()))
+    _assert_parses_like_float(tmp_path / "rec.csv", map(repr, neighbours.tolist()), tier)
 
 
-def test_plain_tier_reads_zeros_and_leading_zeros(tmp_path):
+def test_plain_tier_reads_zeros_and_leading_zeros(tmp_path, tier):
     lines = ["-0.0", "0.0", "-00.000", "007.50", "-0000000000000001.5", "0.00000000000000001"]
-    _assert_parses_like_float(tmp_path / "rec.csv", lines)
+    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
     assert io.read_record(tmp_path / "rec.csv").levels[:2].tobytes() == np.array([-0.0, 0.0]).tobytes()
 
 
-def test_plain_tier_takes_18_digits_and_declines_19(tmp_path):
+def test_plain_tier_takes_18_digits_and_declines_19(tmp_path, tier):
     eighteen = ["99999999999999999.9", "-123456789.123456789", "1.00000000000000001"]
     nineteen = ["999999999999999999.9", "-1234567890.123456789", "1.000000000000000001"]
-    _assert_parses_like_float(tmp_path / "a.csv", eighteen)
+    _assert_parses_like_float(tmp_path / "a.csv", eighteen, tier)
     for line in nineteen:
-        _assert_parses_like_float(tmp_path / "b.csv", eighteen + [line], plain=False)
+        _assert_parses_like_float(tmp_path / "b.csv", eighteen + [line], tier, plain=False)
 
 
-def test_plain_tier_reads_midpoints_exactly(tmp_path):
+def test_plain_tier_reads_midpoints_exactly(tmp_path, tier):
     # 2**53 + 1 and its kind lie halfway between two doubles and round to even
     midpoints = [f"{2**53 + i}.0" for i in range(-8, 9)] + [f"-{2**54 + i}.0" for i in range(-8, 9)]
-    _assert_parses_like_float(tmp_path / "rec.csv", midpoints + DOUBLE_ROUNDING_HAZARDS)
+    _assert_parses_like_float(tmp_path / "rec.csv", midpoints + DOUBLE_ROUNDING_HAZARDS, tier)
 
 
 def _bits(value):
@@ -268,15 +282,20 @@ def test_plain_tier_corrects_the_naive_quotient(tmp_path):
         power = abs(_naive(line))
         assert math.frexp(power)[0] == 0.5 and abs(float(line)) == np.nextafter(power, 0)
     lines = NAIVE_LOW + NAIVE_HIGH + TIES_TO_EVEN + BELOW_POWERS_OF_2
-    _assert_parses_like_float(tmp_path / "rec.csv", lines)
+    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier=True)
 
 
 @pytest.mark.parametrize("line", [
     "1-2.5", "--1.5", "-1.5-", "1.5.5", "-.5", "5.", ".5", "-", "1", "1.5e3", "1,5", "١.٢", "1.5\x00",
 ])
-def test_plain_tier_declines_a_line_of_any_other_form(line):
-    assert _plain(["-100.25", line, "-99.5"]) is None
-    assert _plain(["-100.25", "-99.5"]) is not None
+def test_plain_tier_declines_a_line_of_any_other_form(tmp_path, tier, line):
+    if tier:
+        assert _plain(["-100.25", line, "-99.5"]) is None
+        assert _plain(["-100.25", "-99.5"]) is not None
+    # the tiers after it give the oracle's levels, or its error, for the line
+    path = tmp_path / "rec.csv"
+    path.write_text(f"{HEADER}-100.25\n{line}\n-99.5\n", encoding="utf-8")
+    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
 
 @pytest.mark.parametrize(
@@ -310,32 +329,34 @@ def test_error_names_the_line_in_any_newline_convention(tmp_path, monkeypatch, n
             read(path)
 
 
-def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path):
+def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
     # repr of a level in [1e-4, 0.1): up to 4 zeros, then up to 17 digits
     taken = [
         "-0.018447362809681143", "0.00012345678901234567", "0.000123456789012345678",
         "0.0000000000000000001", "-0.000000000000000000000", "0.100000000000000000",
     ]
-    _assert_parses_like_float(tmp_path / "a.csv", taken)
+    _assert_parses_like_float(tmp_path / "a.csv", taken, tier)
     # 19 digits from the first non-zero one, or 22 after the point
     for line in ["0.1234567890123456789", "1.00000000000000000001", "0.0000000000000000000001"]:
-        _assert_parses_like_float(tmp_path / "b.csv", taken + [line], plain=False)
+        _assert_parses_like_float(tmp_path / "b.csv", taken + [line], tier, plain=False)
 
 
-def test_plain_tier_reads_crlf_lines(tmp_path):
+def test_plain_tier_reads_crlf_lines(tmp_path, tier):
     # the tier takes LF-ended lines only: _blocks gives it a CRLF record's
     # lines with each CRLF turned into an LF, the header in a block of its own
     lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
     crlf = "".join(f"{line}\r\n" for line in lines).encode()
-    assert io._plain_levels(crlf) is None
-    assert io._plain_levels(crlf.replace(b"\r\n", b"\n", len(lines) - 1)) is None
+    if tier:
+        assert io._plain_levels(crlf) is None
+        assert io._plain_levels(crlf.replace(b"\r\n", b"\n", len(lines) - 1)) is None
     path = tmp_path / "crlf.csv"
     path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
     with path.open("rb") as fh:
         header, body = io._blocks(fh)
     assert (header, body) == (HEADER.encode(), crlf.replace(b"\r\n", b"\n"))
-    levels = io._plain_levels(body)
-    assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
+    if tier:
+        levels = io._plain_levels(body)
+        assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
     assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
 

@@ -69,6 +69,11 @@ HARD_FLOATS = st.one_of(
     LANDING,
     st.sampled_from([0.0, -0.0]),
 )
+# the reader with its plain tier, and with every line handed to float()
+TIERS = [
+    pytest.param(True, id="plain-tier"),
+    pytest.param(False, id="float-only"),
+]
 METAS = st.builds(
     MeasurementMeta,
     frequency_khz=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e9), st.just(1910.0)),
@@ -170,6 +175,7 @@ def test_write_table_spells_hard_values_as_repr(tmp_path_factory, table, rows):
     assert path.read_bytes() == table_text_oracle("", pieces, columns, sep=sep, tail="").encode()
 
 
+@pytest.mark.parametrize("exact", TIERS)
 @settings(max_examples=200, deadline=None)
 @given(
     levels=st.lists(
@@ -179,12 +185,14 @@ def test_write_table_spells_hard_values_as_repr(tmp_path_factory, table, rows):
     ),
     chunk_chars=st.sampled_from([16, io._CHUNK_CHARS]),
 )
-def test_record_round_trips_every_level_bit_for_bit(tmp_path_factory, levels, chunk_chars):
+def test_record_round_trips_every_level_bit_for_bit(tmp_path_factory, exact, levels, chunk_chars):
     record = SampleRecord(levels, 8001.0)
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
         io.write_record(record, path)
-        assert io.read_record(path).levels.tobytes() == record.levels.tobytes()
+        plain_levels = io._plain_levels if exact else lambda block: None
+        with mock.patch.object(io, "_plain_levels", plain_levels):
+            assert io.read_record(path).levels.tobytes() == record.levels.tobytes()
     # a zero or a level of 1e-4 or more in magnitude is written as a plain
     # line, which the reader parses as arrays
     body = b"".join(line for line in path.read_bytes().splitlines(True) if line[:1] != b"#")
