@@ -86,6 +86,6 @@ def validate_wgn(
     return WgnValidation(
         passed=bool(passed),
         exceed_count=int(exceed.size),
-        exceed_indices=tuple(int(i) for i in exceed),
+        exceed_indices=tuple(exceed.tolist()),
         max_level_dbm=float(record.levels.max()) + 0.0,  # a zero maximum reads 0.0
     )

@@ -4,10 +4,10 @@ Formats
 -------
 record CSV       ``# key=value`` comment header (sample_rate_hz required;
                  kind, frequency_khz, event, location, source, started_at
-                 optional), then one dBm level per line. Blank and ``#``
-                 lines are skipped anywhere, LF, CRLF and CR all end a
-                 line, and errors name the line. Each sample gets the
-                 bits ``float()`` gives its line (``read_record``).
+                 optional), then one dBm level per line of UTF-8 text
+                 (universal newlines: LF, CRLF and CR end a line). Blank
+                 and ``#`` lines are skipped anywhere; errors name the
+                 line. A sample gets the bits ``float()`` gives its line.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -361,16 +361,16 @@ def _write_table(
 
 def _write_summary(path: Path | str, rows: list[tuple[str, object]]) -> None:
     """Write a report's summary table, one ``parameter,value`` line per row,
-    as the CSV beside the report at ``path``."""
+    as the CSV beside the report at ``path``, in bytes: LF-ended on every OS."""
     lines = ["parameter,value", *(f"{name},{value}" for name, value in rows)]
-    Path(path).with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).with_suffix(".csv").write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def _read_json(path: Path) -> Any:
+    with _text(path) as fh:
+        text = fh.read()
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
+        return json.loads(text)
     # a JSONDecodeError, an integer past the int-digit limit or deep nesting
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path.name}: invalid JSON: {exc}") from exc
@@ -458,7 +458,7 @@ def _fmt2(value: float | None) -> str:
 # sample records
 
 
-# bytes of record text read and parsed at a time
+# characters of record text read at a time, before the rest of the last line
 _CHUNK_CHARS = 1 << 16
 
 _PAD = 24  # b"0" bytes before a block, so the 3 words ending at its first LF start in it
@@ -556,13 +556,14 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     return levels
 
 
-def _parse_lines(path: Path, lines: list[str], first_lineno: int, header: dict) -> np.ndarray:
-    """The record CSV line rules, applied one line at a time.
-
-    Blank lines are skipped, a ``#`` line sets ``header[key]`` when it holds
-    ``key=value``, and any other line must be one number. Returns the
-    lines' samples as one array.
-    """
+def _parse_lines(path: Path, block: str, first_lineno: int, header: dict) -> np.ndarray:
+    """The samples of a block from ``_blocks`` that is not all plain lines:
+    a ``float`` per line, or else the record CSV line rules, one line at a
+    time. Blank lines are skipped, a ``#`` line sets ``header[key]`` when it
+    holds ``key=value``, and any other line must be one number."""
+    lines = block.split("\n")[:-1]
+    with contextlib.suppress(ValueError):
+        return np.fromiter(map(float, lines), np.float64, count=len(lines))
     values = []
     for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.strip()
@@ -583,41 +584,29 @@ def _parse_lines(path: Path, lines: list[str], first_lineno: int, header: dict) 
 
 
 # the blank and comment lines at the start of a block of LF-ended lines
-_NOTE_LINES = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*")
+_NOTE_LINES = re.compile(r"(?:[ \t]*(?:#[^\n]*)?\n)*")
 
 
-def _blocks(fh: typing.BinaryIO) -> typing.Iterator[bytes]:
-    """The rest of ``fh`` in blocks of whole lines, each ending in one LF
-    (``_lf_blocks``), read ``_CHUNK_CHARS`` bytes at a time. A block is cut
-    after its last LF, or after a later CR that is not the last byte read
-    (which may begin a CRLF), so no CRLF is split. The last block gets an
-    LF when the file ends without one."""
-    rest = b""
-    while data := fh.read(_CHUNK_CHARS):
-        block = rest + data
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-        yield from _lf_blocks(block[:cut])
-        rest = block[cut:]
-    if rest:
-        yield from _lf_blocks(rest + b"\n")
+def _blocks(fh: typing.TextIO) -> typing.Iterator[str]:
+    """The rest of the text file ``fh`` in blocks of whole lines, read
+    ``_CHUNK_CHARS`` characters and then the rest of a line at a time. The
+    text layer's universal newlines have made every line end an LF; the
+    last block gets one when the file ends without it. The blank and ``#``
+    lines that begin a block come as a block of their own."""
+    while block := fh.read(_CHUNK_CHARS) + fh.readline():
+        if not block.endswith("\n"):
+            block += "\n"
+        notes = _NOTE_LINES.match(block).end()
+        yield from filter(None, (block[:notes], block[notes:]))
 
 
-def _lf_blocks(block: bytes) -> typing.Iterator[bytes]:
-    """A block of whole lines with each line ending in one LF (the CR of a
-    CRLF is dropped, then a CR alone becomes an LF), as the blank and ``#``
-    lines that begin it and the rest, leaving out either when empty."""
-    if b"\r" in block:
-        a = np.frombuffer(block, np.uint8)
-        crlf = (a[:-1] == 13) & (a[1:] == 10)
-        block = a[np.append(~crlf, True)].tobytes().replace(b"\r", b"\n")
-    notes = _NOTE_LINES.match(block).end()
-    yield from filter(None, (block[:notes], block[notes:]))
-
-
-def _text_lines(path: Path, block: bytes) -> list[str]:
-    """The lines of a block from ``_blocks`` as text, without their LFs."""
+@contextlib.contextmanager
+def _text(path: Path) -> typing.Iterator[typing.TextIO]:
+    """``path`` open as UTF-8 text with universal newlines (every CRLF and
+    CR alone read as an LF); bytes that are not UTF-8 are a FormatError."""
     try:
-        return block.decode("utf-8").split("\n")[:-1]
+        with path.open(encoding="utf-8") as fh:
+            yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
 
@@ -629,18 +618,17 @@ def read_record(path: Path | str) -> SampleRecord:
     offending line) for malformed content. ``kind`` defaults to IN when the
     header does not say otherwise.
 
-    The file is read as bytes in blocks of whole lines (``_blocks``), where
-    a CRLF or a CR alone has become an LF, so every tier sees LF-ended
-    lines. The blank and ``#`` lines that begin a block, the header among
-    them, come as a block of their own. Each block goes through the first
-    tier that takes it:
+    The file is read as UTF-8 text with universal newlines, in blocks of
+    whole LF-ended lines (``_blocks``). The blank and ``#`` lines that begin
+    a block, the header among them, come as a block of their own. Each
+    block goes through the first tier that takes it:
 
     1. ``_plain_levels``, when every line is plain, as ``write_record``
        spells levels from 1e-4 up to 1e16 in magnitude: the samples are
        parsed as arrays, with float64 and integer steps on every platform.
-    2. one ``float`` per line of the decoded block, straight into an array;
-    3. ``_parse_lines``, which applies the header lines, skips blank lines
-       and gives the identical levels or the error naming the first bad line.
+    2. ``_parse_lines``: one ``float`` per line, or the line rules, which
+       apply the header lines, skip blank lines and give the identical
+       levels or the error naming the first bad line.
 
     Every tier gives each sample the bits ``float()`` gives its line, so the
     levels do not depend on the tier, the platform or the block size. A
@@ -651,18 +639,14 @@ def read_record(path: Path | str) -> SampleRecord:
     header: dict[str, str] = {}
     levels: list[np.ndarray] = []  # one array per block
     lineno = 1  # of the block's first line
-    with path.open("rb") as fh:
+    with _text(path) as fh:
         for block in _blocks(fh):
-            values = _plain_levels(block)
+            values = _plain_levels(block.encode())
             if values is None:
-                lines = _text_lines(path, block)
-                try:
-                    values = np.fromiter(map(float, lines), np.float64, count=len(lines))
-                except ValueError:
-                    values = _parse_lines(path, lines, lineno, header)
-                lineno += len(lines)
+                values = _parse_lines(path, block, lineno, header)
+                lineno += block.count("\n")
             else:
-                lineno += len(values)
+                lineno += len(values)  # a line per sample
             levels.append(values)
     levels = np.concatenate(levels) if levels else np.empty(0)
     if "sample_rate_hz" not in header:
@@ -694,9 +678,8 @@ def read_record(path: Path | str) -> SampleRecord:
 def _sample_line(path: Path, index: int) -> int:
     """The 1-based line of the record at ``path`` that holds sample ``index``,
     counted as ``read_record`` counts lines."""
-    with path.open("rb") as fh:
-        lines = itertools.chain.from_iterable(_text_lines(path, block) for block in _blocks(fh))
-        samples = (n for n, line in enumerate(lines, start=1) if line.strip()[:1] not in ("", "#"))
+    with _text(path) as fh:
+        samples = (n for n, line in enumerate(fh, start=1) if line.strip()[:1] not in ("", "#"))
         return next(itertools.islice(samples, index, None))
 
 

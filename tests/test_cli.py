@@ -1,5 +1,8 @@
+import _pyio
 import contextlib
 import json
+import os
+import pathlib
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from innoise import io
 from innoise.cli import ExitStatus, main
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from test_json_readers import BASELINE, EVENT, MANIFEST, json_texts
 
 
 def _write_wgn(path, n=20_000, mean=-100.0, seed=7):
@@ -615,6 +619,27 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("No space left on device") == 2
 
 
+def test_outputs_hold_no_cr_where_text_files_end_lines_in_crlf(tmp_path, monkeypatch):
+    # a text-mode write turns each LF into os.linesep, which _pyio's text
+    # layer reads when a file is opened: this runs every writer as on Windows
+    _run_baseline(tmp_path)
+    _write_in(tmp_path / "in.csv", [BurstEventSpec(1000, 10, 25.0)])
+    _write_manifest(tmp_path, "manifest.json", ["in.csv"])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(pathlib, "io", _pyio)
+    argv = ["analyze", "in.csv", "--baseline", "base_out/baseline.json", "--plot-data"]
+    assert main([*argv, "--main-burst", "--out", "a"]) == ExitStatus.OK
+    assert main(["campaign", "manifest.json", "--out", "c"]) == ExitStatus.OK
+    outputs = sorted(p.name for p in [*Path("a").iterdir(), *Path("c").iterdir()])
+    assert outputs == [
+        "baseline.json", "campaign.csv", "campaign.json", "measurement.csv", "measurement.json",
+        "measurement_001.csv", "measurement_001.json", "plot.csv",
+    ]
+    for path in [*Path("a").iterdir(), *Path("c").iterdir()]:
+        assert b"\r" not in path.read_bytes(), path
+
+
 # --- exit codes on any record bytes ------------------------------------------
 
 # each run's arguments but --out; {rec} is the drawn record
@@ -678,3 +703,48 @@ def test_any_record_exits_with_a_documented_code(record_inputs, data):
                 assert json.loads((out / "baseline.json").read_text())["validation"]["passed"] is False
             else:
                 assert code in (ExitStatus.OK, ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT), (run, code)
+
+
+# --- exit codes on any JSON input bytes ---------------------------------------
+
+# each run's well-formed document and arguments but --out; {json} is the
+# drawn file. At 3 dB above the r.m.s. level many WGN samples exceed.
+JSON_RUNS = {
+    "manifest": (MANIFEST, ["campaign", "{json}"]),
+    "manifest failing WGN": ({**MANIFEST, "offset_db": 3.0}, ["campaign", "{json}"]),
+    "baseline": (BASELINE, ["analyze", "{in}", "--baseline", "{json}", "--main-burst"]),
+    "events": ([EVENT, {**EVENT, "start_idx": 500}], [*SIMULATE, "--events", "{json}"]),
+}
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    """A directory holding the records its manifest names."""
+    directory = tmp_path_factory.mktemp("json_runs")
+    _write_wgn(directory / "wgn.csv", n=1000)
+    for i in (1, 2):
+        _write_in(directory / f"in{i}.csv", [BurstEventSpec(100 * i, 5, 25.0)], n=1000, seed=i)
+    return directory
+
+
+@pytest.mark.parametrize("kind", JSON_RUNS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_json_input_exits_with_a_documented_code(json_inputs, kind, data):
+    # 0, 2 or 3, or 1 from a campaign whose WGN check failed; never an
+    # exception, and with warnings as errors no warning either
+    document, run = JSON_RUNS[kind]
+    path = json_inputs / "input.json"  # beside the records a manifest names
+    path.write_bytes(data.draw(st.just(json.dumps(document).encode()) | json_texts(document)))
+    argv = [arg.format(json=path, **{"in": json_inputs / "in1.csv"}) for arg in run]
+    with tempfile.TemporaryDirectory() as directory:
+        out = Path(directory, "out")
+        err = StringIO()
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        event(f"{run[0]} exits {code}")
+        if code == ExitStatus.VALIDATION_FAILED:
+            assert run[0] == "campaign" and "failed the impulse check" in err.getvalue()
+            assert json.loads((out / "baseline.json").read_text())["validation"]["passed"] is False
+        else:
+            assert code in (ExitStatus.OK, ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT), (run, code)

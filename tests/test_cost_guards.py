@@ -6,16 +6,17 @@ which a noisy timing would not.
 """
 
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from innoise import bursts, io
+from innoise import bursts, io, model
 from innoise.apd import apd_pair
-from innoise.baseline import derive_threshold
+from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, SampleRecord
-from innoise.stats import measurement_stats
+from innoise.stats import main_burst, measurement_stats
 from innoise.synth import generate_wgn
 
 BASE = derive_threshold(-80.0)  # threshold -67 dBm
@@ -109,10 +110,11 @@ def _calls(run, *args) -> int:
     return count
 
 
-# read_record makes at most a calls per block of io._CHUNK_CHARS bytes plus b.
-# Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and 100,000
-# samples, 3 and 30 blocks: 176 and 1,418 calls, 46 a block + 38. The bound
-# leaves about twice that; a Python call per line would add some 3,400 a block.
+# read_record makes at most a calls per block of io._CHUNK_CHARS characters
+# plus b. Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and
+# 100,000 samples, 3 and 30 blocks: 197 and 1,493 calls, 48 a block + 53. The
+# bound leaves about twice that; a Python call per line would add some 3,400
+# a block.
 READ_CALLS_PER_BLOCK = (90, 100)
 
 
@@ -174,3 +176,80 @@ def test_table_writers_spell_floats_once_per_block(tmp_path):
         with mock.patch.object(io, "_shortest", wraps=io._shortest) as spy:
             getattr(io, name)(*args)
         assert spy.call_count <= blocks, (name, rows, spy.call_count)
+
+
+# compute_rms_level makes at most a calls per block of model._POWER_BLOCK
+# samples plus b. Measured (Python 3.11, numpy 2.4) at 10,000, 100,000 and
+# 1,000,000 samples, 1, 2 and 16 blocks: 5, 6 and 20 calls; a Python call per
+# sample would add 65,536 a block.
+RMS_CALLS_PER_BLOCK = (2, 10)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_rms_level_calls_python_per_block_not_per_sample(n):
+    a, b = RMS_CALLS_PER_BLOCK
+    blocks = -(-n // model._POWER_BLOCK)
+    calls = _calls(compute_rms_level, generate_wgn(n, -100.0, seed=1))
+    assert calls <= a * blocks + b, (n, blocks, calls)
+
+
+def _per_size_calls(n):
+    """The Python calls of the report statistics and of the WGN check on
+    records of ``n`` samples: a burst on every third sample, and WGN."""
+    dense = SampleRecord(_pulse_every_third_sample(n), 8001.0)
+    burst_set = bursts.detect_bursts(dense, BASE)
+    return {
+        "measurement_stats": _calls(measurement_stats, burst_set),
+        "main_burst": _calls(main_burst, burst_set),
+        # every third sample an exceedance, then none
+        "validate_wgn dense": _calls(validate_wgn, dense, BASE),
+        "validate_wgn clean": _calls(validate_wgn, generate_wgn(n, -100.0, seed=1), BASE),
+    }
+
+
+def test_report_statistics_and_wgn_check_call_python_a_fixed_number_of_times():
+    # measured (Python 3.11, numpy 2.4): 7, 45, 12 and 12 calls at 3,334 and
+    # at 33,334 bursts or exceedances; one per burst or exceedance would differ
+    assert _per_size_calls(10_000) == _per_size_calls(100_000)
+
+
+def _traced_peak(run, *args) -> int:
+    """The peak of memory traced by ``tracemalloc`` while ``run`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peaks that do not grow with the record, in bytes. Measured (Python
+# 3.11, numpy 2.4) at 10,000, 100,000 and 1,000,000 samples: write_record
+# 0.96 MB at each; write_apd_csv 2.15, 2.19 and 2.21 MB over 20,000 to
+# 2,000,000 rows; compute_rms_level 0.40, 2.62 and 2.62 MB, a block of
+# model._POWER_BLOCK powers as floats from 65,536 samples on. A list or
+# array of the whole record or table would add 8 to 40 B a sample.
+PEAK_BYTES = {"write_record": 1_500_000, "write_apd_csv": 3_000_000, "compute_rms_level": 4_000_000}
+# write_plot_data builds its time_ms and burst_id columns whole, and a list
+# of each burst's start and end: at most c B a sample plus d. Measured at
+# 10,000, 100,000 and 1,000,000 samples of a burst on every third sample:
+# 2.01, 4.40 and 35.40 MB, 27 to 33 B a sample past the first 10,000.
+PLOT_PEAK_BYTES = (40, 2_500_000)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_writers_and_rms_level_peak_in_bounded_memory(tmp_path, n):
+    wgn = generate_wgn(n, -100.0, seed=1)
+    curves = apd_pair(wgn, generate_wgn(n, -100.0, seed=2))
+    peaks = {
+        "write_record": _traced_peak(io.write_record, wgn, tmp_path / "record.csv"),
+        "write_apd_csv": _traced_peak(io.write_apd_csv, curves, tmp_path / "apd.csv"),
+        "compute_rms_level": _traced_peak(compute_rms_level, wgn),
+    }
+    for name, peak in peaks.items():
+        assert peak <= PEAK_BYTES[name], (name, n, peak)
+    dense = SampleRecord(_pulse_every_third_sample(n), 8001.0)
+    burst_set = bursts.detect_bursts(dense, BASE)
+    c, d = PLOT_PEAK_BYTES
+    peak = _traced_peak(io.write_plot_data, dense, burst_set, tmp_path / "plot.csv")
+    assert peak <= c * n + d, (n, peak)

@@ -86,8 +86,8 @@ def test_reader_gives_a_record_or_a_format_error(tmp_path_factory, data, chunk_c
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypatch, newline):
-    # every line end becomes an LF in _blocks, so the header is a block of its
-    # own and the plain tier takes every sample line in each form
+    # universal newlines make every line end an LF, so the header is a block
+    # of its own and the plain tier takes every sample line in each form
     n = 20_000
     path = tmp_path / "rec.csv"
     io.write_record(generate_wgn(n, -100.0, seed=4), path)
@@ -95,9 +95,9 @@ def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypat
     seen, plain = [], []
     parse_lines, plain_levels = io._parse_lines, io._plain_levels
 
-    def spy(path, lines, first_lineno, header):
-        seen.extend(lines)
-        return parse_lines(path, lines, first_lineno, header)
+    def spy(path, block, first_lineno, header):
+        seen.extend(block.split("\n")[:-1])
+        return parse_lines(path, block, first_lineno, header)
 
     def plain_spy(block):
         levels = plain_levels(block)
@@ -342,8 +342,9 @@ def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
 
 
 def test_plain_tier_reads_crlf_lines(tmp_path, tier):
-    # the tier takes LF-ended lines only: _blocks gives it a CRLF record's
-    # lines with each CRLF turned into an LF, the header in a block of its own
+    # the tier takes LF-ended lines only: _blocks reads a CRLF record as text
+    # with universal newlines, so each CRLF is an LF, the header in a block
+    # of its own
     lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
     crlf = "".join(f"{line}\r\n" for line in lines).encode()
     if tier:
@@ -351,11 +352,11 @@ def test_plain_tier_reads_crlf_lines(tmp_path, tier):
         assert io._plain_levels(crlf.replace(b"\r\n", b"\n", len(lines) - 1)) is None
     path = tmp_path / "crlf.csv"
     path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
-    with path.open("rb") as fh:
+    with path.open(encoding="utf-8") as fh:
         header, body = io._blocks(fh)
-    assert (header, body) == (HEADER.encode(), crlf.replace(b"\r\n", b"\n"))
+    assert (header, body) == (HEADER, crlf.replace(b"\r\n", b"\n").decode())
     if tier:
-        levels = io._plain_levels(body)
+        levels = io._plain_levels(body.encode())
         assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
     assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
