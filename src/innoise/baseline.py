@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, LevelDbm, SampleRecord, mean_power_dbm
+from .model import LEVEL_MAX_DBM, ConfigError, LevelDbm, SampleRecord, mean_power_dbm
 
 # Crest factor of white Gaussian noise: peaks sit ~13 dB above the r.m.s.
 # level, so anything higher must come from impulses.
@@ -21,7 +21,10 @@ DEFAULT_OFFSET_DB = 13.0
 
 @dataclass(frozen=True)
 class Baseline:
-    """r.m.s. level and the impulse detection threshold derived from it."""
+    """r.m.s. level and the impulse detection threshold derived from it.
+
+    The threshold is at most LEVEL_MAX_DBM, the top of the level range: no
+    sample could exceed a higher one, so it would find no bursts."""
 
     rms_dbm: float
     offset_db: float = DEFAULT_OFFSET_DB
@@ -30,6 +33,11 @@ class Baseline:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.offset_db) and self.offset_db > 0):
             raise ConfigError(f"offset_db must be a positive number, got {self.offset_db}")
+        if not self.threshold_dbm <= LEVEL_MAX_DBM:
+            raise ConfigError(
+                f"threshold rms_dbm + offset_db = {self.threshold_dbm} dBm "
+                f"must be at most {LEVEL_MAX_DBM:g} dBm"
+            )
 
     @property
     def threshold_dbm(self) -> LevelDbm:

@@ -459,7 +459,7 @@ def _fmt2(value: float | None) -> str:
 
 
 # characters of record text read at a time, before the rest of the last line
-_CHUNK_CHARS = 1 << 16
+_CHUNK_CHARS = 1 << 17
 
 _PAD = 24  # b"0" bytes before a block, so the 3 words ending at its first LF start in it
 _POW10 = np.array([10**k for k in range(19)], dtype=np.uint64)
@@ -485,48 +485,48 @@ def _digits_value(words: np.ndarray, stop: np.ndarray, count: np.ndarray) -> np.
     ``words[i]`` is the little-endian word of the 8 digit values at ``i``."""
     value = np.zeros(len(stop), dtype=np.uint64)
     for j in range((int(count.max()) + 7) // 8):  # 8 digits at a time, last first
-        x = words[stop - 8 * (j + 1)] & _KEEP[j][count]
+        x = words[stop - 8 * (j + 1)]
+        x &= _KEEP[j][count]
         for scale, shift, mask in _SWAR_STEPS:
-            x = (x * scale >> shift) & mask
-        value += x * _POW10[8 * j]
+            x *= scale
+            x >>= shift
+            x &= mask
+        x *= _POW10[8 * j]
+        value += x
     return value
 
 
-def _plain_levels(block: bytes) -> np.ndarray | None:
-    """The samples of a block whose every line is plain, parsed as arrays;
-    None for any other block.
+def _plain_digits(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Each line's digits as an integer ``m``, its count of fraction digits
+    ``k`` and its sign, for a block whose every line is plain; None for any
+    other block.
 
     A plain line is ``-?[0-9]+\\.[0-9]+`` with at most 18 digits before the
     point, at most 21 after it and at most 18 from the first non-zero one,
     as ``repr`` spells every double from 1e-4 up to 1e16 in magnitude, and
-    it ends in LF. Its digits make an integer ``m < 10**18`` and its
-    fraction digits number ``k``; ``float()`` gives m / 10**k rounded once,
-    a tie to even. q = fl(fl(m) / 10**k) is that double where m < 2**53, and
-    within 1.5 units of m / 10**k elsewhere, so the sample is q or a
-    neighbour. Scaled by 10**k, less P = fl(q 10**k), the midpoints around q
-    (``_times_pow10``) are multiples of 2**(j + k - 2), 2**j being q's last
-    bit, below 2**51 times that, so exact, and so is m - P: m is set against
-    them exactly. (At q = 0 the midpoint below is NaN and moves nothing.)
+    it ends in LF. So ``m < 10**18``. The steps drop each array once it is
+    spent, as a block's working set bounds the reader's memory.
     """
     if not block.endswith(b"\n"):
         return None
     a = np.frombuffer(block, np.uint8)
     n_lines, n_minus = (np.count_nonzero(a == c) for c in (10, 45))
     # no bytes but digits, '-', '.' and LF (all below '0' but for the
-    # digits), and one '.' per line: counts decline any other block cheaply
-    if (
-        a.max() > 57
-        or np.count_nonzero(a == 46) != n_lines
-        or np.count_nonzero(a < 48) != 2 * n_lines + n_minus
-    ):
+    # digits): counts decline any other block cheaply
+    if a.max() > 57 or np.count_nonzero(a < 48) != 2 * n_lines + n_minus:
         return None
-    ends = np.flatnonzero(a == 10)  # where each line's digits end
-    dots = np.flatnonzero(a == 46)
+    # the '.'s and LFs: as many '.'s as LFs, and every second one an LF, so
+    # they take turns, one '.' a line
+    marks = np.flatnonzero((a == 10) | (a == 46))
+    dots, ends = marks[::2], marks[1::2]  # where each line's digits end
+    if len(marks) != 2 * n_lines or not (a[ends] == 10).all():
+        return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     neg = a[starts] == 45
     if np.count_nonzero(neg) != n_minus:  # a '-' past the start of a line
         return None
     int_digits = dots - starts - neg
+    del starts
     frac_digits = ends - dots - 1
     if min(int_digits.min(), frac_digits.min()) < 1:
         return None
@@ -537,18 +537,43 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     wide = (int_digits + frac_digits).max() > 18
     if wide and (int_digits.max() > 18 or frac_digits.max() > 21):
         return None
+    marks += _PAD  # dots and ends, as places in digits
+    integer = _digits_value(words, dots, int_digits)
+    del int_digits
     kept = np.minimum(frac_digits, 18)  # the fraction digits that m needs
-    integer = _digits_value(words, dots + _PAD, int_digits)
     if wide and (
         (integer >= _POW10[18 - kept]).any()
-        or _digits_value(words, ends + (_PAD - 18), frac_digits - kept).any()
+        or _digits_value(words, ends - 18, frac_digits - kept).any()
     ):
         return None
-    m = integer * _POW10[kept] + _digits_value(words, ends + _PAD, kept)
-    near = m.view(np.int64).astype(np.float64)  # fl(m), within 2**7 of m
-    q = near / _POW10_F[frac_digits]
-    big, _, below, above = _times_pow10(q, frac_digits)
-    d = (near - big) + (m - near.astype(np.uint64)).view(np.int64)  # m - P
+    integer *= _POW10[kept]
+    integer += _digits_value(words, ends, kept)
+    return integer, frac_digits.astype(np.uint8), neg  # k < 22: a byte
+
+
+def _plain_levels(block: bytes) -> np.ndarray | None:
+    """The samples of a block whose every line is plain (``_plain_digits``),
+    parsed as arrays; None for any other block.
+
+    A line's digits make an integer ``m < 10**18`` and its fraction digits
+    number ``k``; ``float()`` gives m / 10**k rounded once, a tie to even.
+    q = fl(fl(m) / 10**k) is that double where m < 2**53, and within 1.5
+    units of m / 10**k elsewhere, so the sample is q or a neighbour. Scaled
+    by 10**k, less P = fl(q 10**k), the midpoints around q
+    (``_times_pow10``) are multiples of 2**(j + k - 2), 2**j being q's last
+    bit, below 2**51 times that, so exact, and so is m - P: m is set against
+    them exactly. (At q = 0 the midpoint below is NaN and moves nothing.)
+    """
+    if (parts := _plain_digits(block)) is None:
+        return None
+    m, k, neg = parts
+    near = m.view(np.int64).astype(np.float64)  # fl(m), within 2**6 of m
+    m -= near.astype(np.uint64)
+    # m - fl(m) in a byte, as _times_pow10's temporaries set the block's peak
+    m = m.view(np.int64).astype(np.int8)
+    q = near / _POW10_F[k]
+    big, _, below, above = _times_pow10(q, k)
+    d = (near - big) + m  # m - P
     odd = (q.view(np.int64) & 1).astype(bool)
     up, down = (d > above) | (d == above) & odd, (d < below) | (d == below) & odd
     levels = (q.view(np.int64) + up - down).view(np.float64)

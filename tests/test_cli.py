@@ -1,6 +1,7 @@
 import _pyio
 import contextlib
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -70,6 +71,38 @@ def test_baseline_bad_offset_exits_3(tmp_path, capsys):
         argv = ["baseline", str(wgn), "--max-exceed-fraction", fraction, "--out", str(tmp_path / "o")]
         assert main(argv) == ExitStatus.BAD_INPUT, fraction
         assert "max_exceed_fraction" in capsys.readouterr().err
+
+
+def test_baseline_threshold_above_the_level_range_exits_3(tmp_path, capsys):
+    # a record of 0 dBm samples has an r.m.s. level of exactly 0 dBm, so an
+    # offset of 2900 dB puts the threshold at the top of the level range
+    wgn = tmp_path / "wgn.csv"
+    wgn.write_text("# sample_rate_hz=8001\n" + "0.0\n" * 100)
+    out = tmp_path / "o"
+    assert main(["baseline", str(wgn), "--offset-db", "2900", "--out", str(out)]) == ExitStatus.OK
+    assert json.loads((out / "baseline.json").read_text())["threshold_dbm"] == 2900.0
+    capsys.readouterr()
+    for offset in ("1e308", repr(math.nextafter(2900.0, math.inf))):
+        argv = ["baseline", str(wgn), "--offset-db", offset, "--out", str(tmp_path / offset)]
+        assert main(argv) == ExitStatus.BAD_INPUT, offset
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold") and "at most 2900 dBm" in err, err
+        assert "Traceback" not in err and not (tmp_path / offset).exists()
+    # nor does a baseline file or a manifest get past the rule
+    base = tmp_path / "baseline.json"
+    base.write_text('{"rms_dbm": -100.0, "offset_db": 1e308, "threshold_dbm": 1e308}')
+    argv = ["analyze", str(wgn), "--baseline", str(base), "--out", str(tmp_path / "a")]
+    assert main(argv) == ExitStatus.BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: baseline.json: threshold")
+    (tmp_path / "in.csv").write_bytes(wgn.read_bytes())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "wgn_record": "wgn.csv", "in_records": ["in.csv"], "event": "e",
+        "frequency_khz": 1910.0, "offset_db": 1e308,
+    }))
+    assert main(["campaign", str(manifest), "--out", str(tmp_path / "c")]) == ExitStatus.BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: threshold")
+    assert not (tmp_path / "a").exists() and not (tmp_path / "c").exists()
 
 
 def test_baseline_level_overflow_exits_3(tmp_path, capsys):

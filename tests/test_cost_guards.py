@@ -112,10 +112,10 @@ def _calls(run, *args) -> int:
 
 # read_record makes at most a calls per block of io._CHUNK_CHARS characters
 # plus b. Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and
-# 100,000 samples, 3 and 30 blocks: 197 and 1,493 calls, 48 a block + 53. The
-# bound leaves about twice that; a Python call per line would add some 3,400
-# a block.
-READ_CALLS_PER_BLOCK = (90, 100)
+# 100,000 samples, 2 and 15 blocks of 128 K characters: 135 and 668 calls, 41
+# a block + 53. The bound leaves about twice that; a Python call per line
+# would add some 6,700 a block.
+READ_CALLS_PER_BLOCK = (80, 100)
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
@@ -253,3 +253,24 @@ def test_writers_and_rms_level_peak_in_bounded_memory(tmp_path, n):
     c, d = PLOT_PEAK_BYTES
     peak = _traced_peak(io.write_plot_data, dense, burst_set, tmp_path / "plot.csv")
     assert peak <= c * n + d, (n, peak)
+
+
+# read_record holds the levels twice at its end, as one array per block and
+# joined, and before that the levels so far beside one block's working set:
+# its text, that text's bytes and the plain tier's arrays. So its traced
+# peak is at most c B a sample plus d B a character of io._CHUNK_CHARS.
+# Measured (Python 3.11, numpy 2.4) with blocks of 128 K characters: 1.25 and
+# 1.82 MB at 10,000 and 100,000 samples, 8.3 B a character past the 16 B a
+# sample at 10,000; 16.11 MB at 1,000,000. A working set of 12.1 B a
+# character, a plain tier that keeps its spent arrays, peaks at 1.74 MB at
+# 10,000 samples, over the bound.
+READ_PEAK_BYTES = (17, 10)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_record_reader_peaks_at_the_levels_and_one_block(tmp_path, n):
+    path = tmp_path / "record.csv"
+    io.write_record(generate_wgn(n, -100.0, seed=1), path)
+    c, d = READ_PEAK_BYTES
+    peak = _traced_peak(io.read_record, path)
+    assert peak <= c * n + d * io._CHUNK_CHARS, (n, peak)

@@ -361,6 +361,22 @@ def test_plain_tier_reads_crlf_lines(tmp_path, tier):
     assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
 
+def test_plain_tier_declines_a_last_line_without_lf():
+    # "1.5\n123" passes every count the tier makes (one LF, one '.', two bytes
+    # below '0'), so only its LF check keeps it from reading [1.5] and
+    # dropping 123. _blocks ends every block in LF, so a record never needs it
+    assert io._plain_levels(b"1.5\n123") is None
+    assert io._plain_levels(b"1.5\n123.25\n").tobytes() == np.array([1.5, 123.25]).tobytes()
+
+
+def test_plain_tier_declines_points_and_lfs_out_of_turn():
+    # as many '.'s as LFs, and every line's digit counts at least 1 when the
+    # marks are taken in pairs, ('.', '.') then (LF, LF); only the check that
+    # every second mark is an LF declines it, as float("1.2.3") fails
+    assert io._plain_levels(b"1.2.3\n4\n") is None
+    assert io._plain_levels(b"1.2\n3.4\n").tobytes() == np.array([1.2, 3.4]).tobytes()
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("sample", ["3000", "-3000.5", "nan", "-inf", "1e400"])
 def test_a_level_out_of_range_is_named_by_its_line(tmp_path, newline, sample):
