@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, DomainError, SampleRecord
+from .model import ConfigError, SampleRecord
 
 # Default spacing when evaluation on a uniform dB grid is requested.
 DEFAULT_GRID_DB = 0.1
@@ -30,6 +30,10 @@ class ApdCurve:
     that only changes at sample values, so evaluating at every distinct
     sample level (the default) represents it exactly: 1 below the minimum
     sample, 0 at and above the maximum.
+
+    ``compute_apd`` and ``apd_pair`` build every curve, on a grid of
+    strictly increasing levels with one probability in [0, 1] per level,
+    none above the one before it.
     """
 
     levels_dbm: np.ndarray
@@ -39,14 +43,6 @@ class ApdCurve:
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels_dbm, dtype=np.float64)
         probs = np.asarray(self.exceedance, dtype=np.float64)
-        if levels.size == 0 or levels.shape != probs.shape:
-            raise DomainError("curve needs matching, non-empty level/probability arrays")
-        if not np.all(np.diff(levels) > 0):
-            raise DomainError("curve levels must be strictly increasing")
-        if not (np.all(probs >= 0.0) and np.all(probs <= 1.0)):
-            raise DomainError("probabilities must lie in [0, 1]")
-        if not np.all(np.diff(probs) <= 0.0):
-            raise DomainError("exceedance must be non-increasing in level")
         levels.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "levels_dbm", levels)
@@ -66,6 +62,10 @@ def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     grid = lo + spacing * np.arange(steps + 1)
     if grid[-1] < hi:  # float fuzz in the ceil
         grid = np.append(grid, grid[-1] + spacing)
+    if not np.all(np.diff(grid) > 0):  # a spacing below the doubles' resolution at lo
+        raise ConfigError(
+            f"a {spacing!r} dB grid from {lo!r} dBm repeats levels: doubles cannot resolve it"
+        )
     return grid
 
 

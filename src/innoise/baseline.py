@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LEVEL_MAX_DBM, ConfigError, LevelDbm, SampleRecord, mean_power_dbm
+from .model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, ConfigError, LevelDbm, SampleRecord, mean_power_dbm
 
 # Crest factor of white Gaussian noise: peaks sit ~13 dB above the r.m.s.
 # level, so anything higher must come from impulses.
@@ -23,8 +23,11 @@ DEFAULT_OFFSET_DB = 13.0
 class Baseline:
     """r.m.s. level and the impulse detection threshold derived from it.
 
-    The threshold is at most LEVEL_MAX_DBM, the top of the level range: no
-    sample could exceed a higher one, so it would find no bursts."""
+    The threshold lies in the level range [LEVEL_MIN_DBM, LEVEL_MAX_DBM]:
+    no sample could exceed a higher one, so it would find no bursts, and
+    every sample exceeds a lower one, so the whole record would be one
+    burst. A baseline derived from a record is never refused for it, since
+    the record's r.m.s. level is in the range and the offset positive."""
 
     rms_dbm: float
     offset_db: float = DEFAULT_OFFSET_DB
@@ -33,10 +36,10 @@ class Baseline:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.offset_db) and self.offset_db > 0):
             raise ConfigError(f"offset_db must be a positive number, got {self.offset_db}")
-        if not self.threshold_dbm <= LEVEL_MAX_DBM:
+        if not LEVEL_MIN_DBM <= self.threshold_dbm <= LEVEL_MAX_DBM:
             raise ConfigError(
                 f"threshold rms_dbm + offset_db = {self.threshold_dbm} dBm "
-                f"must be at most {LEVEL_MAX_DBM:g} dBm"
+                f"must be in [{LEVEL_MIN_DBM:g}, {LEVEL_MAX_DBM:g}] dBm"
             )
 
     @property

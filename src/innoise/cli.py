@@ -9,6 +9,7 @@ prints its line. Identical inputs produce byte-identical output trees.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -244,5 +245,16 @@ def main(argv: list[str] | None = None) -> int:
     return int(status)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of ``innoise`` and ``python -m innoise``: exit with ``main``'s status.
+
+    The freeze first takes every object tracked by then, the numpy and
+    innoise imports' included, out of the collector's reach, so neither
+    ``main``'s collections nor the interpreter's final ones at exit walk
+    them. ``main`` leaves the collector as is, for callers whose process goes on."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -151,15 +151,14 @@ _POWER_BLOCK = 1 << 16
 
 
 def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
-    """dB value of the mean linear power of ``levels`` (a SampleRecord's).
+    """dB value of the mean linear power of ``levels``, a SampleRecord's and
+    so never empty.
 
     The sum is accumulated exactly (math.fsum), so the result is invariant
     under sample permutation, and under the block size, down to the last
     bit.
     """
     levels = np.asarray(levels, dtype=np.float64)
-    if levels.size == 0:
-        raise DomainError("empty record")
     total = math.fsum(chain.from_iterable(
         np.power(10.0, levels[i : i + _POWER_BLOCK] / 10.0).tolist()
         for i in range(0, levels.size, _POWER_BLOCK)

@@ -2,8 +2,9 @@
 
 An ``ApdCurve`` holds the exceedance at each of its levels; between them
 the exceedance is a right-continuous step function, 1 below the lowest
-level. The tests evaluate it anywhere with these helpers, and check the
-exact grid against a sort and count of plain Python floats.
+level. The tests evaluate it anywhere with these helpers, check the
+exact grid against a sort and count of plain Python floats, and check
+every curve they compute for the invariants of an APD.
 """
 
 from __future__ import annotations
@@ -14,6 +15,18 @@ import math
 import numpy as np
 
 from innoise.apd import ApdCurve
+
+
+def checked(curve: ApdCurve) -> ApdCurve:
+    """``curve``, once its arrays are shown to match and be non-empty, its
+    levels to increase strictly, and its probabilities to lie in [0, 1] and
+    never increase with the level."""
+    levels, probs = curve.levels_dbm, curve.exceedance
+    assert levels.size > 0 and levels.shape == probs.shape, (levels.shape, probs.shape)
+    assert np.all(np.diff(levels) > 0), "levels must increase strictly"
+    assert np.all((probs >= 0.0) & (probs <= 1.0)), "probabilities must lie in [0, 1]"
+    assert np.all(np.diff(probs) <= 0.0), "exceedance must not increase with the level"
+    return curve
 
 
 def curve_points(curve: ApdCurve) -> list[tuple[float, float]]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from innoise.apd import MAX_GRID_POINTS, apd_pair, compute_apd
 from innoise.model import ConfigError, DomainError, SampleRecord
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
-from apd_oracle import curve_points, exact_grid_oracle, exceedance_at, exceedance_oracle
+from apd_oracle import checked, curve_points, exact_grid_oracle, exceedance_at, exceedance_oracle
 
 
 def _rec(levels, rate=8001.0, kind="IN"):
@@ -41,7 +41,7 @@ def test_empty_record_rejected():
 
 
 def test_uniform_grid_spacing_and_coverage():
-    curve = compute_apd(_rec([-80.0, -75.3, -70.0]), grid_db=0.1)
+    curve = checked(compute_apd(_rec([-80.0, -75.3, -70.0]), grid_db=0.1))
     levels = curve.levels_dbm
     assert levels[0] == -80.0
     assert levels[-1] >= -70.0
@@ -72,6 +72,19 @@ def test_grid_point_count_checked_before_allocation(monkeypatch):
         apd_pair(record, _rec([-3000.0, 2900.0]), grid_db=1e-306)  # the ratio overflows
 
 
+def test_grid_finer_than_the_doubles_at_its_levels_is_refused():
+    # -100 dBm and the next double up are 1.4e-14 dB apart: a spacing well
+    # below that gap (1e-15) rounds several grid points onto one level, and
+    # 1e-14 rounds its second and third onto the upper one; a spacing of the
+    # whole gap gives the two levels alone
+    top = math.nextafter(-100.0, 0.0)
+    record = _rec([-100.0, top])
+    for spacing in (1e-15, 1e-14):
+        with pytest.raises(ConfigError, match="repeats levels"):
+            compute_apd(record, grid_db=spacing)
+    assert curve_points(checked(compute_apd(record, grid_db=top + 100.0))) == [(-100.0, 0.5), (top, 0.0)]
+
+
 def test_pair_identical_inputs_identical_curves():
     record = _rec([-90.0, -85.0, -70.0, -70.0])
     wgn_curve, in_curve = apd_pair(record, record)
@@ -98,9 +111,7 @@ def test_pair_same_distribution_agrees_within_sampling_error():
 def test_curve_monotone_and_ends_at_zero():
     record = generate_wgn(5_000, -100.0, seed=77)
     for grid_db in (None, 0.1, 1.0):
-        curve = compute_apd(record, grid_db=grid_db)
-        assert np.all(np.diff(curve.exceedance) <= 0)
-        assert np.all((curve.exceedance >= 0) & (curve.exceedance <= 1))
+        curve = checked(compute_apd(record, grid_db=grid_db))
         assert curve.exceedance[-1] == 0.0
         assert exceedance_at(curve, float(record.levels.min()) - 0.001) == 1.0
 
@@ -109,7 +120,7 @@ def test_curve_monotone_and_ends_at_zero():
 @given(st.lists(st.floats(min_value=-120.0, max_value=-40.0), min_size=1, max_size=60))
 def test_matches_sort_and_count_oracle(levels):
     record = _rec(levels)
-    curve = compute_apd(record)
+    curve = checked(compute_apd(record))
     for level, prob in curve_points(curve):
         assert prob == exceedance_oracle(levels, level)
     # between-level queries follow the step function
@@ -135,7 +146,7 @@ def test_pair_grid_and_exceedance_are_exactly_the_oracles(pair):
     wgn, in_ = pair
     curves = apd_pair(_rec(wgn, kind="WGN"), _rec(in_))
     grid, exceedances = exact_grid_oracle(wgn, in_)
-    for curve, exceedance in zip(curves, exceedances):
+    for curve, exceedance in zip(map(checked, curves), exceedances):
         # repr tells -0.0 from 0.0; each exceedance is count / n, rounded once
         assert list(map(repr, curve.levels_dbm.tolist())) == list(map(repr, grid))
         assert curve.exceedance.tolist() == exceedance

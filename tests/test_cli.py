@@ -1,9 +1,12 @@
 import _pyio
 import contextlib
+import gc
 import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import innoise
 from innoise import io
 from innoise.cli import ExitStatus, main
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
@@ -73,7 +77,7 @@ def test_baseline_bad_offset_exits_3(tmp_path, capsys):
         assert "max_exceed_fraction" in capsys.readouterr().err
 
 
-def test_baseline_threshold_above_the_level_range_exits_3(tmp_path, capsys):
+def test_baseline_threshold_outside_the_level_range_exits_3(tmp_path, capsys):
     # a record of 0 dBm samples has an r.m.s. level of exactly 0 dBm, so an
     # offset of 2900 dB puts the threshold at the top of the level range
     wgn = tmp_path / "wgn.csv"
@@ -86,14 +90,24 @@ def test_baseline_threshold_above_the_level_range_exits_3(tmp_path, capsys):
         argv = ["baseline", str(wgn), "--offset-db", offset, "--out", str(tmp_path / offset)]
         assert main(argv) == ExitStatus.BAD_INPUT, offset
         err = capsys.readouterr().err
-        assert err.startswith("error: threshold") and "at most 2900 dBm" in err, err
+        assert err.startswith("error: threshold") and "in [-3000, 2900] dBm" in err, err
         assert "Traceback" not in err and not (tmp_path / offset).exists()
-    # nor does a baseline file or a manifest get past the rule
+    # nor does a baseline file or a manifest get past the rule, at either
+    # end: every sample would exceed a threshold below -3000 dBm, making the
+    # whole record one burst; one at exactly -3000 dBm is accepted
     base = tmp_path / "baseline.json"
-    base.write_text('{"rms_dbm": -100.0, "offset_db": 1e308, "threshold_dbm": 1e308}')
-    argv = ["analyze", str(wgn), "--baseline", str(base), "--out", str(tmp_path / "a")]
-    assert main(argv) == ExitStatus.BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: baseline.json: threshold")
+    base.write_text('{"rms_dbm": -3013.0, "offset_db": 13.0, "threshold_dbm": -3000.0}')
+    argv = ["analyze", str(wgn), "--baseline", str(base), "--out", str(tmp_path / "edge")]
+    assert main(argv) == ExitStatus.OK
+    capsys.readouterr()
+    below = math.nextafter(-3013.0, -math.inf)
+    for rms, offset in ((-100.0, 1e308), (-1e308, 13.0), (below, 13.0)):
+        base.write_text(json.dumps({"rms_dbm": rms, "offset_db": offset, "threshold_dbm": rms + offset}))
+        argv = ["analyze", str(wgn), "--baseline", str(base), "--out", str(tmp_path / "a")]
+        assert main(argv) == ExitStatus.BAD_INPUT, rms
+        err = capsys.readouterr().err
+        assert err.startswith("error: baseline.json: threshold"), err
+        assert "Traceback" not in err
     (tmp_path / "in.csv").write_bytes(wgn.read_bytes())
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
@@ -781,3 +795,44 @@ def test_any_json_input_exits_with_a_documented_code(json_inputs, kind, data):
             assert json.loads((out / "baseline.json").read_text())["validation"]["passed"] is False
         else:
             assert code in (ExitStatus.OK, ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT), (run, code)
+
+
+# --- process entry -----------------------------------------------------------
+
+
+def _python(cwd, *args):
+    """Run a fresh Python process in ``cwd`` that imports this innoise."""
+    env = {**os.environ, "PYTHONPATH": str(Path(innoise.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_entry_exits_with_the_status_of_main(tmp_path):
+    done = _python(tmp_path, "-m", "innoise", "--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: innoise"), done.stderr
+    done = _python(tmp_path, "-m", "innoise", "baseline", "missing.csv")
+    assert done.returncode == ExitStatus.IO_ERROR
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr, done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_freezes_the_import_time_heap(tmp_path):
+    # a hook registered before the entry runs at exit, before the teardown
+    # collections that the freeze spares the imported objects
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "sys.argv = ['innoise', '--help']\n"
+        "runpy.run_module('innoise', run_name='__main__')\n"
+    )
+    done = _python(tmp_path, "-c", script)
+    assert done.returncode == 0, done.stderr
+    label, count = done.stdout.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0, done.stdout
+
+
+def test_main_leaves_the_collector_as_it_is(tmp_path):
+    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    _run_baseline(tmp_path)
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state

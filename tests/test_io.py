@@ -454,6 +454,15 @@ def test_apd_csv_pair(tmp_path):
     assert all(len(line.split(",")) == 3 for line in lines)
 
 
+def test_apd_csv_takes_one_curve_or_a_pair(tmp_path):
+    curve = compute_apd(_record(levels=(-80.0, -70.0), meta=MeasurementMeta()))
+    path = tmp_path / "apd.csv"
+    for curves in ([], [curve] * 3):
+        with pytest.raises(ConfigError, match=f"expected 1 or 2 curves, got {len(curves)}"):
+            io.write_apd_csv(curves, path)
+        assert not path.exists()
+
+
 def test_apd_csv_rejects_mismatched_grids(tmp_path):
     a = compute_apd(_record(levels=(-80.0, -70.0), meta=MeasurementMeta()))
     b = compute_apd(_record(levels=(-81.0, -70.0), meta=MeasurementMeta()))
