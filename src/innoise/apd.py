@@ -38,7 +38,6 @@ class ApdCurve:
 
     levels_dbm: np.ndarray
     exceedance: np.ndarray
-    n_samples: int
 
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels_dbm, dtype=np.float64)
@@ -47,7 +46,6 @@ class ApdCurve:
         probs.setflags(write=False)
         object.__setattr__(self, "levels_dbm", levels)
         object.__setattr__(self, "exceedance", probs)
-        object.__setattr__(self, "n_samples", int(self.n_samples))
 
 
 def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -104,7 +102,7 @@ def _curves(records: list[SampleRecord], grid_db: float | None) -> tuple[ApdCurv
         hi = max(float(s[-1]) for s in sorted_levels)
         grid = _uniform_grid(lo, hi, float(grid_db))
         counts = [np.searchsorted(s, grid, side="right") for s in sorted_levels]
-    return tuple(ApdCurve(grid, (len(r) - c) / len(r), len(r)) for r, c in zip(records, counts))
+    return tuple(ApdCurve(grid, (len(r) - c) / len(r)) for r, c in zip(records, counts))
 
 
 def compute_apd(record: SampleRecord, grid_db: float | None = None) -> ApdCurve:

@@ -40,6 +40,7 @@ class ExitStatus(IntEnum):
     VALIDATION_FAILED = 1  # WGN record contains impulses
     IO_ERROR = 2
     BAD_INPUT = 3  # malformed file or configuration
+    INTERNAL_ERROR = 4  # any other exception: a bug, or a record too big for memory
 
 
 # A plan: the exit status, each output file's name and writer, and the line to print.
@@ -251,9 +252,20 @@ def run() -> None:
     The freeze first takes every object tracked by then, the numpy and
     innoise imports' included, out of the collector's reach, so neither
     ``main``'s collections nor the interpreter's final ones at exit walk
-    them. ``main`` leaves the collector as is, for callers whose process goes on."""
+    them. ``main`` leaves the collector as is, for callers whose process goes on.
+
+    An exception ``main`` does not map to a status ends in one ``error:
+    internal:`` line and INTERNAL_ERROR, not a traceback and the exit 1 of
+    a failed WGN check. ``main`` itself lets it rise: a caller in the same
+    process keeps the exception, its type and its traceback, to handle or
+    to report. KeyboardInterrupt and SystemExit pass through."""
     gc.freeze()
-    sys.exit(main())
+    try:
+        status = main()
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        status = ExitStatus.INTERNAL_ERROR
+    sys.exit(status)
 
 
 if __name__ == "__main__":

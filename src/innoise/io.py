@@ -3,11 +3,12 @@
 Formats
 -------
 record CSV       ``# key=value`` comment header (sample_rate_hz required;
-                 kind, frequency_khz, event, location, source, started_at
-                 optional), then one dBm level per line of UTF-8 text
-                 (universal newlines: LF, CRLF and CR end a line). Blank
-                 and ``#`` lines are skipped anywhere; errors name the
-                 line. A sample gets the bits ``float()`` gives its line.
+                 frequency_khz, event, location, source, started_at
+                 optional, any other key ignored), then one dBm level per
+                 line of UTF-8 text (universal newlines: LF, CRLF and CR
+                 end a line). Blank and ``#`` lines are skipped anywhere;
+                 errors name the line. A sample gets the bits ``float()``
+                 gives its line.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -55,7 +56,7 @@ from .apd import ApdCurve
 from .baseline import DEFAULT_OFFSET_DB, Baseline, WgnValidation
 from .bursts import BurstSet
 from .model import (
-    ConfigError, DomainError, FormatError, IN, LevelError, MeasurementMeta, SampleRecord,
+    ConfigError, DomainError, FormatError, LevelError, MeasurementMeta, SampleRecord,
 )
 from .stats import MeasurementStats, SourceCharacterization
 from .synth import BurstEventSpec
@@ -640,8 +641,8 @@ def read_record(path: Path | str) -> SampleRecord:
     """Parse a record CSV file into a SampleRecord.
 
     Raises FileNotFoundError for a missing file and FormatError (naming the
-    offending line) for malformed content. ``kind`` defaults to IN when the
-    header does not say otherwise.
+    offending line) for malformed content. A header key that is neither
+    ``sample_rate_hz`` nor a meta field is ignored.
 
     The file is read as UTF-8 text with universal newlines, in blocks of
     whole LF-ended lines (``_blocks``). The blank and ``#`` lines that begin
@@ -690,7 +691,6 @@ def read_record(path: Path | str) -> SampleRecord:
         return SampleRecord(
             levels=levels,
             sample_rate_hz=header_float("sample_rate_hz"),
-            kind=header.get("kind", IN),
             meta=MeasurementMeta(**meta),
         )
     except LevelError as exc:  # named by its line, not its index
@@ -716,7 +716,7 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
     as another header line or a sample.
     """
     # str() of a float is its repr, so every value reads back exactly
-    head = f"# sample_rate_hz={record.sample_rate_hz}\n# kind={record.kind}\n"
+    head = f"# sample_rate_hz={record.sample_rate_hz}\n"
     for key in _META_HEADER_KEYS:
         value = getattr(record.meta, key)
         if isinstance(value, str) and ("\n" in value or "\r" in value):

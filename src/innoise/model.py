@@ -17,10 +17,6 @@ from itertools import chain
 
 import numpy as np
 
-WGN = "WGN"
-IN = "IN"
-RECORD_KINDS = (WGN, IN)
-
 LEVEL_MIN_DBM = -3000.0
 LEVEL_MAX_DBM = 2900.0
 
@@ -73,18 +69,19 @@ class SampleRecord:
 
     Samples are envelope level readings from a zero-span sample detector;
     no phase information is carried. The array is copied and frozen at
-    construction so records are safe to share between threads.
+    construction so records are safe to share between threads. A record
+    does not say whether it is a WGN or an IN record: each command gives it
+    that role by the argument it comes in.
 
     Construction checks every record invariant and raises DomainError for
     an empty record, a sample outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM] (NaN
     and infinities included; ``_check_levels``), a sample rate that is not
-    finite or is below 1e-3 Hz (``checked_sample_rate``), an unknown
-    ``kind`` or a ``meta.frequency_khz`` that is not a positive finite number.
+    finite or is below 1e-3 Hz (``checked_sample_rate``) or a
+    ``meta.frequency_khz`` that is not a positive finite number.
     """
 
     levels: np.ndarray
     sample_rate_hz: float
-    kind: str = IN
     meta: MeasurementMeta = field(default_factory=MeasurementMeta)
 
     def __post_init__(self) -> None:
@@ -95,8 +92,6 @@ class SampleRecord:
             raise DomainError("empty record")
         _check_levels(levels, "sample at index {}")
         object.__setattr__(self, "sample_rate_hz", checked_sample_rate(self.sample_rate_hz))
-        if self.kind not in RECORD_KINDS:
-            raise DomainError(f"kind must be one of {RECORD_KINDS}, got {self.kind!r}")
         freq = self.meta.frequency_khz
         if freq is not None and not (math.isfinite(freq) and freq > 0):
             raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq}")

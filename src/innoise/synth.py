@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    IN,
     LEVEL_MIN_DBM,
-    WGN,
     ConfigError,
     DomainError,
     LevelDbm,
@@ -102,11 +100,7 @@ def generate_wgn(
     # at most 53 ln 2 times the mean, so finite; u == 0.0 gives zero power
     # (undefined in dB), clamped to the lowest level's
     power_mw = np.maximum(-mean_mw * np.log1p(-u), dbm_to_mw(LEVEL_MIN_DBM))
-    return SampleRecord(
-        levels=10.0 * np.log10(power_mw),
-        sample_rate_hz=sample_rate_hz,
-        kind=WGN,
-    )
+    return SampleRecord(levels=10.0 * np.log10(power_mw), sample_rate_hz=sample_rate_hz)
 
 
 def inject_bursts(
@@ -117,8 +111,8 @@ def inject_bursts(
 
     Inside each event span the sample power is replaced by the record's
     mean power scaled by 10^(offset/10) (optionally with the linear-dB
-    decay of the "decaying" shape). Returns the new record, marked as an
-    impulsive-noise measurement, together with the exact injected spans.
+    decay of the "decaying" shape). Returns the new record, with the
+    original's sample rate and meta, together with the exact injected spans.
     Events must be sorted and apart; ConfigError names the first that is
     not, or that reaches past the record.
     """
@@ -162,10 +156,5 @@ def inject_bursts(
     values[(first + length - 1)[ramp]] = stop[ramp]
     levels = np.array(record.levels, copy=True)
     levels[j + np.repeat(start, length)] = mean_power_dbm(record.levels) + values
-    injected = SampleRecord(
-        levels=levels,
-        sample_rate_hz=record.sample_rate_hz,
-        kind=IN,
-        meta=record.meta,
-    )
+    injected = SampleRecord(levels, sample_rate_hz=record.sample_rate_hz, meta=record.meta)
     return injected, tuple(zip(start.tolist(), end.tolist()))

@@ -3,9 +3,10 @@
 ``read_record_oracle`` is the line-at-a-time reader that ``io.read_record``
 replaced, kept so that the chunked reader can be checked against it: same
 levels bit for bit, same header, or the same FormatError message. It is
-verbatim but for one rule: a sample is refused by ``SampleRecord``'s level
+verbatim but for two rules: a sample is refused by ``SampleRecord``'s level
 range (NaN and infinities included), not by a finiteness check of its own,
-and the error names the sample's line. It is test-only code and is not part
+and the error names the sample's line; and a ``kind`` header line is
+ignored like any other unknown key. It is test-only code and is not part
 of the library.
 """
 
@@ -13,15 +14,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from innoise.model import IN, DomainError, FormatError, LevelError, MeasurementMeta, SampleRecord
+from innoise.model import DomainError, FormatError, LevelError, MeasurementMeta, SampleRecord
 
 
 def read_record_oracle(path: Path | str) -> SampleRecord:
     """Parse a record CSV file into a SampleRecord.
 
     Raises FileNotFoundError for a missing file and FormatError (naming the
-    offending line) for malformed content. ``kind`` defaults to IN when the
-    header does not say otherwise.
+    offending line) for malformed content. A header key that is neither
+    ``sample_rate_hz`` nor a meta field is ignored.
     """
     path = Path(path)
     header: dict[str, str] = {}
@@ -69,7 +70,6 @@ def read_record_oracle(path: Path | str) -> SampleRecord:
         return SampleRecord(
             levels=levels,
             sample_rate_hz=header_float("sample_rate_hz"),
-            kind=header.get("kind", IN),
             meta=meta,
         )
     except LevelError as exc:

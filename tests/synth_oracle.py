@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from innoise.model import IN, ConfigError, SampleRecord, mean_power_dbm
+from innoise.model import ConfigError, SampleRecord, mean_power_dbm
 from innoise.synth import DECAY_DB, SHAPE_DECAYING, BurstEventSpec
 
 
@@ -47,7 +47,6 @@ def inject_bursts_oracle(
     injected = SampleRecord(
         levels=levels,
         sample_rate_hz=record.sample_rate_hz,
-        kind=IN,
         meta=record.meta,
     )
     return injected, tuple((e.start_idx, e.end_idx) for e in events)

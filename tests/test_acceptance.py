@@ -233,11 +233,7 @@ def test_c8_determinism_and_round_trips(tmp_path):
     io.write_record(first, copy_path)
     second = io.read_record(copy_path)
     assert np.array_equal(first.levels, second.levels)
-    assert (first.sample_rate_hz, first.kind, first.meta) == (
-        second.sample_rate_hz,
-        second.kind,
-        second.meta,
-    )
+    assert (first.sample_rate_hz, first.meta) == (second.sample_rate_hz, second.meta)
     copy2 = tmp_path / "in1.copy2.csv"
     io.write_record(second, copy2)
     assert copy_path.read_bytes() == copy2.read_bytes()

@@ -11,7 +11,7 @@ from innoise.synth import generate_wgn
 
 
 def _rec(levels, rate=8001.0):
-    return SampleRecord(levels=levels, sample_rate_hz=rate, kind="WGN")
+    return SampleRecord(levels=levels, sample_rate_hz=rate)
 
 
 def test_rms_of_constant_record():

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import innoise
-from innoise import io
+from innoise import cli, io
 from innoise.cli import ExitStatus, main
-from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
+from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bursts
 from test_json_readers import BASELINE, EVENT, MANIFEST, json_texts
 
 
@@ -381,7 +381,6 @@ def test_simulate_writes_record_with_expected_rms(tmp_path):
     assert code == ExitStatus.OK
     record = io.read_record(out / "record.csv")
     assert len(record) == 32004
-    assert record.kind == "WGN"
     from innoise.baseline import compute_rms_level
 
     assert compute_rms_level(record) == pytest.approx(-100.0, abs=0.15)
@@ -406,7 +405,6 @@ def test_simulate_with_events_writes_ground_truth(tmp_path):
     truth = json.loads((out / "ground_truth.json").read_text())
     assert truth["n_events"] == 5
     assert len(truth["spans"]) == 5
-    assert io.read_record(out / "record.csv").kind == "IN"
 
 
 def test_simulate_bad_sample_rate_exits_3(tmp_path, capsys):
@@ -687,6 +685,48 @@ def test_outputs_hold_no_cr_where_text_files_end_lines_in_crlf(tmp_path, monkeyp
         assert b"\r" not in path.read_bytes(), path
 
 
+def _line_ends(text):
+    return {"lf": text, "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r")}
+
+
+def test_line_ends_and_number_forms_of_a_record_give_the_same_outputs(tmp_path, monkeypatch):
+    # The reader opens a record as text with universal newlines, so its
+    # tiers see every line end as an LF: the CRLF, CR and mixed forms take
+    # the plain-line tier as LF does, and only the %.17e form a fallback
+    # tier. Records of 32,004 samples span several of the reader's blocks.
+    events = [BurstEventSpec(2000 + 6000 * i, 8 + 4 * i, 22.0 + i, BURST_SHAPES[i % 2])
+              for i in range(5)]
+    _write_wgn(tmp_path / "wgn.csv", n=32004, seed=1)
+    _write_in(tmp_path / "in.csv", events, n=32004, seed=2)
+    wgn = (tmp_path / "wgn.csv").read_bytes().decode()
+    lines = wgn.splitlines()
+    exp = "".join((line if line[0] == "#" else f"{float(line):.17e}") + "\n" for line in lines)
+    assert any(line.endswith("e+02") for line in exp.splitlines())
+    mixed = "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines))
+
+    def outputs(command, form, text, *flags):
+        directory = tmp_path / command / form
+        directory.mkdir(parents=True)
+        (directory / "record.csv").write_bytes(text.encode())
+        monkeypatch.chdir(directory)  # the reports name the record by the path given
+        assert main([command, "record.csv", *flags]) == ExitStatus.OK
+        return {path.name: path.read_bytes() for path in (directory / "out").iterdir()}
+
+    forms = {**_line_ends(wgn), "mixed": mixed, "exp": exp}
+    baselines = {form: outputs("baseline", form, text) for form, text in forms.items()}
+    assert list(baselines["lf"]) == ["baseline.json"]
+    for form, files in baselines.items():
+        assert files == baselines["lf"], form
+    base = tmp_path / "baseline" / "lf" / "out" / "baseline.json"
+    flags = ["--baseline", str(base), "--plot-data", "--main-burst"]
+    in_forms = _line_ends((tmp_path / "in.csv").read_bytes().decode())
+    analyses = {form: outputs("analyze", form, text, *flags) for form, text in in_forms.items()}
+    assert sorted(analyses["lf"]) == ["measurement.csv", "measurement.json", "plot.csv"]
+    assert json.loads(analyses["lf"]["measurement.json"])["n_bursts"] == 5
+    for form, files in analyses.items():
+        assert files == analyses["lf"], form
+
+
 # --- exit codes on any record bytes ------------------------------------------
 
 # each run's arguments but --out; {rec} is the drawn record
@@ -797,6 +837,54 @@ def test_any_json_input_exits_with_a_documented_code(json_inputs, kind, data):
             assert code in (ExitStatus.OK, ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT), (run, code)
 
 
+# --- exit codes on any flag values ---------------------------------------------
+
+# float() text of any double, the edges of the float range among them; "1e400" reads as inf
+ANY_FLOAT_TEXT = st.sampled_from([
+    "nan", "inf", "-inf", "1e308", "-1e308", "1.7976931348623157e+308", "1e400",
+    "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-300", "0", "-0.0",
+]) | st.floats().map(repr)
+# any int, 26-digit and negative ones included
+SEEDS = st.integers(0, 2**64) | st.integers() | st.integers(-(10**26), 10**26)
+
+
+def flag_value(lo, hi):
+    """float() text of a value in [lo, hi], where the flag works, or of any double."""
+    return st.floats(lo, hi).map(repr) | ANY_FLOAT_TEXT
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_flag_value_exits_with_a_documented_code(record_inputs, data):
+    # 0, 2 or 3, or 1 from a baseline whose WGN check failed; never an
+    # exception, and with warnings as errors no warning either. --n stays
+    # below 5,001: a record is allocated at 8 B a sample, so a drawn n in
+    # the billions would really take that memory
+    wgn, _, _ = record_inputs
+    draw = data.draw
+    runs = [
+        ["baseline", str(wgn), f"--offset-db={draw(flag_value(0.0, 30.0))}",
+         f"--max-exceed-fraction={draw(flag_value(0.0, 1.0))}"],
+        ["apd", str(wgn), str(wgn), f"--grid-db={draw(flag_value(0.01, 10.0))}"],
+        ["simulate", f"--n={draw(st.integers(-2, 5000))}",
+         f"--mean-dbm={draw(flag_value(-200.0, 100.0))}", f"--seed={draw(SEEDS)}",
+         f"--sample-rate-hz={draw(flag_value(1e-3, 1e7))}"],
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        for i, argv in enumerate(runs):
+            out = Path(directory, str(i))
+            err = StringIO()
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(out)])
+            event(f"{argv[0]} exits {code}")
+            if code == ExitStatus.VALIDATION_FAILED:
+                assert argv[0] == "baseline" and "WGN check FAIL" in err.getvalue()
+            else:
+                assert code in (ExitStatus.OK, ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT), (argv, code)
+            if code in (ExitStatus.IO_ERROR, ExitStatus.BAD_INPUT):
+                assert err.getvalue().startswith("error: ") and not out.exists(), argv
+
+
 # --- process entry -----------------------------------------------------------
 
 
@@ -836,3 +924,39 @@ def test_main_leaves_the_collector_as_it_is(tmp_path):
     state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
     _run_baseline(tmp_path)
     assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError(), KeyError("levels")])
+def test_process_entry_turns_an_unexpected_exception_into_status_4(monkeypatch, capsys, error):
+    def broken(argv=None):
+        raise error
+
+    monkeypatch.setattr(cli, "main", broken)
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # leave this process's collector as it is
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == ExitStatus.INTERNAL_ERROR == 4
+    err = capsys.readouterr().err
+    assert err == f"error: internal: {type(error).__name__}: {error}\n", err
+    assert "Traceback" not in err
+
+
+def test_process_entry_lets_an_interrupt_through(monkeypatch):
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run()
+
+
+def test_main_raises_an_unexpected_exception_to_its_caller(tmp_path, monkeypatch):
+    def broken(record):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "compute_rms_level", broken)
+    _write_wgn(tmp_path / "wgn.csv", n=100)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["baseline", str(tmp_path / "wgn.csv"), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

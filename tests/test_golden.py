@@ -58,10 +58,10 @@ DIGESTS = {
     "campaign/measurement_002.csv": "55d0de5dfc57a7b450ebe3c13cef6593d4f66991ee31527a5db0399be96b2e52",
     "campaign/measurement_002.json": "1af6260b57621f47b4a86fe5ec254996972c0b8d97516ea4f1afbb352aabed3c",
     "in1/ground_truth.json": "7d468c2ab4447a2f94a44f9d37d6879020d1ead5710538016a1d1a85862814a4",
-    "in1/record.csv": "c91ff7f174dcaa1f1441c24aa35aa3dce36af1c5529f2b85418f1baa09bf3d20",
+    "in1/record.csv": "ac0869eebe1a8670aaf47bf626bf6b8e01c523c7828b5c4761149b99f51d63a5",
     "in2/ground_truth.json": "94d549682bf2cf5efc487dd23e6447177d16a0d1740ffff395993b9bfd37cf90",
-    "in2/record.csv": "6da2ac4c539fd840df745489f69aeacfcedfb547f9ef9debda9b1ed37392e982",
-    "wgn/record.csv": "d59fc22ff8d52d4ae627233acad4240040da8a39e875debcf3bf7c1cc8a5f988",
+    "in2/record.csv": "1f90989f5739c96ce0c463621e23fb362da67bbb478bdf18bd5b852222caabd4",
+    "wgn/record.csv": "3353e09f508189f8106b1546040da3b5e91718f4033109b6a53ecd0311a9dc2b",
 }
 
 

@@ -22,8 +22,8 @@ from report_oracle import read_campaign_report, read_measurement_report, write_m
 META = MeasurementMeta(frequency_khz=1910.0, event="turn on seven flickering tubes")
 
 
-def _record(levels=(-80.0, -75.5, -91.25), rate=8001.0, kind="IN", meta=META):
-    return SampleRecord(levels=list(levels), sample_rate_hz=rate, kind=kind, meta=meta)
+def _record(levels=(-80.0, -75.5, -91.25), rate=8001.0, meta=META):
+    return SampleRecord(levels=list(levels), sample_rate_hz=rate, meta=meta)
 
 
 def _detected(seed=3, n=4000, events=((500, 10, 25.0), (2000, 6, 22.0))):
@@ -43,7 +43,6 @@ def test_record_write_read_round_trip(tmp_path):
     back = io.read_record(path)
     assert np.array_equal(back.levels, record.levels)
     assert back.sample_rate_hz == record.sample_rate_hz
-    assert back.kind == record.kind
     assert back.meta == record.meta
     # second write is byte-identical
     path2 = tmp_path / "rec2.csv"
@@ -52,15 +51,15 @@ def test_record_write_read_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("field, text", [
-    ("event", "lamp on\n# kind=WGN"),
+    ("event", "lamp on\n# location=lab"),
     ("location", "lab\r\n-50.0"),
     ("source", "tubes\r"),
     ("started_at", "\n2024-01-01"),
 ])
 def test_record_writer_refuses_a_line_break_in_meta_text(tmp_path, field, text):
     # written verbatim, the text would end its header line and the rest would
-    # read back as a header line or a sample: an IN record of 10 samples
-    # would become a WGN record of 11
+    # read back as a header line or a sample: a record of 10 samples would
+    # gain a location or an 11th sample
     record = _record(levels=[-80.0] * 10, meta=MeasurementMeta(**{field: text}))
     path = tmp_path / "rec.csv"
     with pytest.raises(ConfigError, match=f"^{field} must not hold a line break"):
@@ -85,7 +84,7 @@ def test_meta_text_round_trips_through_a_record(tmp_path_factory, event, locatio
     io.write_record(record, path)
     back = io.read_record(path)
     assert back.meta == record.meta
-    assert back.kind == record.kind and np.array_equal(back.levels, record.levels)
+    assert np.array_equal(back.levels, record.levels)
 
 
 def test_read_four_second_capture(tmp_path):
@@ -95,7 +94,6 @@ def test_read_four_second_capture(tmp_path):
     record = io.read_record(path)
     assert len(record) == 32004
     assert record.sample_rate_hz == 8001.0
-    assert record.kind == "IN"  # default when header is silent
 
 
 def test_read_record_header_only_is_empty(tmp_path):
@@ -122,25 +120,33 @@ def test_read_record_rejects_nan_sample(tmp_path):
 
 def test_read_record_requires_sample_rate(tmp_path):
     path = tmp_path / "norate.csv"
-    path.write_text("# kind=WGN\n-85.0\n")
+    path.write_text("# frequency_khz=1910\n-85.0\n")
     with pytest.raises(FormatError, match="sample_rate_hz"):
         io.read_record(path)
-    for header, message in [
-        ("# sample_rate_hz=-5", "sample_rate_hz"),
-        ("# sample_rate_hz=inf", "sample_rate_hz"),
-        ("# sample_rate_hz=fast", "sample_rate_hz"),
-        ("# sample_rate_hz=8001\n# kind=other", "kind"),
-    ]:
-        path.write_text(f"{header}\n-85.0\n")
-        with pytest.raises(FormatError, match=f"norate.csv: .*{message}"):
+    for rate in ("-5", "inf", "fast"):
+        path.write_text(f"# sample_rate_hz={rate}\n-85.0\n")
+        with pytest.raises(FormatError, match="norate.csv: .*sample_rate_hz"):
             io.read_record(path)
+
+
+@pytest.mark.parametrize("line", ["# kind=WGN\n", "# kind=IN\n", "# kind=other\n"])
+def test_read_record_ignores_an_old_kind_line(tmp_path, line):
+    # a command gives a record its role by position; a kind line is an ignored key
+    body = "# frequency_khz=1910\n# event=lamp on\n-85.0\n-60.25\n"
+    plain, old = tmp_path / "plain.csv", tmp_path / "old.csv"
+    plain.write_text("# sample_rate_hz=8001\n" + body)
+    old.write_text("# sample_rate_hz=8001\n" + line + body)
+    want, got = io.read_record(plain), io.read_record(old)
+    assert got.levels.tobytes() == want.levels.tobytes()
+    assert (got.sample_rate_hz, got.meta) == (want.sample_rate_hz, want.meta)
+    assert want.meta == MeasurementMeta(frequency_khz=1910.0, event="lamp on")
 
 
 def test_record_writer_spells_each_sample_as_repr(tmp_path):
     record = generate_wgn(3 * io._ROWS_PER_WRITE + 5, -100.0, seed=6)
     path = tmp_path / "rec.csv"
     io.write_record(record, path)
-    lines = ["# sample_rate_hz=8001.0", "# kind=WGN"] + [repr(float(v)) for v in record.levels]
+    lines = ["# sample_rate_hz=8001.0"] + [repr(float(v)) for v in record.levels]
     assert path.read_text() == "\n".join(lines) + "\n"
 
 

@@ -104,7 +104,7 @@ def test_record_copies_and_freezes_levels():
 
 
 def test_validate_record_accepts_four_second_capture():
-    record = SampleRecord(levels=np.full(32004, -85.0), sample_rate_hz=8001.0, kind="WGN")
+    record = SampleRecord(levels=np.full(32004, -85.0), sample_rate_hz=8001.0)
     assert len(record) == 32004
     assert len(record) / record.sample_rate_hz == pytest.approx(4.0, rel=1e-3)
 
@@ -135,14 +135,13 @@ def test_validate_record_level_range():
             SampleRecord(levels=levels, sample_rate_hz=8001.0)
 
 
-def test_validate_record_bad_rate_kind_and_frequency():
+def test_validate_record_bad_rate_and_frequency():
     for kwargs, message in [
         ({"sample_rate_hz": 0.0}, "sample_rate_hz"),
         ({"sample_rate_hz": -5.0}, "sample_rate_hz"),
         ({"sample_rate_hz": math.inf}, "sample_rate_hz"),
         ({"sample_rate_hz": math.nan}, "sample_rate_hz"),
         ({"sample_rate_hz": 1e-4}, "sample_rate_hz"),  # below the 1e-3 Hz floor
-        ({"kind": "other"}, "kind"),
         ({"meta": MeasurementMeta(frequency_khz=-5.0)}, "frequency_khz"),
         ({"meta": MeasurementMeta(frequency_khz=0.0)}, "frequency_khz"),
         ({"meta": MeasurementMeta(frequency_khz=math.inf)}, "frequency_khz"),

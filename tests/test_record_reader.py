@@ -54,7 +54,7 @@ def _outcome(read, path):
         record = read(path)
     except FormatError as exc:
         return str(exc)
-    return record.levels.tobytes(), record.sample_rate_hz, record.kind, record.meta
+    return record.levels.tobytes(), record.sample_rate_hz, record.meta
 
 
 @settings(max_examples=400, deadline=None)
@@ -108,7 +108,7 @@ def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypat
     monkeypatch.setattr(io, "_parse_lines", spy)
     monkeypatch.setattr(io, "_plain_levels", plain_spy)
     record = io.read_record(path)
-    assert seen == ["# sample_rate_hz=8001.0", "# kind=WGN"]
+    assert seen == ["# sample_rate_hz=8001.0"]
     assert sum(plain) == n
     assert record.levels.tobytes() == read_record_oracle(path).levels.tobytes()
 

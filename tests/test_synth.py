@@ -18,7 +18,6 @@ def test_generate_is_deterministic_per_seed():
     c = generate_wgn(5_000, -100.0, seed=124)
     assert np.array_equal(a.levels, b.levels)
     assert not np.array_equal(a.levels, c.levels)
-    assert a.kind == "WGN"
     assert a.sample_rate_hz == 8001.0
     assert generate_wgn(16, -100.0, seed=1, sample_rate_hz=4000.0).sample_rate_hz == 4000.0
 
@@ -46,7 +45,6 @@ def test_inject_constant_event_levels_are_exact_offsets():
     base_level = compute_rms_level(record)
     injected, spans = inject_bursts(record, [BurstEventSpec(100, 10, 25.0)])
     assert spans == ((100, 109),)
-    assert injected.kind == "IN"
     assert np.allclose(injected.levels[100:110], base_level + 25.0)
     # outside the span the noise is untouched
     assert np.array_equal(injected.levels[:100], record.levels[:100])
@@ -124,12 +122,12 @@ def test_brute_force_caps_record_size():
 # --- the column code against the per-event loop ------------------------------
 
 def _outcome(inject, record, events):
-    """Level bits, kind and spans of an injection, or its error's type and text."""
+    """Level bits, rate, meta and spans of an injection, or its error's type and text."""
     try:
         injected, spans = inject(record, events)
     except (ConfigError, DomainError) as exc:
         return type(exc).__name__, str(exc)
-    return injected.levels.tobytes(), injected.kind, spans
+    return injected.levels.tobytes(), injected.sample_rate_hz, injected.meta, spans
 
 
 def _assert_same_as_oracle(record, events):
@@ -187,8 +185,10 @@ def test_inject_matches_oracle_at_the_edges():
         [BurstEventSpec(10, 5, -0.0), BurstEventSpec(20, 3, -0.0, "decaying")],
     ]
     for events in layouts:
-        assert _assert_same_as_oracle(record, events)[1] == "IN"
-    assert _assert_same_as_oracle(record, []) == (record.levels.tobytes(), "WGN", ())
+        assert _assert_same_as_oracle(record, events)[1:3] == (record.sample_rate_hz, record.meta)
+    assert _assert_same_as_oracle(record, []) == (
+        record.levels.tobytes(), record.sample_rate_hz, record.meta, ()
+    )
 
 
 def test_inject_reports_the_first_bad_event_like_the_oracle():

@@ -91,8 +91,7 @@ def records(draw, min_size=1, max_size=40):
         | st.lists(RUN_HEAVY, min_size=min_size, max_size=max_size)
     )
     rate = draw(st.one_of(st.sampled_from([8001.0, 1.0, 3.0]), st.floats(1e-3, 1e7)))
-    kind = draw(st.sampled_from(["IN", "WGN"]))
-    return SampleRecord(levels, rate, kind=kind, meta=draw(METAS))
+    return SampleRecord(levels, rate, meta=draw(METAS))
 
 
 @st.composite
@@ -202,7 +201,7 @@ def test_record_round_trips_every_level_bit_for_bit(tmp_path_factory, exact, lev
 
 
 def _record_oracle(record):
-    lines = [f"# sample_rate_hz={record.sample_rate_hz!r}", f"# kind={record.kind}"]
+    lines = [f"# sample_rate_hz={record.sample_rate_hz!r}"]
     for key in ("frequency_khz", "event", "location", "source", "started_at"):
         value = getattr(record.meta, key)
         if value is None or value == "":
