@@ -51,7 +51,7 @@ def test_record_write_read_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("field, text", [
-    ("event", "lamp on\n# location=lab"),
+    ("event", "lamp on\n# kind=WGN"),
     ("location", "lab\r\n-50.0"),
     ("source", "tubes\r"),
     ("started_at", "\n2024-01-01"),
