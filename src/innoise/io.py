@@ -124,8 +124,9 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split of doubles: hi + lo == x, each of at most 26
     significant bits, exactly while x * (2**27 + 1) does not overflow."""
     c = x * 134217729.0
-    hi = c - (c - x)
-    return hi, x - hi
+    hi = c - x
+    np.subtract(c, hi, out=hi)
+    return hi, np.subtract(x, hi, out=c)
 
 
 _POW10_F = np.array([float(10**k) for k in range(22)])  # each an exact double
@@ -171,12 +172,27 @@ def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     each split into halves of 26 bits: P = fl(a 10**k) and E = a 10**k - P,
     exact unless a split or partial product overflows or underflows; then
     the midpoints between a and its neighbours (the bit patterns next to
-    a's) scaled alike, less P: E plus the gap to each times 10**k / 2."""
-    (a_hi, a_lo), p10, p_hi, p_lo = _split(a), _POW10_F[k], _POW10_HI[k], _POW10_LO[k]
+    a's) scaled alike, less P: E plus the gap to each times 10**k / 2.
+
+    E = a_hi p_hi - P + a_hi p_lo + a_lo p_hi + a_lo p_lo, in this order.
+    Each product goes into a half or a power that it spends, so few steps
+    allocate; ``k`` gathers the power tables fastest as intp."""
+    (a_hi, a_lo), p10 = _split(a), _POW10_F.take(k)
     big = a * p10
-    err = a_hi * p_hi - big + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo  # in this order
-    gaps = [(a.view(np.int64) + step).view(np.float64) - a for step in (-1, 1)]
-    return big, err, *(gap * p10 / 2 + err for gap in gaps)
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    err = a_hi * p_hi
+    err -= big
+    err += np.multiply(a_hi, p_lo, out=a_hi)
+    err += np.multiply(a_lo, p_hi, out=p_hi)
+    err += np.multiply(a_lo, p_lo, out=p_lo)
+    del p_hi, p_lo
+    for gap, step in ((a_hi, -1), (a_lo, 1)):  # (a's bit neighbour - a) 10**k / 2 + E
+        np.add(a.view(np.int64), step, out=gap.view(np.int64))
+        gap -= a
+        gap *= p10
+        gap /= 2
+        gap += err
+    return big, err, a_hi, a_lo
 
 
 def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -549,7 +565,7 @@ def _plain_digits(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
         return None
     integer *= _POW10[kept]
     integer += _digits_value(words, ends, kept)
-    return integer, frac_digits.astype(np.uint8), neg  # k < 22: a byte
+    return integer, frac_digits, neg
 
 
 def _plain_levels(block: bytes) -> np.ndarray | None:
@@ -564,30 +580,38 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     (``_times_pow10``) are multiples of 2**(j + k - 2), 2**j being q's last
     bit, below 2**51 times that, so exact, and so is m - P: m is set against
     them exactly. (At q = 0 the midpoint below is NaN and moves nothing.)
+
+    The steps write into spent arrays where they can, and k comes as intp,
+    the index type the power tables are gathered fastest with.
     """
     if (parts := _plain_digits(block)) is None:
         return None
     m, k, neg = parts
     near = m.view(np.int64).astype(np.float64)  # fl(m), within 2**6 of m
     m -= near.astype(np.uint64)
-    # m - fl(m) in a byte, as _times_pow10's temporaries set the block's peak
+    # m - fl(m) in a byte, so the rounding stage stays below the digits stage's peak
     m = m.view(np.int64).astype(np.int8)
-    q = near / _POW10_F[k]
-    big, _, below, above = _times_pow10(q, k)
-    d = (near - big) + m  # m - P
-    odd = (q.view(np.int64) & 1).astype(bool)
-    up, down = (d > above) | (d == above) & odd, (d < below) | (d == below) & odd
-    levels = (q.view(np.int64) + up - down).view(np.float64)
-    np.negative(levels, out=levels, where=neg)
-    return levels
+    q = _POW10_F.take(k)
+    np.divide(near, q, out=q)
+    big, err, below, above = _times_pow10(q, k)
+    del err
+    d = np.subtract(near, big, out=near)
+    d += m  # m - P
+    bits = q.view(np.int64)
+    odd = (bits & 1).astype(bool)
+    bits += (d > above) | (d == above) & odd
+    bits -= (d < below) | (d == below) & odd
+    np.negative(q, out=q, where=neg)
+    return q
 
 
-def _parse_lines(path: Path, block: str, first_lineno: int, header: dict) -> np.ndarray:
-    """The samples of a block from ``_blocks`` that is not all plain lines:
-    a ``float`` per line, or else the record CSV line rules, one line at a
-    time. Blank lines are skipped, a ``#`` line sets ``header[key]`` when it
-    holds ``key=value``, and any other line must be one number."""
-    lines = block.split("\n")[:-1]
+def _parse_lines(path: Path, block: bytes, first_lineno: int, header: dict) -> np.ndarray:
+    """The samples of a block from ``_blocks`` that is not all plain lines,
+    decoded: a ``float`` per line, or else the record CSV line rules, one
+    line at a time. Blank lines are skipped, a ``#`` line sets
+    ``header[key]`` when it holds ``key=value``, and any other line must be
+    one number."""
+    lines = block.decode().split("\n")[:-1]
     with contextlib.suppress(ValueError):
         return np.fromiter(map(float, lines), np.float64, count=len(lines))
     values = []
@@ -610,20 +634,24 @@ def _parse_lines(path: Path, block: str, first_lineno: int, header: dict) -> np.
 
 
 # the blank and comment lines at the start of a block of LF-ended lines
-_NOTE_LINES = re.compile(r"(?:[ \t]*(?:#[^\n]*)?\n)*")
+_NOTE_LINES = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*")
 
 
-def _blocks(fh: typing.TextIO) -> typing.Iterator[str]:
-    """The rest of the text file ``fh`` in blocks of whole lines, read
-    ``_CHUNK_CHARS`` characters and then the rest of a line at a time. The
-    text layer's universal newlines have made every line end an LF; the
-    last block gets one when the file ends without it. The blank and ``#``
-    lines that begin a block come as a block of their own."""
-    while block := fh.read(_CHUNK_CHARS) + fh.readline():
-        if not block.endswith("\n"):
-            block += "\n"
-        notes = _NOTE_LINES.match(block).end()
-        yield from filter(None, (block[:notes], block[notes:]))
+def _blocks(fh: typing.TextIO) -> typing.Iterator[bytes]:
+    """The rest of the text file ``fh`` in blocks of whole lines, as UTF-8
+    bytes, read ``_CHUNK_CHARS`` characters and then the rest of a line at a
+    time. The text layer's universal newlines have made every line end an
+    LF; the last block gets one when the file ends without it. The blank
+    and ``#`` lines that begin a block come as a block of their own. Only
+    the bytes outlive a read, so the parser never holds a block twice."""
+    while block := (fh.read(_CHUNK_CHARS) + fh.readline()).encode():
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        if notes := _NOTE_LINES.match(block).end():
+            yield block[:notes]
+            block = block[notes:]
+        if block:
+            yield block
 
 
 @contextlib.contextmanager
@@ -667,10 +695,10 @@ def read_record(path: Path | str) -> SampleRecord:
     lineno = 1  # of the block's first line
     with _text(path) as fh:
         for block in _blocks(fh):
-            values = _plain_levels(block.encode())
+            values = _plain_levels(block)
             if values is None:
                 values = _parse_lines(path, block, lineno, header)
-                lineno += block.count("\n")
+                lineno += block.count(b"\n")
             else:
                 lineno += len(values)  # a line per sample
             levels.append(values)

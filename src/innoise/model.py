@@ -12,8 +12,8 @@ holds under 2^60 doubles, every sum of them is below 1.2e308 mW.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -140,22 +140,44 @@ def mw_to_dbm(power: PowerMw) -> LevelDbm:
     return 10.0 * math.log10(power)
 
 
-# How many samples mean_power_dbm converts to linear power at a time on
-# their way into math.fsum, so that no list holds every sample's power.
+# How many samples mean_power_dbm converts to linear power at a time: no
+# array holds every sample's power, and a bucket of one block's parts holds
+# at most 2**16 integers below 2**27, so its float sum, below 2**43, is exact.
 _POWER_BLOCK = 1 << 16
+# np.frexp's exponent of the least positive double, 2**-1074 = 0.5 * 2**-1073
+_FREXP_MIN = -1073
 
 
 def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
     """dB value of the mean linear power of ``levels``, a SampleRecord's and
     so never empty.
 
-    The sum is accumulated exactly (math.fsum), so the result is invariant
-    under sample permutation, and under the block size, down to the last
-    bit.
+    The powers are summed exactly, in one Python int, which is then rounded
+    to a double once, to nearest and a tie to even, as ``math.fsum`` rounds
+    the same sum; that double is divided by the count. So the result does
+    not change with the sample order or the block size, down to the last
+    bit. A block's powers p = f 2**e, f in [0.5, 1), by ``np.frexp``, are
+    integers f 2**53 = hi 2**26 + lo, hi < 2**27 and lo < 2**26, times
+    2**(e - 53); ``np.bincount`` sums each part by exponent, exactly, and
+    the int gathers the bucket sums, each shifted by its exponent.
     """
     levels = np.asarray(levels, dtype=np.float64)
-    total = math.fsum(chain.from_iterable(
-        np.power(10.0, levels[i : i + _POWER_BLOCK] / 10.0).tolist()
-        for i in range(0, levels.size, _POWER_BLOCK)
-    ))
-    return mw_to_dbm(total / levels.size)
+    total = 0  # the sum of the powers times 2**(53 - _FREXP_MIN)
+    for i in range(0, levels.size, _POWER_BLOCK):
+        frac = np.power(10.0, levels[i : i + _POWER_BLOCK] / 10.0)
+        exp = np.empty(frac.size, np.intp)
+        np.frexp(frac, out=(frac, exp))
+        least = int(np.minimum.reduce(exp))
+        exp -= least
+        frac *= 2.0**27
+        hi = np.floor(frac)
+        frac -= hi
+        frac *= 2.0**26  # lo
+        hi = np.bincount(exp, hi).astype(np.int64).tolist()
+        lo = np.bincount(exp, frac).astype(np.int64).tolist()
+        del frac, exp  # before the next block's arrays, so the peak stays flat
+        block = sum(map(operator.lshift, hi, range(len(hi)))) << 26
+        block += sum(map(operator.lshift, lo, range(len(lo))))
+        total += block << (least - _FREXP_MIN)
+    # int / int is the true quotient rounded once; this one is a power of 2
+    return mw_to_dbm(total / (1 << (53 - _FREXP_MIN)) / levels.size)

@@ -112,8 +112,8 @@ def _calls(run, *args) -> int:
 
 # read_record makes at most a calls per block of io._CHUNK_CHARS characters
 # plus b. Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and
-# 100,000 samples, 2 and 15 blocks of 128 K characters: 135 and 668 calls, 41
-# a block + 53. The bound leaves about twice that; a Python call per line
+# 100,000 samples, 2 and 15 blocks of 128 K characters: 128 and 609 calls, 37
+# a block + 54. The bound leaves about twice that; a Python call per line
 # would add some 6,700 a block.
 READ_CALLS_PER_BLOCK = (80, 100)
 
@@ -180,8 +180,9 @@ def test_table_writers_spell_floats_once_per_block(tmp_path):
 
 # compute_rms_level makes at most a calls per block of model._POWER_BLOCK
 # samples plus b. Measured (Python 3.11, numpy 2.4) at 10,000, 100,000 and
-# 1,000,000 samples, 1, 2 and 16 blocks: 5, 6 and 20 calls; a Python call per
-# sample would add 65,536 a block.
+# 1,000,000 samples, 1, 2 and 16 blocks: 5, 7 and 35 calls, the two
+# np.bincount calls of a block; a Python call per sample would add 65,536 a
+# block.
 RMS_CALLS_PER_BLOCK = (2, 10)
 
 
@@ -226,9 +227,10 @@ def _traced_peak(run, *args) -> int:
 # Traced peaks that do not grow with the record, in bytes. Measured (Python
 # 3.11, numpy 2.4) at 10,000, 100,000 and 1,000,000 samples: write_record
 # 0.96 MB at each; write_apd_csv 2.15, 2.19 and 2.21 MB over 20,000 to
-# 2,000,000 rows; compute_rms_level 0.40, 2.62 and 2.62 MB, a block of
-# model._POWER_BLOCK powers as floats from 65,536 samples on. A list or
-# array of the whole record or table would add 8 to 40 B a sample.
+# 2,000,000 rows; compute_rms_level 0.24, 1.57 and 1.58 MB, a block of
+# model._POWER_BLOCK powers, their exponents and parts, from 65,536 samples
+# on. A list or array of the whole record or table would add 8 to 40 B a
+# sample.
 PEAK_BYTES = {"write_record": 1_500_000, "write_apd_csv": 3_000_000, "compute_rms_level": 4_000_000}
 # write_plot_data builds its time_ms and burst_id columns whole, and a list
 # of each burst's start and end: at most c B a sample plus d. Measured at
@@ -257,13 +259,11 @@ def test_writers_and_rms_level_peak_in_bounded_memory(tmp_path, n):
 
 # read_record holds the levels twice at its end, as one array per block and
 # joined, and before that the levels so far beside one block's working set:
-# its text, that text's bytes and the plain tier's arrays. So its traced
-# peak is at most c B a sample plus d B a character of io._CHUNK_CHARS.
-# Measured (Python 3.11, numpy 2.4) with blocks of 128 K characters: 1.25 and
-# 1.82 MB at 10,000 and 100,000 samples, 8.3 B a character past the 16 B a
-# sample at 10,000; 16.11 MB at 1,000,000. A working set of 12.1 B a
-# character, a plain tier that keeps its spent arrays, peaks at 1.74 MB at
-# 10,000 samples, over the bound.
+# its bytes and the plain tier's arrays. So its traced peak is at most c B a
+# sample plus d B a character of io._CHUNK_CHARS. Measured (Python 3.11,
+# numpy 2.4) with blocks of 128 K characters: 0.78 and 1.76 MB at 10,000 and
+# 100,000 samples, 4.7 B a character past the 16 B a sample at 10,000; 16.11
+# MB at 1,000,000.
 READ_PEAK_BYTES = (17, 10)
 
 

@@ -96,7 +96,7 @@ def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypat
     parse_lines, plain_levels = io._parse_lines, io._plain_levels
 
     def spy(path, block, first_lineno, header):
-        seen.extend(block.split("\n")[:-1])
+        seen.extend(block.decode().split("\n")[:-1])
         return parse_lines(path, block, first_lineno, header)
 
     def plain_spy(block):
@@ -344,7 +344,7 @@ def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
 def test_plain_tier_reads_crlf_lines(tmp_path, tier):
     # the tier takes LF-ended lines only: _blocks reads a CRLF record as text
     # with universal newlines, so each CRLF is an LF, the header in a block
-    # of its own
+    # of its own, and hands each block over as bytes
     lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
     crlf = "".join(f"{line}\r\n" for line in lines).encode()
     if tier:
@@ -354,9 +354,9 @@ def test_plain_tier_reads_crlf_lines(tmp_path, tier):
     path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
     with path.open(encoding="utf-8") as fh:
         header, body = io._blocks(fh)
-    assert (header, body) == (HEADER, crlf.replace(b"\r\n", b"\n").decode())
+    assert (header, body) == (HEADER.encode(), crlf.replace(b"\r\n", b"\n"))
     if tier:
-        levels = io._plain_levels(body.encode())
+        levels = io._plain_levels(body)
         assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
     assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
 
