@@ -3,12 +3,11 @@
 Formats
 -------
 record CSV       ``# key=value`` comment header (sample_rate_hz required;
-                 frequency_khz, event, location, source, started_at
-                 optional, any other key ignored), then one dBm level per
-                 line of UTF-8 text (universal newlines: LF, CRLF and CR
-                 end a line). Blank and ``#`` lines are skipped anywhere;
-                 errors name the line. A sample gets the bits ``float()``
-                 gives its line.
+                 MeasurementMeta's fields optional, any other key ignored),
+                 then one dBm level per line of UTF-8 text (a leading BOM
+                 skipped; universal newlines: LF, CRLF and CR end a line).
+                 Blank and ``#`` lines are skipped anywhere; errors name
+                 the line. A sample gets the bits ``float()`` gives its line.
 manifest JSON    one campaign: a WGN record, the IN records of one event at
                  one frequency, scenario text, threshold offset and the
                  tolerated fraction of WGN exceedances.
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import encodings.utf_8_sig  # _text's codec, loaded with io, not by a first read
 import functools
 import itertools
 import json
@@ -60,8 +60,6 @@ from .model import (
 )
 from .stats import MeasurementStats, SourceCharacterization
 from .synth import BurstEventSpec
-
-_META_HEADER_KEYS = ("frequency_khz", "event", "location", "source", "started_at")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class CampaignManifest:
             raise ConfigError(f"wgn_record, in_records: a path is empty or holds NUL: {paths!r}")
         if len(set(paths)) != len(paths):
             raise ConfigError("manifest record paths must be distinct")
-        if not self.frequency_khz > 0:
+        if not (math.isfinite(self.frequency_khz) and self.frequency_khz > 0):
             raise ConfigError(f"frequency_khz must be > 0, got {self.frequency_khz}")
 
     def wgn_path(self) -> Path:
@@ -396,7 +394,10 @@ def _read_json(path: Path) -> Any:
 # One codec for every JSON type: a dataclass is an object with one key per
 # field, in field order. None is omitted on write and a missing key reads as
 # the field's default; a field without a default is a required key. Fields
-# with compare=False are run-time context, not content, and are skipped.
+# with compare=False are run-time context, not content, and are skipped. A
+# read checks each key's type in ``_json_value``, the type's constructor the
+# rest; a write checks nothing, so its floats must be finite already (as
+# json.dumps spells inf Infinity, which is not JSON).
 
 
 def _to_json(obj: Any) -> dict:
@@ -421,23 +422,13 @@ def _json_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
     )
 
 
-@functools.cache
-def _hint_parts(hint: Any) -> tuple[Any, tuple]:
-    """A type hint's origin and arguments, looked up once."""
-    return typing.get_origin(hint), typing.get_args(hint)
-
-
 def _from_json(cls: type, data: Any, where: str) -> Any:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     kwargs = {}
     for name, hint, required in _json_fields(cls):
         if name in data:
-            value = data[name]
-            # a value of the hint's own type stands as read, but a float must be finite
-            if type(value) is not hint or hint is float and not math.isfinite(value):
-                value = _json_value(hint, value, f"{where}: {name}")
-            kwargs[name] = value
+            kwargs[name] = _json_value(hint, data[name], f"{where}: {name}")
         elif required:
             raise FormatError(f"{where}: missing required key {name!r}")
     try:
@@ -447,18 +438,19 @@ def _from_json(cls: type, data: Any, where: str) -> Any:
 
 
 def _json_value(hint: Any, value: Any, where: str) -> Any:
-    """Check one decoded JSON value against a field's type hint."""
-    origin, args = _hint_parts(hint)
-    if origin is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise FormatError(f"{where} must be a list, got {value!r}")
-        return tuple(_json_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    """One decoded JSON value checked against a field's type hint: a finite
+    number for a float, a list for ``tuple[X, ...]``, else the hint's type."""
     if hint is float and type(value) in (int, float):
         with contextlib.suppress(OverflowError):  # an int too large for a float
             if math.isfinite(value):
                 return float(value)
     elif type(value) is hint:
         return value
+    elif typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise FormatError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_json_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     expected = "a finite number" if hint is float else hint.__name__
     raise FormatError(f"{where} must be {expected}, got {value!r}")
 
@@ -657,9 +649,10 @@ def _blocks(fh: typing.TextIO) -> typing.Iterator[bytes]:
 @contextlib.contextmanager
 def _text(path: Path) -> typing.Iterator[typing.TextIO]:
     """``path`` open as UTF-8 text with universal newlines (every CRLF and
-    CR alone read as an LF); bytes that are not UTF-8 are a FormatError."""
+    CR alone read as an LF) and a leading byte-order mark skipped, as
+    Windows editors save one; bytes that are not UTF-8 are a FormatError."""
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path.name}: not UTF-8 text: {exc}") from exc
@@ -712,7 +705,8 @@ def read_record(path: Path | str) -> SampleRecord:
         except ValueError:
             raise FormatError(f"{path.name}: header {key}={header[key]!r} is not a number") from None
 
-    meta = {key: header[key] for key in _META_HEADER_KEYS if key in header}
+    names = [f.name for f in dataclasses.fields(MeasurementMeta)]
+    meta = {key: header[key] for key in names if key in header}
     if "frequency_khz" in meta:
         meta["frequency_khz"] = header_float("frequency_khz")
     try:
@@ -745,7 +739,7 @@ def write_record(record: SampleRecord, path: Path | str) -> None:
     """
     # str() of a float is its repr, so every value reads back exactly
     head = f"# sample_rate_hz={record.sample_rate_hz}\n"
-    for key in _META_HEADER_KEYS:
+    for key in (f.name for f in dataclasses.fields(MeasurementMeta)):
         value = getattr(record.meta, key)
         if isinstance(value, str) and ("\n" in value or "\r" in value):
             raise ConfigError(f"{key} must not hold a line break, got {value!r}")
@@ -911,9 +905,9 @@ def read_event_specs(path: Path | str) -> list[BurstEventSpec]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path.name}: expected a JSON list of events")
-    name = path.name  # a property; read once, not once per event
     return [
-        _from_json(BurstEventSpec, entry, f"{name}: events[{i}]") for i, entry in enumerate(data)
+        _from_json(BurstEventSpec, entry, f"{path.name}: events[{i}]")
+        for i, entry in enumerate(data)
     ]
 
 

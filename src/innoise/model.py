@@ -53,7 +53,9 @@ class MeasurementMeta:
 
     Free text apart from the carrier frequency; the point is to describe the
     measured scenario (which source, which operational change, where) in
-    enough detail that results from different sources stay comparable.
+    enough detail that results from different sources stay comparable. Its
+    fields are the record CSV's meta header keys. Construction raises
+    DomainError for a ``frequency_khz`` that is not a positive finite number.
     """
 
     frequency_khz: float | None = None
@@ -61,6 +63,11 @@ class MeasurementMeta:
     location: str = ""
     source: str = ""
     started_at: str | None = None
+
+    def __post_init__(self) -> None:
+        freq = self.frequency_khz
+        if freq is not None and not (math.isfinite(freq) and freq > 0):
+            raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +82,9 @@ class SampleRecord:
 
     Construction checks every record invariant and raises DomainError for
     an empty record, a sample outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM] (NaN
-    and infinities included; ``_check_levels``), a sample rate that is not
-    finite or is below 1e-3 Hz (``checked_sample_rate``) or a
-    ``meta.frequency_khz`` that is not a positive finite number.
+    and infinities included; ``_check_levels``) or a sample rate that is
+    not finite or is below 1e-3 Hz (``checked_sample_rate``). The meta's
+    frequency was checked when the meta was built (``MeasurementMeta``).
     """
 
     levels: np.ndarray
@@ -92,9 +99,6 @@ class SampleRecord:
             raise DomainError("empty record")
         _check_levels(levels, "sample at index {}")
         object.__setattr__(self, "sample_rate_hz", checked_sample_rate(self.sample_rate_hz))
-        freq = self.meta.frequency_khz
-        if freq is not None and not (math.isfinite(freq) and freq > 0):
-            raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq}")
 
     def __len__(self) -> int:
         return int(self.levels.size)

@@ -3,11 +3,13 @@
 ``read_record_oracle`` is the line-at-a-time reader that ``io.read_record``
 replaced, kept so that the chunked reader can be checked against it: same
 levels bit for bit, same header, or the same FormatError message. It is
-verbatim but for two rules: a sample is refused by ``SampleRecord``'s level
+verbatim but for four rules: a sample is refused by ``SampleRecord``'s level
 range (NaN and infinities included), not by a finiteness check of its own,
-and the error names the sample's line; and a ``kind`` header line is
-ignored like any other unknown key. It is test-only code and is not part
-of the library.
+and the error names the sample's line; a ``kind`` header line is ignored
+like any other unknown key; a leading byte-order mark is skipped; and the
+``MeasurementMeta``, which refuses a bad frequency, is built inside the
+``try``, as the reader builds it. It is test-only code and is not part of
+the library.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def read_record_oracle(path: Path | str) -> SampleRecord:
     header: dict[str, str] = {}
     levels: list[float] = []
     sample_lines: list[int] = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -59,18 +61,18 @@ def read_record_oracle(path: Path | str) -> SampleRecord:
         except ValueError:
             raise FormatError(f"{path.name}: header {key}={header[key]!r} is not a number") from None
 
-    meta = MeasurementMeta(
-        frequency_khz=header_float("frequency_khz"),
-        event=header.get("event", ""),
-        location=header.get("location", ""),
-        source=header.get("source", ""),
-        started_at=header.get("started_at"),
-    )
+    frequency_khz = header_float("frequency_khz")
     try:
         return SampleRecord(
             levels=levels,
             sample_rate_hz=header_float("sample_rate_hz"),
-            meta=meta,
+            meta=MeasurementMeta(
+                frequency_khz=frequency_khz,
+                event=header.get("event", ""),
+                location=header.get("location", ""),
+                source=header.get("source", ""),
+                started_at=header.get("started_at"),
+            ),
         )
     except LevelError as exc:
         raise FormatError(f"{path.name}: line {sample_lines[exc.index]}: {exc.reason}") from exc

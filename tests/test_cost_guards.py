@@ -5,6 +5,7 @@ these tests catch a Python step per sample, row, pulse or burst coming back,
 which a noisy timing would not.
 """
 
+import json
 import sys
 import tracemalloc
 from unittest import mock
@@ -212,6 +213,37 @@ def test_report_statistics_and_wgn_check_call_python_a_fixed_number_of_times():
     # measured (Python 3.11, numpy 2.4): 7, 45, 12 and 12 calls at 3,334 and
     # at 33,334 bursts or exceedances; one per burst or exceedance would differ
     assert _per_size_calls(10_000) == _per_size_calls(100_000)
+
+
+# read_event_specs makes at most a Python calls per event plus b, at every
+# size, and read_manifest at most MANIFEST_CALLS. Measured (Python 3.11)
+# with each type's keys already looked up: 10 calls an event of 4 keys + 30
+# (_from_json, a _json_value a key, 3 for the float key's suppress, the
+# spec's __init__ and the path's name), and 72 for a manifest with every key
+# and two IN records; a garbage collector callback, as Hypothesis registers,
+# adds a few. The bounds leave room for other Python versions; a second pass
+# per event or a call per byte would not fit.
+EVENT_CALLS = (12, 60)
+MANIFEST_CALLS = 110
+
+
+def test_json_readers_call_python_per_event_and_a_fixed_number_of_times(tmp_path):
+    a, b = EVENT_CALLS
+    event = {"start_idx": 5, "length_samples": 3, "level_offset_db": 25.0, "shape": "decaying"}
+    for n in (10, 100, 1_000):
+        path = tmp_path / f"events_{n}.json"
+        path.write_text(json.dumps([event] * n))
+        io.read_event_specs(path)  # _json_fields looks the keys up on a first read
+        calls = _calls(io.read_event_specs, path)
+        assert calls <= a * n + b, (n, calls)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "wgn_record": "wgn.csv", "in_records": ["in1.csv", "in2.csv"], "event": "lamp on",
+        "frequency_khz": 1910, "location": "lab", "source": "ballast",
+        "offset_db": 13.0, "max_exceed_fraction": 0.001,
+    }))
+    io.read_manifest(manifest)
+    assert _calls(io.read_manifest, manifest) <= MANIFEST_CALLS
 
 
 def _traced_peak(run, *args) -> int:

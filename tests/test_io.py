@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,14 @@ def test_read_record_requires_sample_rate(tmp_path):
             io.read_record(path)
 
 
+def test_read_record_names_a_bad_frequency_before_a_bad_level(tmp_path):
+    # the meta is built, and its frequency checked, before the record's levels
+    path = tmp_path / "both.csv"
+    path.write_text("# sample_rate_hz=8001\n# frequency_khz=-1\n-85.0\n3000\n")
+    with pytest.raises(FormatError, match=r"^both\.csv: frequency_khz must be > 0 and finite"):
+        io.read_record(path)
+
+
 @pytest.mark.parametrize("line", ["# kind=WGN\n", "# kind=IN\n", "# kind=other\n"])
 def test_read_record_ignores_an_old_kind_line(tmp_path, line):
     # a command gives a record its role by position; a kind line is an ignored key
@@ -215,6 +224,13 @@ def test_manifest_missing_key_named(tmp_path):
         path.write_text(json.dumps(_manifest_payload(**{key: value})))
         with pytest.raises(FormatError, match=key):
             io.read_manifest(path)
+
+
+@pytest.mark.parametrize("frequency_khz", [math.inf, math.nan, 0.0, -5.0])
+def test_manifest_refuses_a_frequency_that_is_not_positive_and_finite(frequency_khz):
+    # the rule MeasurementMeta keeps, so a library caller's manifest is held to it too
+    with pytest.raises(ConfigError, match=r"^frequency_khz must be > 0, got"):
+        io.CampaignManifest("wgn.csv", ("in1.csv",), META.event, frequency_khz)
 
 
 def test_manifest_rejects_empty_and_duplicate_records(tmp_path):
@@ -496,6 +512,25 @@ def test_event_specs_round_trip(tmp_path):
         BurstEventSpec(10, 5, 25.0),
         BurstEventSpec(50, 3, 20.0, shape="decaying"),
     ]
+
+
+def test_json_readers_skip_a_leading_byte_order_mark(tmp_path):
+    # as Windows Notepad and Excel's "CSV UTF-8" save a file
+    def with_bom(path):
+        copy = path.with_name("bom_" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(_manifest_payload()))
+    assert io.read_manifest(with_bom(manifest)) == io.read_manifest(manifest)
+    baseline = tmp_path / "baseline.json"
+    validation = WgnValidation(True, 0, (), -90.5)
+    io.write_baseline_report(derive_threshold(-99.5), validation, baseline)
+    assert io.read_baseline_report(with_bom(baseline)) == io.read_baseline_report(baseline)
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps([{"start_idx": 10, "length_samples": 5, "level_offset_db": 25.0}]))
+    assert io.read_event_specs(with_bom(events)) == [BurstEventSpec(10, 5, 25.0)]
 
 
 def test_event_specs_errors(tmp_path):

@@ -142,9 +142,18 @@ def test_validate_record_bad_rate_and_frequency():
         ({"sample_rate_hz": math.inf}, "sample_rate_hz"),
         ({"sample_rate_hz": math.nan}, "sample_rate_hz"),
         ({"sample_rate_hz": 1e-4}, "sample_rate_hz"),  # below the 1e-3 Hz floor
-        ({"meta": MeasurementMeta(frequency_khz=-5.0)}, "frequency_khz"),
-        ({"meta": MeasurementMeta(frequency_khz=0.0)}, "frequency_khz"),
-        ({"meta": MeasurementMeta(frequency_khz=math.inf)}, "frequency_khz"),
+        ({"meta": {"frequency_khz": -5.0}}, "frequency_khz"),
+        ({"meta": {"frequency_khz": 0.0}}, "frequency_khz"),
+        ({"meta": {"frequency_khz": math.inf}}, "frequency_khz"),
     ]:
         with pytest.raises(DomainError, match=message):
-            SampleRecord(**{"levels": [-80.0], "sample_rate_hz": 8001.0, **kwargs})
+            meta = MeasurementMeta(**kwargs.pop("meta", {}))
+            SampleRecord(**{"levels": [-80.0], "sample_rate_hz": 8001.0, "meta": meta, **kwargs})
+
+
+@pytest.mark.parametrize("frequency_khz", [math.inf, math.nan, 0.0, -5.0])
+def test_meta_refuses_a_frequency_that_is_not_positive_and_finite(frequency_khz):
+    # every meta is checked when it is built, read from a record or not, so
+    # no campaign report can write a frequency that is not JSON (Infinity)
+    with pytest.raises(DomainError, match=r"^frequency_khz must be > 0 and finite"):
+        MeasurementMeta(frequency_khz=frequency_khz, event="e")

@@ -386,3 +386,25 @@ def test_a_level_out_of_range_is_named_by_its_line(tmp_path, newline, sample):
     expected = f"hot.csv: line 4: {float(sample)!r} dBm; a level must be finite and in [-3000, 2900] dBm"
     for read in (io.read_record, read_record_oracle):
         assert _outcome(read, path) == expected
+
+
+@pytest.mark.parametrize("chunk_chars", [5, io._CHUNK_CHARS])
+@pytest.mark.parametrize("text", [
+    "# sample_rate_hz=8001\n# frequency_khz=1910\n# event=lamp on\n-100.0\n-99.5\n",
+    "-100.0\r\n1e3\r\n# sample_rate_hz=8001\r\n",  # a sample first, through the line rules
+    "# sample_rate_hz=8001\n-100.0\nabc\n",  # malformed line 3
+    "# sample_rate_hz=8001\n\n-100.0\n3000\n",  # a level out of range on line 4
+], ids=["header", "sample-first", "malformed", "out-of-range"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, text, chunk_chars):
+    # as Windows Notepad and Excel's "CSV UTF-8" save a file: the same
+    # levels, header and error line numbers as the file without the mark
+    monkeypatch.setattr(io, "_CHUNK_CHARS", chunk_chars)
+    plain, bom = tmp_path / "plain" / "rec.csv", tmp_path / "bom" / "rec.csv"
+    for path, head in ((plain, b""), (bom, b"\xef\xbb\xbf")):
+        path.parent.mkdir()
+        path.write_bytes(head + text.encode())
+    expected = _outcome(read_record_oracle, plain)
+    if "event" in text:
+        assert expected[2].event == "lamp on" and expected[2].frequency_khz == 1910.0
+    for read in (io.read_record, read_record_oracle):
+        assert _outcome(read, bom) == _outcome(read, plain) == expected
