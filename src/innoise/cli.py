@@ -29,9 +29,9 @@ from .baseline import (
     derive_threshold,
     validate_wgn,
 )
-from .bursts import detect_bursts
-from .model import ConfigError, DomainError, FormatError, MeasurementMeta
-from .stats import aggregate_campaign, main_burst, measurement_stats
+from .bursts import BurstSet, detect_bursts
+from .model import ConfigError, DomainError, FormatError, MeasurementMeta, SampleRecord
+from .stats import MeasurementStats, aggregate_campaign, main_burst, measurement_stats
 from .synth import generate_wgn, inject_bursts
 
 
@@ -49,10 +49,9 @@ Plan = tuple[ExitStatus, list[Output], str]
 
 
 def _baseline_step(
-    wgn: Path | str, record_id: str, offset_db: float, fraction: float
+    record: SampleRecord, record_id: str, offset_db: float, fraction: float
 ) -> tuple[Baseline, WgnValidation, Output]:
-    """Derive and check the baseline of the WGN record at ``wgn``."""
-    record = io.read_record(wgn)
+    """Derive and check the baseline of the WGN ``record``."""
     rms = compute_rms_level(record)
     base = derive_threshold(rms, offset_db, source_record_id=record_id)
     validation = validate_wgn(record, base, fraction)
@@ -61,7 +60,7 @@ def _baseline_step(
 
 def cmd_baseline(args: argparse.Namespace) -> Plan:
     base, validation, output = _baseline_step(
-        args.wgn_file, str(args.wgn_file), args.offset_db, args.max_exceed_fraction
+        io.read_record(args.wgn_file), str(args.wgn_file), args.offset_db, args.max_exceed_fraction
     )
     verdict = "PASS" if validation.passed else f"FAIL ({validation.exceed_count} exceedances)"
     status = ExitStatus.OK if validation.passed else ExitStatus.VALIDATION_FAILED
@@ -71,18 +70,27 @@ def cmd_baseline(args: argparse.Namespace) -> Plan:
     )
 
 
-def cmd_analyze(args: argparse.Namespace) -> Plan:
-    base, _ = io.read_baseline_report(args.baseline)
-    record = io.read_record(args.in_file)
-    burst_set = detect_bursts(record, base, record_id=str(args.in_file))
+def _measurement_step(
+    record: SampleRecord, base: Baseline, record_id: str, with_main: bool
+) -> tuple[MeasurementStats, BurstSet, Callable[[Path], None]]:
+    """The stats, bursts and report writer of the IN ``record`` against
+    ``base``; ``with_main`` adds the longest burst and the stats without it."""
+    burst_set = detect_bursts(record, base, record_id=record_id)
     stats = measurement_stats(burst_set)
     stats_excluding = None
-    if args.main_burst and (analysis := main_burst(burst_set)) is not None:
+    if with_main and (analysis := main_burst(burst_set)) is not None:
         longest, stats_excluding = analysis
         stats = replace(stats, main_burst=longest)
     report = partial(
         io.write_measurement_report, stats, burst_set, stats_excluding_main=stats_excluding
     )
+    return stats, burst_set, report
+
+
+def cmd_analyze(args: argparse.Namespace) -> Plan:
+    base, _ = io.read_baseline_report(args.baseline)
+    record = io.read_record(args.in_file)
+    stats, burst_set, report = _measurement_step(record, base, str(args.in_file), args.main_burst)
     outputs = [("measurement.json", report)]
     if args.plot_data:
         outputs.append(("plot.csv", partial(io.write_plot_data, record, burst_set)))
@@ -104,7 +112,7 @@ def cmd_campaign(args: argparse.Namespace) -> Plan:
     manifest = io.read_manifest(args.manifest)
     wgn = manifest.wgn_record
     base, validation, baseline_output = _baseline_step(
-        manifest.wgn_path(), wgn, manifest.offset_db, manifest.max_exceed_fraction
+        io.read_record(manifest.wgn_path()), wgn, manifest.offset_db, manifest.max_exceed_fraction
     )
     if not validation.passed:
         return ExitStatus.VALIDATION_FAILED, [baseline_output], (
@@ -115,9 +123,7 @@ def cmd_campaign(args: argparse.Namespace) -> Plan:
     outputs, all_stats, metas = [baseline_output], [], []
     for index, (name, path) in enumerate(zip(manifest.in_records, manifest.in_paths()), start=1):
         record = io.read_record(path)
-        burst_set = detect_bursts(record, base, record_id=name)
-        stats = measurement_stats(burst_set)
-        report = partial(io.write_measurement_report, stats, burst_set)
+        stats, _, report = _measurement_step(record, base, name, with_main=False)
         outputs.append((f"measurement_{index:03d}.json", report))
         all_stats.append(stats)
         metas.append(_merged_meta(record.meta, manifest))

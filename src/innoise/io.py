@@ -599,22 +599,15 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
 
 def _parse_lines(path: Path, block: bytes, first_lineno: int, header: dict) -> np.ndarray:
     """The samples of a block from ``_blocks`` that is not all plain lines,
-    decoded: a ``float`` per line, or else the record CSV line rules, one
-    line at a time. Blank lines are skipped, a ``#`` line sets
-    ``header[key]`` when it holds ``key=value``, and any other line must be
-    one number."""
-    lines = block.decode().split("\n")[:-1]
-    with contextlib.suppress(ValueError):
-        return np.fromiter(map(float, lines), np.float64, count=len(lines))
+    by the record CSV line rules, one line at a time: blank lines are
+    skipped, a ``#`` line sets ``header[key]`` when it holds ``key=value``,
+    and any other line must be one number, read by ``float``."""
     values = []
-    for lineno, raw in enumerate(lines, start=first_lineno):
+    for lineno, raw in enumerate(block.decode().split("\n")[:-1], start=first_lineno):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+        if line[:1] in ("", "#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
                 header[key.strip()] = value.strip()
             continue
         try:
@@ -667,18 +660,14 @@ def read_record(path: Path | str) -> SampleRecord:
 
     The file is read as UTF-8 text with universal newlines, in blocks of
     whole LF-ended lines (``_blocks``). The blank and ``#`` lines that begin
-    a block, the header among them, come as a block of their own. Each
-    block goes through the first tier that takes it:
+    a block, the header among them, come as a block of their own. A block
+    whose every line is plain, as ``write_record`` spells levels from 1e-4
+    up to 1e16 in magnitude, is parsed as arrays (``_plain_levels``); any
+    other goes by the line rules (``_parse_lines``), which apply the header
+    lines, skip blank lines and name the first bad line.
 
-    1. ``_plain_levels``, when every line is plain, as ``write_record``
-       spells levels from 1e-4 up to 1e16 in magnitude: the samples are
-       parsed as arrays, with float64 and integer steps on every platform.
-    2. ``_parse_lines``: one ``float`` per line, or the line rules, which
-       apply the header lines, skip blank lines and give the identical
-       levels or the error naming the first bad line.
-
-    Every tier gives each sample the bits ``float()`` gives its line, so the
-    levels do not depend on the tier, the platform or the block size. A
+    Both give each sample the bits ``float()`` gives its line, so the
+    levels do not depend on the path, the platform or the block size. A
     sample outside [LEVEL_MIN_DBM, LEVEL_MAX_DBM], NaN and infinities
     included, is refused by ``SampleRecord``, and the error names its line.
     """

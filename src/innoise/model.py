@@ -12,6 +12,7 @@ holds under 2^60 doubles, every sum of them is below 1.2e308 mW.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -55,7 +56,8 @@ class MeasurementMeta:
     measured scenario (which source, which operational change, where) in
     enough detail that results from different sources stay comparable. Its
     fields are the record CSV's meta header keys. Construction raises
-    DomainError for a ``frequency_khz`` that is not a positive finite number.
+    DomainError for a ``frequency_khz`` that is a bool, a string or any
+    value but a positive finite real number, and keeps such a number as given.
     """
 
     frequency_khz: float | None = None
@@ -66,7 +68,8 @@ class MeasurementMeta:
 
     def __post_init__(self) -> None:
         freq = self.frequency_khz
-        if freq is not None and not (math.isfinite(freq) and freq > 0):
+        real = isinstance(freq, numbers.Real) and not isinstance(freq, bool)
+        if freq is not None and not (real and 0 < freq < math.inf):
             raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq}")
 
 

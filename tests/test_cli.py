@@ -241,6 +241,26 @@ def test_campaign_produces_full_output_tree(tmp_path):
     assert payload["mean_n_bursts"] == pytest.approx((20 + 21) / 2)
 
 
+def test_campaign_writes_the_files_of_baseline_and_analyze(tmp_path, monkeypatch):
+    # one measurement step serves both commands: with each IN record named by
+    # the same relative path in the manifest and in analyze's argv, campaign's
+    # per-record files are analyze's (without --main-burst), byte for byte
+    _campaign_dir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["campaign", "manifest.json", "--out", "camp"]) == ExitStatus.OK
+    assert main(["baseline", "wgn.csv", "--out", "base"]) == ExitStatus.OK
+    camp, base = tmp_path / "camp", tmp_path / "base"
+    assert (camp / "baseline.json").read_bytes() == (base / "baseline.json").read_bytes()
+    for index, name in enumerate(["in1.csv", "in2.csv"], start=1):
+        out = tmp_path / f"analysis_{index}"
+        argv = ["analyze", name, "--baseline", "base/baseline.json", "--out", str(out)]
+        assert main(argv) == ExitStatus.OK
+        for suffix in (".json", ".csv"):
+            alone = (out / f"measurement{suffix}").read_bytes()
+            assert (camp / f"measurement_{index:03d}{suffix}").read_bytes() == alone, (name, suffix)
+        assert json.loads((out / "measurement.json").read_text())["n_bursts"] == 19 + index
+
+
 def test_campaign_single_measurement_omits_deviations(tmp_path):
     manifest = _campaign_dir(tmp_path, n_in=1)
     out = tmp_path / "camp"
@@ -690,10 +710,10 @@ def _line_ends(text):
 
 
 def test_line_ends_and_number_forms_of_a_record_give_the_same_outputs(tmp_path, monkeypatch):
-    # The reader opens a record as text with universal newlines, so its
-    # tiers see every line end as an LF: the CRLF, CR and mixed forms take
-    # the plain-line tier as LF does, and only the %.17e form a fallback
-    # tier. Records of 32,004 samples span several of the reader's blocks.
+    # The reader opens a record as text with universal newlines, so it sees
+    # every line end as an LF: the CRLF, CR and mixed forms take the
+    # plain-line tier as LF does, and only the %.17e form the line rules.
+    # Records of 32,004 samples span several of the reader's blocks.
     events = [BurstEventSpec(2000 + 6000 * i, 8 + 4 * i, 22.0 + i, BURST_SHAPES[i % 2])
               for i in range(5)]
     _write_wgn(tmp_path / "wgn.csv", n=32004, seed=1)

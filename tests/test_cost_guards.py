@@ -5,6 +5,7 @@ these tests catch a Python step per sample, row, pulse or burst coming back,
 which a noisy timing would not.
 """
 
+import gc
 import json
 import sys
 import tracemalloc
@@ -95,20 +96,47 @@ def test_levels_are_rarely_spelled_by_repr():
 
 
 def _calls(run, *args) -> int:
-    """Python function calls (``sys.setprofile`` "call" events) of ``run``."""
+    """Python function calls (``sys.setprofile`` "call" events) of ``run``,
+    with the garbage collector paused: a collection would add the calls of
+    each ``gc.callbacks`` entry, such as the one Hypothesis registers once a
+    ``@given`` test has run, so a count would depend on test order."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
         count += event == "call"
 
+    enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         run(*args)
     finally:
         sys.setprofile(previous)
+        if enabled:
+            gc.enable()
     return count
+
+
+def test_call_counts_leave_out_the_collector_callbacks(tmp_path):
+    path = tmp_path / "events.json"
+    event = {"start_idx": 5, "length_samples": 3, "level_offset_db": 25.0}
+    path.write_text(json.dumps([event] * 1_000))
+    io.read_event_specs(path)  # _json_fields looks the keys up on a first read
+    alone = _calls(io.read_event_specs, path)
+
+    def callback(phase, info):
+        pass
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(callback)
+    gc.set_threshold(1)  # a collection at almost every allocation
+    try:
+        assert _calls(io.read_event_specs, path) == alone
+    finally:
+        gc.callbacks.remove(callback)
+        gc.set_threshold(*threshold)
 
 
 # read_record makes at most a calls per block of io._CHUNK_CHARS characters
@@ -220,9 +248,8 @@ def test_report_statistics_and_wgn_check_call_python_a_fixed_number_of_times():
 # with each type's keys already looked up: 10 calls an event of 4 keys + 30
 # (_from_json, a _json_value a key, 3 for the float key's suppress, the
 # spec's __init__ and the path's name), and 72 for a manifest with every key
-# and two IN records; a garbage collector callback, as Hypothesis registers,
-# adds a few. The bounds leave room for other Python versions; a second pass
-# per event or a call per byte would not fit.
+# and two IN records. The bounds leave room for other Python versions; a
+# second pass per event or a call per byte would not fit.
 EVENT_CALLS = (12, 60)
 MANIFEST_CALLS = 110
 
@@ -254,6 +281,27 @@ def _traced_peak(run, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# apd_pair makes at most APD_PAIR_CALLS Python calls at every size, and its
+# traced peak is at most c B per sample of the two records plus d. Measured
+# (Python 3.11, numpy 2.4) on WGN pairs of 10,000, 100,000 and 1,000,000
+# samples a record: 49 calls at each (166 with "c_call" events counted too),
+# and 1.03, 10.0 and 100.0 MB, 50 B a sample: the merged levels, their
+# argsort and the counts. One more array of the merged levels would add 8 B
+# a sample; a Python call per sample or grid point would add thousands.
+APD_PAIR_CALLS = 100
+APD_PAIR_PEAK_BYTES = (56, 100_000)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_apd_pair_calls_python_a_fixed_number_of_times_in_bounded_memory(n):
+    wgn, in_rec = generate_wgn(n, -100.0, seed=1), generate_wgn(n, -100.0, seed=2)
+    calls = _calls(apd_pair, wgn, in_rec)
+    assert calls <= APD_PAIR_CALLS, (n, calls)
+    c, d = APD_PAIR_PEAK_BYTES
+    peak = _traced_peak(apd_pair, wgn, in_rec)
+    assert peak <= c * 2 * n + d, (n, peak)
 
 
 # Traced peaks that do not grow with the record, in bytes. Measured (Python

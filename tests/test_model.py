@@ -151,9 +151,19 @@ def test_validate_record_bad_rate_and_frequency():
             SampleRecord(**{"levels": [-80.0], "sample_rate_hz": 8001.0, "meta": meta, **kwargs})
 
 
-@pytest.mark.parametrize("frequency_khz", [math.inf, math.nan, 0.0, -5.0])
+@pytest.mark.parametrize("frequency_khz", [math.inf, math.nan, 0.0, -5.0, True, "1910", b"1"])
 def test_meta_refuses_a_frequency_that_is_not_positive_and_finite(frequency_khz):
     # every meta is checked when it is built, read from a record or not, so
-    # no campaign report can write a frequency that is not JSON (Infinity)
+    # no campaign report can write a frequency that is not JSON (Infinity);
+    # a bool or a string is no frequency, though True > 0 and "1910" parses
     with pytest.raises(DomainError, match=r"^frequency_khz must be > 0 and finite"):
         MeasurementMeta(frequency_khz=frequency_khz, event="e")
+
+
+@pytest.mark.parametrize(
+    "frequency_khz",
+    [1910, 1910.5, np.float64(2.5), np.int64(3), 10**400],
+    ids=["int", "float", "float64", "int64", "int-past-float"],
+)
+def test_meta_keeps_a_real_frequency_as_given(frequency_khz):
+    assert MeasurementMeta(frequency_khz=frequency_khz).frequency_khz is frequency_khz
