@@ -38,11 +38,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import encodings.utf_8_sig  # _text's codec, loaded with io, not by a first read
 import functools
 import itertools
 import json
-import math
 import re
 import typing
 from dataclasses import dataclass, field
@@ -90,8 +88,9 @@ class CampaignManifest:
             raise ConfigError(f"wgn_record, in_records: a path is empty or holds NUL: {paths!r}")
         if len(set(paths)) != len(paths):
             raise ConfigError("manifest record paths must be distinct")
-        if not (math.isfinite(self.frequency_khz) and self.frequency_khz > 0):
-            raise ConfigError(f"frequency_khz must be > 0, got {self.frequency_khz}")
+        if self.frequency_khz is None:  # optional in a record's meta, required here
+            raise ConfigError("manifest needs a frequency_khz")
+        MeasurementMeta(frequency_khz=self.frequency_khz)  # its frequency rule and message
 
     def wgn_path(self) -> Path:
         return self.base_dir / self.wgn_record
@@ -397,7 +396,9 @@ def _read_json(path: Path) -> Any:
 # with compare=False are run-time context, not content, and are skipped. A
 # read checks each key's type in ``_json_value``, the type's constructor the
 # rest; a write checks nothing, so its floats must be finite already (as
-# json.dumps spells inf Infinity, which is not JSON).
+# json.dumps spells inf Infinity, which is not JSON). A float key takes an int
+# or a float below _FLOAT_BOUND in magnitude, the least int float() makes inf.
+_FLOAT_BOUND = 2**1024 - 2**970
 
 
 def _to_json(obj: Any) -> dict:
@@ -428,7 +429,7 @@ def _from_json(cls: type, data: Any, where: str) -> Any:
     kwargs = {}
     for name, hint, required in _json_fields(cls):
         if name in data:
-            kwargs[name] = _json_value(hint, data[name], f"{where}: {name}")
+            kwargs[name] = _json_value(hint, data[name], where, name)
         elif required:
             raise FormatError(f"{where}: missing required key {name!r}")
     try:
@@ -437,22 +438,21 @@ def _from_json(cls: type, data: Any, where: str) -> Any:
         raise FormatError(f"{where}: {exc}") from exc
 
 
-def _json_value(hint: Any, value: Any, where: str) -> Any:
-    """One decoded JSON value checked against a field's type hint: a finite
-    number for a float, a list for ``tuple[X, ...]``, else the hint's type."""
-    if hint is float and type(value) in (int, float):
-        with contextlib.suppress(OverflowError):  # an int too large for a float
-            if math.isfinite(value):
-                return float(value)
+def _json_value(hint: Any, value: Any, where: str, name: str) -> Any:
+    """Key ``name``'s decoded value in ``where`` checked against its type hint:
+    a finite number for a float, a list for ``tuple[X, ...]``, else the hint's type."""
+    if hint is float:
+        if type(value) in (int, float) and abs(value) < _FLOAT_BOUND:
+            return float(value)
     elif type(value) is hint:
         return value
     elif typing.get_origin(hint) is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
-            raise FormatError(f"{where} must be a list, got {value!r}")
+            raise FormatError(f"{where}: {name} must be a list, got {value!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_json_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+        return tuple(_json_value(item, v, where, f"{name}[{i}]") for i, v in enumerate(value))
     expected = "a finite number" if hint is float else hint.__name__
-    raise FormatError(f"{where} must be {expected}, got {value!r}")
+    raise FormatError(f"{where}: {name} must be {expected}, got {value!r}")
 
 
 def _fmt2(value: float | None) -> str:
@@ -777,7 +777,7 @@ def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | No
     baseline = _from_json(Baseline, data, path.name)
     if "threshold_dbm" not in data:
         raise FormatError(f"{path.name}: missing required key 'threshold_dbm'")
-    stated = _json_value(float, data["threshold_dbm"], f"{path.name}: threshold_dbm")
+    stated = _json_value(float, data["threshold_dbm"], path.name, "threshold_dbm")
     if abs(stated - baseline.threshold_dbm) > 1e-9:
         raise FormatError(
             f"{path.name}: threshold_dbm {stated} is not rms_dbm + offset_db "
@@ -892,12 +892,10 @@ def read_event_specs(path: Path | str) -> list[BurstEventSpec]:
     """Parse a JSON list of burst event specs for the simulator."""
     path = Path(path)
     data = _read_json(path)
+    name = path.name
     if not isinstance(data, list):
-        raise FormatError(f"{path.name}: expected a JSON list of events")
-    return [
-        _from_json(BurstEventSpec, entry, f"{path.name}: events[{i}]")
-        for i, entry in enumerate(data)
-    ]
+        raise FormatError(f"{name}: expected a JSON list of events")
+    return [_from_json(BurstEventSpec, e, f"{name}: events[{i}]") for i, e in enumerate(data)]
 
 
 def write_ground_truth(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ class MeasurementMeta:
     enough detail that results from different sources stay comparable. Its
     fields are the record CSV's meta header keys. Construction raises
     DomainError for a ``frequency_khz`` that is a bool, a string or any
-    value but a positive finite real number, and keeps such a number as given.
+    value but a real number in (0, sys.float_info.max], and keeps it as given.
     """
 
     frequency_khz: float | None = None
@@ -69,8 +70,8 @@ class MeasurementMeta:
     def __post_init__(self) -> None:
         freq = self.frequency_khz
         real = isinstance(freq, numbers.Real) and not isinstance(freq, bool)
-        if freq is not None and not (real and 0 < freq < math.inf):
-            raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq}")
+        if freq is not None and not (real and 0 < freq <= sys.float_info.max):
+            raise DomainError(f"frequency_khz must be > 0 and finite when present, got {freq!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -261,6 +261,28 @@ def test_campaign_writes_the_files_of_baseline_and_analyze(tmp_path, monkeypatch
         assert json.loads((out / "measurement.json").read_text())["n_bursts"] == 19 + index
 
 
+def test_campaign_report_does_not_change_with_the_order_of_its_records(tmp_path):
+    # the measurement-order relation: a characterization is a function of the
+    # set of measurements (exact sums), so permuting in_records keeps its bytes;
+    # the records differ in burst count, length, gap and level
+    manifest = _campaign_dir(tmp_path, n_in=1)
+    for i in range(1, 5):
+        events = [
+            BurstEventSpec(300 + (313 + 97 * i) * k, 3 + (k + i) % 7, 21.0 + 1.7 * i + k % 5 * 0.9)
+            for k in range(14 + 3 * i)
+        ]
+        _write_in(tmp_path / f"in{i}.csv", events, seed=40 + i)
+    payload = json.loads(manifest.read_text())
+    reports = set()
+    for order in ("1234", "4213", "3142"):
+        payload["in_records"] = [f"in{i}.csv" for i in order]
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / f"camp_{order}"
+        assert main(["campaign", str(manifest), "--out", str(out)]) == ExitStatus.OK
+        reports.add(tuple((out / name).read_bytes() for name in ("campaign.json", "campaign.csv")))
+    assert len(reports) == 1
+
+
 def test_campaign_single_measurement_omits_deviations(tmp_path):
     manifest = _campaign_dir(tmp_path, n_in=1)
     out = tmp_path / "camp"

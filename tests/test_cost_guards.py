@@ -19,7 +19,7 @@ from innoise.apd import apd_pair
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, SampleRecord
 from innoise.stats import main_burst, measurement_stats
-from innoise.synth import generate_wgn
+from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bursts
 
 BASE = derive_threshold(-80.0)  # threshold -67 dBm
 LOW, HIGH = -90.0, -50.0
@@ -141,9 +141,10 @@ def test_call_counts_leave_out_the_collector_callbacks(tmp_path):
 
 # read_record makes at most a calls per block of io._CHUNK_CHARS characters
 # plus b. Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and
-# 100,000 samples, 2 and 15 blocks of 128 K characters: 128 and 609 calls, 37
-# a block + 54. The bound leaves about twice that; a Python call per line
-# would add some 6,700 a block.
+# 100,000 samples, 2 and 15 blocks of 128 K characters: 151 and 684 calls, 41
+# a block + 69. The bound leaves about twice that; a Python call per line
+# would add some 6,700 a block. A first read in the process also imports the
+# text codec, some 100 calls, so the test reads the record once before counting.
 READ_CALLS_PER_BLOCK = (80, 100)
 
 
@@ -153,6 +154,7 @@ def test_record_reader_calls_python_per_block_not_per_line(tmp_path, n):
     io.write_record(generate_wgn(n, -100.0, seed=1), path)
     a, b = READ_CALLS_PER_BLOCK
     blocks = -(-path.stat().st_size // io._CHUNK_CHARS)
+    io.read_record(path)
     calls = _calls(io.read_record, path)
     assert calls <= a * blocks + b, (n, blocks, calls)
 
@@ -245,13 +247,13 @@ def test_report_statistics_and_wgn_check_call_python_a_fixed_number_of_times():
 
 # read_event_specs makes at most a Python calls per event plus b, at every
 # size, and read_manifest at most MANIFEST_CALLS. Measured (Python 3.11)
-# with each type's keys already looked up: 10 calls an event of 4 keys + 30
-# (_from_json, a _json_value a key, 3 for the float key's suppress, the
-# spec's __init__ and the path's name), and 72 for a manifest with every key
-# and two IN records. The bounds leave room for other Python versions; a
-# second pass per event or a call per byte would not fit.
-EVENT_CALLS = (12, 60)
-MANIFEST_CALLS = 110
+# with each type's keys already looked up: 6 calls an event of 4 keys + 32
+# (_from_json, a _json_value a key and the spec's __init__), and 72 for a
+# manifest with every key and two IN records. A context manager per float
+# key or a path's name read per event, 10 calls an event before, would not
+# fit; nor would a second pass per event or a call per byte.
+EVENT_CALLS = (7, 60)
+MANIFEST_CALLS = 100
 
 
 def test_json_readers_call_python_per_event_and_a_fixed_number_of_times(tmp_path):
@@ -271,6 +273,39 @@ def test_json_readers_call_python_per_event_and_a_fixed_number_of_times(tmp_path
     }))
     io.read_manifest(manifest)
     assert _calls(io.read_manifest, manifest) <= MANIFEST_CALLS
+
+
+# write_ground_truth makes at most a Python calls per block of
+# io._ROWS_PER_WRITE events plus b, and inject_bursts at most INJECT_CALLS
+# on a record of 100,000 samples, whatever the number of events. Measured
+# (Python 3.11, numpy 2.4): write_ground_truth 78, 78, 104 and 182 calls for
+# 50, 500, 5,000 and 20,000 events (1, 1, 2 and 5 blocks), 26 a block + 52;
+# inject_bursts 34 for 50, 500 and 5,000 events, two of them a block of the
+# record's mean power (62 at 1,000,000 samples). A call per event would add
+# thousands a block of the writer and at least 50 to inject_bursts.
+GROUND_TRUTH_CALLS_PER_BLOCK = (50, 100)
+INJECT_CALLS = 70
+
+
+def test_ground_truth_writer_calls_python_per_block_not_per_event(tmp_path):
+    path = tmp_path / "ground_truth.json"
+    a, b = GROUND_TRUTH_CALLS_PER_BLOCK
+    for n in (50, 500, 5_000, 20_000):
+        events = [BurstEventSpec(5 * k, 1 + k % 4, 20.0, BURST_SHAPES[k % 2]) for k in range(n)]
+        spans = [(e.start_idx, e.end_idx) for e in events]
+        io.write_ground_truth(spans, events, path)  # _json_fields looks the keys up on a first write
+        calls = _calls(io.write_ground_truth, spans, events, path)
+        blocks = -(-n // io._ROWS_PER_WRITE)
+        assert calls <= a * blocks + b, (n, blocks, calls)
+
+
+def test_burst_injection_calls_python_a_fixed_number_of_times():
+    wgn = generate_wgn(100_000, -100.0, seed=1)
+    for n in (50, 500, 5_000):
+        gap = 100_000 // n
+        events = [BurstEventSpec(gap * k, 1 + k % 4, 20.0, BURST_SHAPES[k % 2]) for k in range(n)]
+        calls = _calls(inject_bursts, wgn, events)
+        assert calls <= INJECT_CALLS, (n, calls)
 
 
 def _traced_peak(run, *args) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from innoise import io
 from innoise.apd import apd_pair, compute_apd
 from innoise.baseline import WgnValidation, derive_threshold
 from innoise.bursts import BurstSet, detect_bursts
-from innoise.model import ConfigError, FormatError, MeasurementMeta, SampleRecord
+from innoise.model import ConfigError, DomainError, FormatError, MeasurementMeta, SampleRecord
 from innoise.stats import (
     MeasurementStats,
     aggregate_campaign,
@@ -226,10 +227,20 @@ def test_manifest_missing_key_named(tmp_path):
             io.read_manifest(path)
 
 
-@pytest.mark.parametrize("frequency_khz", [math.inf, math.nan, 0.0, -5.0])
+@pytest.mark.parametrize(
+    "frequency_khz",
+    [math.inf, math.nan, 0.0, -5.0, "1910", True, pytest.param(10**400, id="int-past-float"), None],
+)
 def test_manifest_refuses_a_frequency_that_is_not_positive_and_finite(frequency_khz):
-    # the rule MeasurementMeta keeps, so a library caller's manifest is held to it too
-    with pytest.raises(ConfigError, match=r"^frequency_khz must be > 0, got"):
+    # the rule and the message MeasurementMeta keeps, so a library caller's
+    # manifest is held to it too; the key is required, where a record's meta
+    # may leave it out, so None is the manifest's own refusal
+    if frequency_khz is None:
+        error, message = ConfigError, "manifest needs a frequency_khz"
+    else:
+        error = DomainError
+        message = f"frequency_khz must be > 0 and finite when present, got {frequency_khz!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         io.CampaignManifest("wgn.csv", ("in1.csv",), META.event, frequency_khz)
 
 

@@ -1,6 +1,7 @@
 """The JSON readers on arbitrary input: a value or a FormatError, nothing else."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,3 +101,17 @@ def test_reader_gives_a_value_or_a_format_error(tmp_path_factory, reader, data):
         assert isinstance(read(path), result_type)
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_float_key_takes_an_int_that_float_rounds_to_a_double(tmp_path, sign):
+    # 2**1024 - 2**970 is the least integer that float() rounds to infinity;
+    # every integer below it rounds to a finite double, the largest or less
+    bound = sign * (2**1024 - 2**970)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**MANIFEST, "offset_db": bound - sign}))
+    assert io.read_manifest(path).offset_db == sign * sys.float_info.max
+    path.write_text(json.dumps({**MANIFEST, "offset_db": bound}))
+    message = rf"^manifest\.json: offset_db must be a finite number, got {bound}$"
+    with pytest.raises(FormatError, match=message):
+        io.read_manifest(path)

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -151,19 +153,25 @@ def test_validate_record_bad_rate_and_frequency():
             SampleRecord(**{"levels": [-80.0], "sample_rate_hz": 8001.0, "meta": meta, **kwargs})
 
 
-@pytest.mark.parametrize("frequency_khz", [math.inf, math.nan, 0.0, -5.0, True, "1910", b"1"])
+@pytest.mark.parametrize(
+    "frequency_khz",
+    [math.inf, math.nan, 0.0, -5.0, True, "1910", b"1", pytest.param(10**400, id="int-past-float")],
+)
 def test_meta_refuses_a_frequency_that_is_not_positive_and_finite(frequency_khz):
     # every meta is checked when it is built, read from a record or not, so
-    # no campaign report can write a frequency that is not JSON (Infinity);
-    # a bool or a string is no frequency, though True > 0 and "1910" parses
-    with pytest.raises(DomainError, match=r"^frequency_khz must be > 0 and finite"):
+    # no campaign report can write a frequency that is not JSON (Infinity) or
+    # that float() cannot convert (an int past the doubles); a bool or a
+    # string is no frequency, though True > 0 and "1910" parses, and the
+    # message spells the value by repr, so '1910' does not read as a number
+    message = f"frequency_khz must be > 0 and finite when present, got {frequency_khz!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         MeasurementMeta(frequency_khz=frequency_khz, event="e")
 
 
 @pytest.mark.parametrize(
     "frequency_khz",
-    [1910, 1910.5, np.float64(2.5), np.int64(3), 10**400],
-    ids=["int", "float", "float64", "int64", "int-past-float"],
+    [1910, 1910.5, np.float64(2.5), np.int64(3), sys.float_info.max],
+    ids=["int", "float", "float64", "int64", "largest-double"],
 )
 def test_meta_keeps_a_real_frequency_as_given(frequency_khz):
     assert MeasurementMeta(frequency_khz=frequency_khz).frequency_khz is frequency_khz
