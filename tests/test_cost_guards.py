@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from innoise import bursts, io, model
+from innoise import bursts, io, model, numtext, records
 from innoise.apd import apd_pair
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, SampleRecord
@@ -82,15 +82,17 @@ MAX_REPR_FALLBACKS = 10
 
 
 def _repr_fallbacks(levels) -> int:
-    """How many of ``levels`` ``io._shortest`` hands to ``repr()``."""
-    with mock.patch.object(io, "_repr_cells", wraps=io._repr_cells) as spy:
-        io._shortest(levels)
+    """How many of ``levels`` ``numtext._shortest`` hands to ``repr()``."""
+    with mock.patch.object(numtext, "_repr_cells", wraps=numtext._repr_cells) as spy:
+        numtext._shortest(levels)
     return sum(len(call.args[0]) for call in spy.call_args_list)
 
 
 def test_levels_are_rarely_spelled_by_repr():
     wgn = generate_wgn(100_000, -100.0, seed=1).levels
     uniform = np.random.default_rng(1).uniform(LEVEL_MIN_DBM, LEVEL_MAX_DBM, 100_000)
+    # a zero and a value past 1e16 always go to repr(), so the spy sees them
+    assert _repr_fallbacks(np.array([0.0, 1e20])) == 2
     assert _repr_fallbacks(wgn) <= MAX_REPR_FALLBACKS
     assert _repr_fallbacks(uniform) <= MAX_REPR_FALLBACKS
 
@@ -139,7 +141,7 @@ def test_call_counts_leave_out_the_collector_callbacks(tmp_path):
         gc.set_threshold(*threshold)
 
 
-# read_record makes at most a calls per block of io._CHUNK_CHARS characters
+# read_record makes at most a calls per block of records._CHUNK_CHARS characters
 # plus b. Measured (Python 3.11, numpy 2.4) on WGN records of 10,000 and
 # 100,000 samples, 2 and 15 blocks of 128 K characters: 151 and 684 calls, 41
 # a block + 69. The bound leaves about twice that; a Python call per line
@@ -153,13 +155,13 @@ def test_record_reader_calls_python_per_block_not_per_line(tmp_path, n):
     path = tmp_path / "record.csv"
     io.write_record(generate_wgn(n, -100.0, seed=1), path)
     a, b = READ_CALLS_PER_BLOCK
-    blocks = -(-path.stat().st_size // io._CHUNK_CHARS)
+    blocks = -(-path.stat().st_size // records._CHUNK_CHARS)
     io.read_record(path)
     calls = _calls(io.read_record, path)
     assert calls <= a * blocks + b, (n, blocks, calls)
 
 
-# A table writer makes at most a calls per block of io._ROWS_PER_WRITE rows
+# A table writer makes at most a calls per block of numtext._ROWS_PER_WRITE rows
 # plus b. Measured (Python 3.11, numpy 2.4) at 10,000 and 100,000 samples:
 # write_record 49 a block + 17, write_plot_data 66 + 21, write_apd_csv
 # 78 + 24 and write_measurement_report 78 + 134 (json.dumps of its head).
@@ -193,20 +195,20 @@ def _table_writes(tmp_path, n):
 def test_table_writers_call_python_per_block_not_per_row(tmp_path, n):
     for name, (rows, args) in _table_writes(tmp_path, n).items():
         a, b = CALLS_PER_BLOCK[name]
-        blocks = -(-rows // io._ROWS_PER_WRITE)
+        blocks = -(-rows // numtext._ROWS_PER_WRITE)
         calls = _calls(getattr(io, name), *args)
         assert calls <= a * blocks + b, (name, rows, calls)
 
 
 def test_table_writers_spell_floats_once_per_block(tmp_path):
-    # io._shortest costs about 0.1 ms a call even for one value, so every
+    # numtext._shortest costs about 0.1 ms a call even for one value, so every
     # float column of a block is spelled in one call: the plot data has 2,
     # an APD pair 3 and the measurement report's bursts 3
     for name, (rows, args) in _table_writes(tmp_path, 20_000).items():
-        blocks = -(-rows // io._ROWS_PER_WRITE)
-        with mock.patch.object(io, "_shortest", wraps=io._shortest) as spy:
+        blocks = -(-rows // numtext._ROWS_PER_WRITE)
+        with mock.patch.object(numtext, "_shortest", wraps=numtext._shortest) as spy:
             getattr(io, name)(*args)
-        assert spy.call_count <= blocks, (name, rows, spy.call_count)
+        assert 1 <= spy.call_count <= blocks, (name, rows, spy.call_count)
 
 
 # compute_rms_level makes at most a calls per block of model._POWER_BLOCK
@@ -276,7 +278,7 @@ def test_json_readers_call_python_per_event_and_a_fixed_number_of_times(tmp_path
 
 
 # write_ground_truth makes at most a Python calls per block of
-# io._ROWS_PER_WRITE events plus b, and inject_bursts at most INJECT_CALLS
+# numtext._ROWS_PER_WRITE events plus b, and inject_bursts at most INJECT_CALLS
 # on a record of 100,000 samples, whatever the number of events. Measured
 # (Python 3.11, numpy 2.4): write_ground_truth 78, 78, 104 and 182 calls for
 # 50, 500, 5,000 and 20,000 events (1, 1, 2 and 5 blocks), 26 a block + 52;
@@ -295,7 +297,7 @@ def test_ground_truth_writer_calls_python_per_block_not_per_event(tmp_path):
         spans = [(e.start_idx, e.end_idx) for e in events]
         io.write_ground_truth(spans, events, path)  # _json_fields looks the keys up on a first write
         calls = _calls(io.write_ground_truth, spans, events, path)
-        blocks = -(-n // io._ROWS_PER_WRITE)
+        blocks = -(-n // numtext._ROWS_PER_WRITE)
         assert calls <= a * blocks + b, (n, blocks, calls)
 
 
@@ -375,7 +377,7 @@ def test_writers_and_rms_level_peak_in_bounded_memory(tmp_path, n):
 # read_record holds the levels twice at its end, as one array per block and
 # joined, and before that the levels so far beside one block's working set:
 # its bytes and the plain tier's arrays. So its traced peak is at most c B a
-# sample plus d B a character of io._CHUNK_CHARS. Measured (Python 3.11,
+# sample plus d B a character of records._CHUNK_CHARS. Measured (Python 3.11,
 # numpy 2.4) with blocks of 128 K characters: 0.78 and 1.76 MB at 10,000 and
 # 100,000 samples, 4.7 B a character past the 16 B a sample at 10,000; 16.11
 # MB at 1,000,000.
@@ -388,4 +390,4 @@ def test_record_reader_peaks_at_the_levels_and_one_block(tmp_path, n):
     io.write_record(generate_wgn(n, -100.0, seed=1), path)
     c, d = READ_PEAK_BYTES
     peak = _traced_peak(io.read_record, path)
-    assert peak <= c * n + d * io._CHUNK_CHARS, (n, peak)
+    assert peak <= c * n + d * records._CHUNK_CHARS, (n, peak)

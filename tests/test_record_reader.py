@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innoise import io
+from innoise import records
 from innoise.model import FormatError, SampleRecord
 from innoise.synth import generate_wgn
 from record_oracle import read_record_oracle
@@ -58,12 +58,12 @@ def _outcome(read, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=record_texts(), chunk_chars=st.sampled_from([1, 5, 40, 300, io._CHUNK_CHARS]))
+@given(text=record_texts(), chunk_chars=st.sampled_from([1, 5, 40, 300, records._CHUNK_CHARS]))
 def test_reader_matches_line_at_a_time_oracle(tmp_path_factory, text, chunk_chars):
     path = tmp_path_factory.getbasetemp() / "diff.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
-        assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    with mock.patch.object(records, "_CHUNK_CHARS", chunk_chars):
+        assert _outcome(records.read_record, path) == _outcome(read_record_oracle, path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -72,14 +72,14 @@ def test_reader_matches_line_at_a_time_oracle(tmp_path_factory, text, chunk_char
         st.binary(max_size=200),
         st.binary(max_size=200).map(lambda b: b"# sample_rate_hz=8001\n-80.0\n" + b),
     ),
-    chunk_chars=st.sampled_from([1, 16, io._CHUNK_CHARS]),
+    chunk_chars=st.sampled_from([1, 16, records._CHUNK_CHARS]),
 )
 def test_reader_gives_a_record_or_a_format_error(tmp_path_factory, data, chunk_chars):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(data)
-    with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(records, "_CHUNK_CHARS", chunk_chars):
         try:
-            assert isinstance(io.read_record(path), SampleRecord)
+            assert isinstance(records.read_record(path), SampleRecord)
         except FormatError:
             pass
 
@@ -90,10 +90,10 @@ def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypat
     # of its own and the plain tier takes every sample line in each form
     n = 20_000
     path = tmp_path / "rec.csv"
-    io.write_record(generate_wgn(n, -100.0, seed=4), path)
+    records.write_record(generate_wgn(n, -100.0, seed=4), path)
     path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
     seen, plain = [], []
-    parse_lines, plain_levels = io._parse_lines, io._plain_levels
+    parse_lines, plain_levels = records._parse_lines, records._plain_levels
 
     def spy(path, block, first_lineno, header):
         seen.extend(block.decode().split("\n")[:-1])
@@ -104,22 +104,22 @@ def test_line_rules_run_only_on_the_header_of_a_clean_record(tmp_path, monkeypat
         plain.append(0 if levels is None else len(levels))
         return levels
 
-    monkeypatch.setattr(io, "_CHUNK_CHARS", 4096)  # many chunks
-    monkeypatch.setattr(io, "_parse_lines", spy)
-    monkeypatch.setattr(io, "_plain_levels", plain_spy)
-    record = io.read_record(path)
+    monkeypatch.setattr(records, "_CHUNK_CHARS", 4096)  # many chunks
+    monkeypatch.setattr(records, "_parse_lines", spy)
+    monkeypatch.setattr(records, "_plain_levels", plain_spy)
+    record = records.read_record(path)
     assert seen == ["# sample_rate_hz=8001.0"]
     assert sum(plain) == n
     assert record.levels.tobytes() == read_record_oracle(path).levels.tobytes()
 
 
 def test_chunked_error_names_the_line(tmp_path, monkeypatch):
-    monkeypatch.setattr(io, "_CHUNK_CHARS", 64)
+    monkeypatch.setattr(records, "_CHUNK_CHARS", 64)
     path = tmp_path / "bad.csv"
     lines = ["# sample_rate_hz=8001"] + ["-85.0"] * 500 + ["-85.0 x"] + ["-85.0"] * 100
     path.write_text("\n".join(lines) + "\n")
     expected = "bad.csv: malformed line 502: '-85.0 x'"
-    for read in (io.read_record, read_record_oracle):
+    for read in (records.read_record, read_record_oracle):
         with pytest.raises(FormatError) as info:
             read(path)
         assert str(info.value) == expected
@@ -129,10 +129,10 @@ def test_reader_holds_no_per_sample_python_objects(tmp_path):
     # a list of Python floats costs 32 B a sample; the levels array costs 8 B
     n = 80_010
     path = tmp_path / "rec.csv"
-    io.write_record(generate_wgn(n, -100.0, seed=5), path)
+    records.write_record(generate_wgn(n, -100.0, seed=5), path)
     tracemalloc.start()
     try:
-        record = io.read_record(path)
+        record = records.read_record(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -183,14 +183,26 @@ DOUBLE_ROUNDING_HAZARDS = [
 def tier(request, monkeypatch):
     """With the plain tier, or with it declining every block, so that the
     reader hands each line to ``float()`` as it does a record that holds a
-    level below 1e-4 or in exponent notation."""
-    if not request.param:
-        monkeypatch.setattr(io, "_plain_levels", lambda block: None)
-    return request.param
+    level below 1e-4 or in exponent notation. Forced off, it checks that
+    the line rules received sample lines, so a patch that missed the
+    reader's own binding fails rather than passing on the plain tier."""
+    if request.param:
+        yield True
+        return
+    blocks, parse_lines = [], records._parse_lines
+
+    def spy(path, block, first_lineno, header):
+        blocks.append(block)
+        return parse_lines(path, block, first_lineno, header)
+
+    monkeypatch.setattr(records, "_plain_levels", lambda block: None)
+    monkeypatch.setattr(records, "_parse_lines", spy)
+    yield False
+    assert any(line[:1] not in (b"", b"#") for block in blocks for line in block.split(b"\n"))
 
 
 def _plain(lines):
-    return io._plain_levels("".join(f"{line}\n" for line in lines).encode())
+    return records._plain_levels("".join(f"{line}\n" for line in lines).encode())
 
 
 def _assert_parses_like_float(path, lines, tier, plain=True):
@@ -206,7 +218,7 @@ def _assert_parses_like_float(path, lines, tier, plain=True):
             assert levels is None
     samples = [line for line in lines if abs(float(line)) < 1000]  # of finite power in mW
     path.write_text(HEADER + "".join(f"{line}\n" for line in samples))
-    assert io.read_record(path).levels.tobytes() == read_record_oracle(path).levels.tobytes()
+    assert records.read_record(path).levels.tobytes() == read_record_oracle(path).levels.tobytes()
 
 
 def _signed(rng, values):
@@ -244,7 +256,7 @@ def test_plain_tier_reads_bit_neighbours_near_minus_100_dbm_exactly(tmp_path, ti
 def test_plain_tier_reads_zeros_and_leading_zeros(tmp_path, tier):
     lines = ["-0.0", "0.0", "-00.000", "007.50", "-0000000000000001.5", "0.00000000000000001"]
     _assert_parses_like_float(tmp_path / "rec.csv", lines, tier)
-    assert io.read_record(tmp_path / "rec.csv").levels[:2].tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert records.read_record(tmp_path / "rec.csv").levels[:2].tobytes() == np.array([-0.0, 0.0]).tobytes()
 
 
 def test_plain_tier_takes_18_digits_and_declines_19(tmp_path, tier):
@@ -295,7 +307,7 @@ def test_plain_tier_declines_a_line_of_any_other_form(tmp_path, tier, line):
     # the tiers after it give the oracle's levels, or its error, for the line
     path = tmp_path / "rec.csv"
     path.write_text(f"{HEADER}-100.25\n{line}\n-99.5\n", encoding="utf-8")
-    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    assert _outcome(records.read_record, path) == _outcome(read_record_oracle, path)
 
 
 @pytest.mark.parametrize(
@@ -303,28 +315,28 @@ def test_plain_tier_declines_a_line_of_any_other_form(tmp_path, tier, line):
 )
 def test_a_block_with_one_line_not_plain_falls_back(tmp_path, monkeypatch, odd):
     # the first is two lines, the first of them ended by a CR alone
-    monkeypatch.setattr(io, "_CHUNK_CHARS", 256)
+    monkeypatch.setattr(records, "_CHUNK_CHARS", 256)
     path = tmp_path / "rec.csv"
     lines = [repr(float(v)) for v in generate_wgn(200, -100.0, seed=7).levels]
     assert _plain(lines[:2] + [odd]) is None
     lines[100] = odd
     path.write_text(HEADER + "\n".join(lines) + "\n", newline="")
-    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    assert _outcome(records.read_record, path) == _outcome(read_record_oracle, path)
     # and with a bad line after it in the same block: the same error
     lines[101] = "-85.0 x"
     path.write_text(HEADER + "\n".join(lines) + "\n", newline="")
-    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    assert _outcome(records.read_record, path) == _outcome(read_record_oracle, path)
     lineno = 104 + odd.count("\r")
-    assert _outcome(io.read_record, path) == f"rec.csv: malformed line {lineno}: '-85.0 x'"
+    assert _outcome(records.read_record, path) == f"rec.csv: malformed line {lineno}: '-85.0 x'"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_error_names_the_line_in_any_newline_convention(tmp_path, monkeypatch, newline):
-    monkeypatch.setattr(io, "_CHUNK_CHARS", 64)
+    monkeypatch.setattr(records, "_CHUNK_CHARS", 64)
     path = tmp_path / "bad.csv"
     lines = ["# sample_rate_hz=8001", "", "-85.0"] + ["-85.25"] * 500 + ["nan"] + ["-85.0"] * 9
     path.write_bytes(newline.join(lines).encode())
-    for read in (io.read_record, read_record_oracle):
+    for read in (records.read_record, read_record_oracle):
         with pytest.raises(FormatError, match=r"^bad.csv: line 504: nan dBm; a level must be"):
             read(path)
 
@@ -348,33 +360,33 @@ def test_plain_tier_reads_crlf_lines(tmp_path, tier):
     lines = [repr(v) for v in generate_wgn(500, -100.0, seed=8).levels.tolist()]
     crlf = "".join(f"{line}\r\n" for line in lines).encode()
     if tier:
-        assert io._plain_levels(crlf) is None
-        assert io._plain_levels(crlf.replace(b"\r\n", b"\n", len(lines) - 1)) is None
+        assert records._plain_levels(crlf) is None
+        assert records._plain_levels(crlf.replace(b"\r\n", b"\n", len(lines) - 1)) is None
     path = tmp_path / "crlf.csv"
     path.write_bytes(HEADER.replace("\n", "\r\n").encode() + crlf)
     with path.open(encoding="utf-8") as fh:
-        header, body = io._blocks(fh)
+        header, body = records._blocks(fh)
     assert (header, body) == (HEADER.encode(), crlf.replace(b"\r\n", b"\n"))
     if tier:
-        levels = io._plain_levels(body)
+        levels = records._plain_levels(body)
         assert levels.tobytes() == np.array([float(line) for line in lines]).tobytes()
-    assert _outcome(io.read_record, path) == _outcome(read_record_oracle, path)
+    assert _outcome(records.read_record, path) == _outcome(read_record_oracle, path)
 
 
 def test_plain_tier_declines_a_last_line_without_lf():
     # "1.5\n123" passes every count the tier makes (one LF, one '.', two bytes
     # below '0'), so only its LF check keeps it from reading [1.5] and
     # dropping 123. _blocks ends every block in LF, so a record never needs it
-    assert io._plain_levels(b"1.5\n123") is None
-    assert io._plain_levels(b"1.5\n123.25\n").tobytes() == np.array([1.5, 123.25]).tobytes()
+    assert records._plain_levels(b"1.5\n123") is None
+    assert records._plain_levels(b"1.5\n123.25\n").tobytes() == np.array([1.5, 123.25]).tobytes()
 
 
 def test_plain_tier_declines_points_and_lfs_out_of_turn():
     # as many '.'s as LFs, and every line's digit counts at least 1 when the
     # marks are taken in pairs, ('.', '.') then (LF, LF); only the check that
     # every second mark is an LF declines it, as float("1.2.3") fails
-    assert io._plain_levels(b"1.2.3\n4\n") is None
-    assert io._plain_levels(b"1.2\n3.4\n").tobytes() == np.array([1.2, 3.4]).tobytes()
+    assert records._plain_levels(b"1.2.3\n4\n") is None
+    assert records._plain_levels(b"1.2\n3.4\n").tobytes() == np.array([1.2, 3.4]).tobytes()
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -384,11 +396,11 @@ def test_a_level_out_of_range_is_named_by_its_line(tmp_path, newline, sample):
     lines = ["# sample_rate_hz=8001", "", "-100.0", sample, "-100.0", "# note", "-100.0"]
     path.write_bytes(newline.join(lines).encode())
     expected = f"hot.csv: line 4: {float(sample)!r} dBm; a level must be finite and in [-3000, 2900] dBm"
-    for read in (io.read_record, read_record_oracle):
+    for read in (records.read_record, read_record_oracle):
         assert _outcome(read, path) == expected
 
 
-@pytest.mark.parametrize("chunk_chars", [5, io._CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [5, records._CHUNK_CHARS])
 @pytest.mark.parametrize("text", [
     "# sample_rate_hz=8001\n# frequency_khz=1910\n# event=lamp on\n-100.0\n-99.5\n",
     "-100.0\r\n1e3\r\n# sample_rate_hz=8001\r\n",  # a sample first, through the line rules
@@ -398,7 +410,7 @@ def test_a_level_out_of_range_is_named_by_its_line(tmp_path, newline, sample):
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, text, chunk_chars):
     # as Windows Notepad and Excel's "CSV UTF-8" save a file: the same
     # levels, header and error line numbers as the file without the mark
-    monkeypatch.setattr(io, "_CHUNK_CHARS", chunk_chars)
+    monkeypatch.setattr(records, "_CHUNK_CHARS", chunk_chars)
     plain, bom = tmp_path / "plain" / "rec.csv", tmp_path / "bom" / "rec.csv"
     for path, head in ((plain, b""), (bom, b"\xef\xbb\xbf")):
         path.parent.mkdir()
@@ -406,5 +418,5 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, text, chunk
     expected = _outcome(read_record_oracle, plain)
     if "event" in text:
         assert expected[2].event == "lamp on" and expected[2].frequency_khz == 1910.0
-    for read in (io.read_record, read_record_oracle):
+    for read in (records.read_record, read_record_oracle):
         assert _outcome(read, bom) == _outcome(read, plain) == expected

@@ -1,7 +1,7 @@
 """The block writer behind every per-row table, against frozen references.
 
 The golden inputs are shorter than one block of rows, so these tests patch
-``io._ROWS_PER_WRITE`` to cross block edges: every writer must give the
+``numtext._ROWS_PER_WRITE`` to cross block edges: every writer must give the
 bytes of a reference that builds the whole file in one piece.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innoise import io
+from innoise import io, numtext, records as record_csv
 from innoise.apd import apd_pair, compute_apd
 from innoise.baseline import derive_threshold
 from innoise.bursts import BurstSet, detect_bursts
@@ -128,7 +128,7 @@ def _spellings(cells):
 )
 def test_spelled_is_the_repr_of_each_value(blocks):
     # the blocks of a row of columns are spelled in one call
-    cells = io._float_cells([np.array(block, dtype=np.float64) for block in blocks])
+    cells = numtext._float_cells([np.array(block, dtype=np.float64) for block in blocks])
     assert [_spellings(c) for c in cells] == [[repr(v) for v in block] for block in blocks]
 
 
@@ -158,8 +158,8 @@ def tables(draw, floats=RUN_HEAVY | st.floats()):
 def test_write_table_matches_a_row_at_a_time(tmp_path_factory, table, rows):
     sep, pieces, columns = table
     path = tmp_path_factory.getbasetemp() / "table.txt"
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
-        io._write_table(fh, "head\n", pieces, columns, sep=sep, tail="|tail\n")
+    with mock.patch.object(numtext, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
+        numtext._write_table(fh, "head\n", pieces, columns, sep=sep, tail="|tail\n")
     expected = table_text_oracle("head\n", pieces, columns, sep=sep, tail="|tail\n")
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -169,8 +169,8 @@ def test_write_table_matches_a_row_at_a_time(tmp_path_factory, table, rows):
 def test_write_table_spells_hard_values_as_repr(tmp_path_factory, table, rows):
     sep, pieces, columns = table
     path = tmp_path_factory.getbasetemp() / "hard.txt"
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
-        io._write_table(fh, "", pieces, columns, sep=sep, tail="")
+    with mock.patch.object(numtext, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
+        numtext._write_table(fh, "", pieces, columns, sep=sep, tail="")
     assert path.read_bytes() == table_text_oracle("", pieces, columns, sep=sep, tail="").encode()
 
 
@@ -182,20 +182,20 @@ def test_write_table_spells_hard_values_as_repr(tmp_path_factory, table, rows):
         min_size=1,
         max_size=40,
     ),
-    chunk_chars=st.sampled_from([16, io._CHUNK_CHARS]),
+    chunk_chars=st.sampled_from([16, record_csv._CHUNK_CHARS]),
 )
 def test_record_round_trips_every_level_bit_for_bit(tmp_path_factory, exact, levels, chunk_chars):
     record = SampleRecord(levels, 8001.0)
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
-    with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
-        io.write_record(record, path)
-        plain_levels = io._plain_levels if exact else lambda block: None
-        with mock.patch.object(io, "_plain_levels", plain_levels):
-            assert io.read_record(path).levels.tobytes() == record.levels.tobytes()
+    with mock.patch.object(record_csv, "_CHUNK_CHARS", chunk_chars):
+        record_csv.write_record(record, path)
+        plain_levels = record_csv._plain_levels if exact else lambda block: None
+        with mock.patch.object(record_csv, "_plain_levels", plain_levels):
+            assert record_csv.read_record(path).levels.tobytes() == record.levels.tobytes()
     # a zero or a level of 1e-4 or more in magnitude is written as a plain
     # line, which the reader parses as arrays
     body = b"".join(line for line in path.read_bytes().splitlines(True) if line[:1] != b"#")
-    plain = io._plain_levels(body)
+    plain = record_csv._plain_levels(body)
     if all(v == 0 or abs(v) >= 1e-4 for v in levels):
         assert plain is not None and plain.tobytes() == record.levels.tobytes()
 
@@ -237,7 +237,7 @@ def test_record_report_and_plot_writers_match_references(tmp_path_factory, data,
         longest, stats_excluding = main_burst(burst_set)
         stats = replace(stats, main_burst=longest)
     base = tmp_path_factory.getbasetemp()
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
+    with mock.patch.object(numtext, "_ROWS_PER_WRITE", rows):
         io.write_record(record, base / "record.csv")
         io.write_measurement_report(stats, burst_set, base / "m.json", stats_excluding)
         io.write_plot_data(record, burst_set, base / "plot.csv")
@@ -265,7 +265,7 @@ def test_apd_writer_matches_reference(tmp_path_factory, first, second, grid_db, 
     else:
         curves = apd_pair(first, second, grid_db=grid_db)
     base = tmp_path_factory.getbasetemp()
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
+    with mock.patch.object(numtext, "_ROWS_PER_WRITE", rows):
         io.write_apd_csv(curves, base / "apd.csv")
     write_apd_csv_oracle(curves, base / "apd_oracle.csv")
     assert (base / "apd.csv").read_bytes() == (base / "apd_oracle.csv").read_bytes()
@@ -288,7 +288,7 @@ EVENTS = st.builds(
 )
 def test_ground_truth_is_json_dumps_indent_2(tmp_path_factory, spans, events, rows):
     path = tmp_path_factory.getbasetemp() / "ground_truth.json"
-    with mock.patch.object(io, "_ROWS_PER_WRITE", rows):
+    with mock.patch.object(numtext, "_ROWS_PER_WRITE", rows):
         io.write_ground_truth(spans, events, path)
     payload = {
         "n_events": len(spans),

@@ -3,10 +3,10 @@ text every per-row table writer must give.
 
 ``write_plot_data_oracle`` and ``write_apd_csv_oracle`` are the writers that
 one element at a time built each row and joined the whole file in memory,
-kept verbatim apart from their names so that the block writer in ``io`` can
-be checked against them byte for byte. ``table_text_oracle`` spells each
-float cell with one ``repr()`` call, the spelling ``io._write_table`` builds
-as arrays. They are test-only code and are not part of the library.
+kept verbatim apart from their names so that the block writer in
+``numtext`` can be checked against them byte for byte. ``table_text_oracle``
+spells each float cell with one ``repr()`` call, the spelling
+``numtext._write_table`` builds as arrays. They are test-only code and are not part of the library.
 """
 
 from __future__ import annotations
