@@ -40,12 +40,11 @@ class ApdCurve:
     exceedance: np.ndarray
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels_dbm, dtype=np.float64)
-        probs = np.asarray(self.exceedance, dtype=np.float64)
-        levels.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "levels_dbm", levels)
-        object.__setattr__(self, "exceedance", probs)
+        for name in ("levels_dbm", "exceedance"):
+            # a read-only view: the caller's array stays writable, and is not copied
+            frozen = np.asarray(getattr(self, name), dtype=np.float64).view()
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
 
 
 def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:

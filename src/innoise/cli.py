@@ -1,9 +1,10 @@
 """Command-line interface: simulate, baseline, analyze, campaign, apd.
 
 Each command reads every input and computes every result, writing
-nothing, and returns a ``Plan``. ``main`` then writes the plan's files
-into ``--out`` (default ``./out``) under fixed names, all or none, and
-prints its line. Identical inputs produce byte-identical output trees.
+nothing, and returns a ``Plan``. ``main`` then writes the plan's files,
+if it has any, into ``--out`` (default ``./out``) under fixed names, all
+or none, and prints its line. Identical inputs produce byte-identical
+output trees.
 """
 
 from __future__ import annotations
@@ -77,18 +78,19 @@ def _measurement_step(
     ``base``; ``with_main`` adds the longest burst and the stats without it."""
     burst_set = detect_bursts(record, base, record_id=record_id)
     stats = measurement_stats(burst_set)
-    stats_excluding = None
     if with_main and (analysis := main_burst(burst_set)) is not None:
-        longest, stats_excluding = analysis
-        stats = replace(stats, main_burst=longest)
-    report = partial(
-        io.write_measurement_report, stats, burst_set, stats_excluding_main=stats_excluding
-    )
-    return stats, burst_set, report
+        longest, excluding = analysis
+        stats = replace(stats, main_burst=longest, stats_excluding_main=excluding)
+    return stats, burst_set, partial(io.write_measurement_report, stats, burst_set)
 
 
 def cmd_analyze(args: argparse.Namespace) -> Plan:
-    base, _ = io.read_baseline_report(args.baseline)
+    base, validation = io.read_baseline_report(args.baseline)
+    if validation is not None and not validation.passed:
+        return ExitStatus.VALIDATION_FAILED, [], (
+            f"analyze: baseline {args.baseline} failed the WGN check "
+            f"({validation.exceed_count} exceedances); not analyzing {args.in_file}"
+        )
     record = io.read_record(args.in_file)
     stats, burst_set, report = _measurement_step(record, base, str(args.in_file), args.main_burst)
     outputs = [("measurement.json", report)]
@@ -110,9 +112,10 @@ def _merged_meta(record_meta: MeasurementMeta, manifest: io.CampaignManifest) ->
 
 def cmd_campaign(args: argparse.Namespace) -> Plan:
     manifest = io.read_manifest(args.manifest)
+    folder = Path(args.manifest).parent  # where the manifest's record paths start
     wgn = manifest.wgn_record
     base, validation, baseline_output = _baseline_step(
-        io.read_record(manifest.wgn_path()), wgn, manifest.offset_db, manifest.max_exceed_fraction
+        io.read_record(folder / wgn), wgn, manifest.offset_db, manifest.max_exceed_fraction
     )
     if not validation.passed:
         return ExitStatus.VALIDATION_FAILED, [baseline_output], (
@@ -121,8 +124,8 @@ def cmd_campaign(args: argparse.Namespace) -> Plan:
         )
 
     outputs, all_stats, metas = [baseline_output], [], []
-    for index, (name, path) in enumerate(zip(manifest.in_records, manifest.in_paths()), start=1):
-        record = io.read_record(path)
+    for index, name in enumerate(manifest.in_records, start=1):
+        record = io.read_record(folder / name)
         stats, _, report = _measurement_step(record, base, name, with_main=False)
         outputs.append((f"measurement_{index:03d}.json", report))
         all_stats.append(stats)
@@ -241,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status, outputs, message = args.func(args)
-        _write_outputs(Path(args.out), outputs)
+        if outputs:
+            _write_outputs(Path(args.out), outputs)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitStatus.IO_ERROR)

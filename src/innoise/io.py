@@ -31,7 +31,7 @@ import dataclasses
 import functools
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Sequence
@@ -52,10 +52,10 @@ from .synth import BurstEventSpec
 class CampaignManifest:
     """File layout of one measurement campaign.
 
-    Record paths are stored as written in the manifest and resolve
-    relative to the manifest's own directory (``base_dir``, which is not
-    part of the file). ``max_exceed_fraction`` is the share of WGN samples
-    allowed above the threshold, as ``validate_wgn`` takes it.
+    Record paths are stored as written in the manifest; a reader resolves
+    them against the manifest file's directory. ``max_exceed_fraction`` is
+    the share of WGN samples allowed above the threshold, as
+    ``validate_wgn`` takes it.
     """
 
     wgn_record: str
@@ -66,7 +66,6 @@ class CampaignManifest:
     source: str = ""
     offset_db: float = DEFAULT_OFFSET_DB
     max_exceed_fraction: float = 0.0
-    base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self) -> None:
         if not self.in_records:
@@ -79,12 +78,6 @@ class CampaignManifest:
         if self.frequency_khz is None:  # optional in a record's meta, required here
             raise ConfigError("manifest needs a frequency_khz")
         MeasurementMeta(frequency_khz=self.frequency_khz)  # its frequency rule and message
-
-    def wgn_path(self) -> Path:
-        return self.base_dir / self.wgn_record
-
-    def in_paths(self) -> list[Path]:
-        return [self.base_dir / p for p in self.in_records]
 
 
 def _write_json(payload: dict, path: Path | str, **arrays: dict | list) -> None:
@@ -124,8 +117,7 @@ def _read_json(path: Path) -> Any:
 
 # One codec for every JSON type: a dataclass is an object with one key per
 # field, in field order. None is omitted on write and a missing key reads as
-# the field's default; a field without a default is a required key. Fields
-# with compare=False are run-time context, not content, and are skipped. A
+# the field's default; a field without a default is a required key. A
 # read checks each key's type in ``_json_value``, the type's constructor the
 # rest; a write checks nothing, so its floats must be finite already (as
 # json.dumps spells inf Infinity, which is not JSON). A float key takes an int
@@ -144,14 +136,13 @@ def _to_json(obj: Any) -> dict:
 
 @functools.cache
 def _json_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
-    """A dataclass's keys, looked up once: each compared field's name, type
-    hint and whether it is required (has no default)."""
+    """A dataclass's keys, looked up once: each field's name, type hint and
+    whether it is required (has no default)."""
     hints = typing.get_type_hints(cls)
     missing = dataclasses.MISSING
     return tuple(
         (f.name, hints[f.name], f.default is missing and f.default_factory is missing)
         for f in dataclasses.fields(cls)
-        if f.compare
     )
 
 
@@ -206,8 +197,7 @@ def read_manifest(path: Path | str) -> CampaignManifest:
     absent; ``location`` and ``source`` default to empty text.
     """
     path = Path(path)
-    manifest = _from_json(CampaignManifest, _read_json(path), path.name)
-    return dataclasses.replace(manifest, base_dir=path.parent)
+    return _from_json(CampaignManifest, _read_json(path), path.name)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +239,7 @@ def read_baseline_report(path: Path | str) -> tuple[Baseline, WgnValidation | No
 # ---------------------------------------------------------------------------
 # measurement reports
 
-def write_measurement_report(
-    stats: MeasurementStats,
-    burst_set: BurstSet,
-    path: Path | str,
-    stats_excluding_main: MeasurementStats | None = None,
-) -> None:
+def write_measurement_report(stats: MeasurementStats, burst_set: BurstSet, path: Path | str) -> None:
     """Write one measurement's report as JSON plus a sibling summary CSV.
 
     The JSON carries full precision and one row per burst (start_ms,
@@ -263,8 +248,6 @@ def write_measurement_report(
     """
     payload = {k: getattr(burst_set, k) for k in ("record_id", "threshold_dbm", "sample_rate_hz")}
     payload.update(_to_json(stats))
-    if stats_excluding_main is not None:
-        payload["stats_excluding_main"] = _to_json(stats_excluding_main)
     row_keys = ("start_ms", "duration_ms", "amplitude_dbm")
     _write_json(payload, path, bursts={k: getattr(burst_set, k) for k in row_keys})
     _write_summary(path, [

@@ -32,7 +32,8 @@ class MeasurementStats:
     """Impulsive-noise parameters of a single measurement.
 
     Averages require at least one burst; the separation average requires
-    at least two. Absent values are None.
+    at least two. Absent values are None. ``main_burst`` and
+    ``stats_excluding_main`` are set together, from ``main_burst()``.
     """
 
     n_bursts: int
@@ -40,6 +41,7 @@ class MeasurementStats:
     avg_amplitude_dbm: float | None = None
     avg_separation_ms: float | None = None
     main_burst: MainBurst | None = None
+    stats_excluding_main: MeasurementStats | None = None
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,20 @@ def _decoded(cls: type, data: dict):
     return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
+def _stats(data: dict) -> MeasurementStats:
+    stats = _decoded(MeasurementStats, data)
+    main, excluding = stats.main_burst, stats.stats_excluding_main
+    return replace(
+        stats,
+        main_burst=None if main is None else _decoded(MainBurst, main),
+        stats_excluding_main=None if excluding is None else _stats(excluding),
+    )
+
+
 def read_measurement_report(path: Path) -> MeasurementStats:
-    """The summary statistics of a measurement report JSON."""
-    stats = _decoded(MeasurementStats, io._read_json(path))
-    if stats.main_burst is None:
-        return stats
-    return replace(stats, main_burst=_decoded(MainBurst, stats.main_burst))
+    """The summary statistics of a measurement report JSON, with the main
+    burst and the statistics without it."""
+    return _stats(io._read_json(path))
 
 
 def read_campaign_report(path: Path) -> SourceCharacterization:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from innoise.apd import MAX_GRID_POINTS, apd_pair, compute_apd
+from innoise.apd import MAX_GRID_POINTS, ApdCurve, apd_pair, compute_apd
 from innoise.model import ConfigError, DomainError, SampleRecord
 from innoise.synth import BurstEventSpec, generate_wgn, inject_bursts
 from apd_oracle import checked, curve_points, exact_grid_oracle, exceedance_at, exceedance_oracle
@@ -32,6 +32,14 @@ def test_constant_record_is_a_step():
     assert curve_points(curve) == [(-80.0, 0.0)]
     assert exceedance_at(curve, -80.1) == 1.0
     assert exceedance_at(curve, -80.0) == 0.0
+
+
+def test_a_curve_leaves_the_arrays_it_is_given_writable_and_uncopied():
+    levels, probs = np.array([-80.0, -70.0]), np.array([0.5, 0.0])
+    curve = ApdCurve(levels, probs)
+    assert levels.flags.writeable and probs.flags.writeable
+    assert not curve.levels_dbm.flags.writeable and not curve.exceedance.flags.writeable
+    assert np.shares_memory(curve.levels_dbm, levels) and np.shares_memory(curve.exceedance, probs)
 
 
 def test_empty_record_rejected():

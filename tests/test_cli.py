@@ -18,6 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 import innoise
 from innoise import cli, io
 from innoise.cli import ExitStatus, main
+from innoise.model import SampleRecord
 from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bursts
 from test_json_readers import BASELINE, EVENT, MANIFEST, json_texts
 
@@ -187,6 +188,30 @@ def test_analyze_level_overflow_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err and "Traceback" not in err
     assert "huge.csv: line 3: 1e+308 dBm" in err
+
+
+def test_analyze_refuses_a_baseline_whose_wgn_check_failed(tmp_path, capsys):
+    # as campaign stops at a failed WGN check, analyze measures nothing against
+    # that threshold: exit 1 and one line, before the IN record is read (it
+    # does not exist here) and without creating --out
+    dirty = tmp_path / "dirty.csv"
+    _write_in(dirty, [BurstEventSpec(1000, 10, 25.0)], seed=9)
+    argv = ["baseline", str(dirty), "--out", str(tmp_path / "base")]
+    assert main(argv) == ExitStatus.VALIDATION_FAILED
+    baseline = tmp_path / "base" / "baseline.json"
+    count = json.loads(baseline.read_text())["validation"]["exceed_count"]
+    assert count > 0
+    capsys.readouterr()
+    in_path, out = tmp_path / "missing.csv", tmp_path / "an_out"
+    argv = ["analyze", str(in_path), "--baseline", str(baseline), "--out", str(out)]
+    assert main(argv) == ExitStatus.VALIDATION_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"analyze: baseline {baseline} failed the WGN check ({count} exceedances); "
+        f"not analyzing {in_path}\n"
+    )
+    assert not out.exists()
 
 
 def test_analyze_accepts_hand_written_baseline(tmp_path):
@@ -387,6 +412,42 @@ def test_apd_grid_flag_sets_spacing(tmp_path):
     lines = (out / "apd.csv").read_text().splitlines()[1:]
     levels = [float(line.split(",")[0]) for line in lines]
     assert np.allclose(np.diff(levels), 0.1)
+
+
+# ties, both zeros and the least subnormal among any levels
+APD_LEVELS = st.sampled_from([-0.0, 0.0, -100.0, -87.25, 5e-324]) | st.floats(-200.0, 50.0)
+
+
+def _apd_bytes(directory, name, records, flags):
+    """The apd.csv that ``apd`` writes for ``records``, each a list of levels."""
+    paths = []
+    for i, levels in enumerate(records):
+        paths.append(Path(directory, f"{name}_{i}.csv"))
+        io.write_record(SampleRecord(levels, 8001.0), paths[-1])
+    out = Path(directory, name)
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["apd", *map(str, paths), *flags, "--out", str(out)]) == ExitStatus.OK
+    return (out / "apd.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apd_keeps_its_bytes_when_a_record_is_permuted_or_joined_to_itself(data):
+    # the APD relations: an exceedance is count / n, so permuting a record's
+    # samples keeps every count, and joining a record to itself doubles each
+    # count and n, whose quotient rounds to the same double; the grid's levels,
+    # exact or uniform from the lowest sample, stay the same
+    draw = data.draw
+    records = draw(st.lists(st.lists(APD_LEVELS, min_size=1, max_size=30), min_size=1, max_size=2))
+    flags = draw(st.sampled_from([[], ["--grid-db"], ["--grid-db", "1.5"]]))
+    which = draw(st.integers(0, len(records) - 1))
+    permuted, doubled = list(records), list(records)
+    permuted[which] = draw(st.permutations(records[which]))
+    doubled[which] = records[which] * 2
+    with tempfile.TemporaryDirectory() as directory:
+        expected = _apd_bytes(directory, "drawn", records, flags)
+        assert _apd_bytes(directory, "permuted", permuted, flags) == expected
+        assert _apd_bytes(directory, "doubled", doubled, flags) == expected
 
 
 def test_apd_non_utf8_record_exits_3(tmp_path, capsys):
@@ -837,11 +898,16 @@ def test_any_record_exits_with_a_documented_code(record_inputs, data):
 # --- exit codes on any JSON input bytes ---------------------------------------
 
 # each run's well-formed document and arguments but --out; {json} is the
-# drawn file. At 3 dB above the r.m.s. level many WGN samples exceed.
+# drawn file. At 3 dB above the r.m.s. level many WGN samples exceed; a
+# baseline whose check failed stops analyze.
 JSON_RUNS = {
     "manifest": (MANIFEST, ["campaign", "{json}"]),
     "manifest failing WGN": ({**MANIFEST, "offset_db": 3.0}, ["campaign", "{json}"]),
     "baseline": (BASELINE, ["analyze", "{in}", "--baseline", "{json}", "--main-burst"]),
+    "baseline failing WGN": (
+        {**BASELINE, "validation": {**BASELINE["validation"], "passed": False}},
+        ["analyze", "{in}", "--baseline", "{json}", "--main-burst"],
+    ),
     "events": ([EVENT, {**EVENT, "start_idx": 500}], [*SIMULATE, "--events", "{json}"]),
 }
 
@@ -860,8 +926,9 @@ def json_inputs(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_json_input_exits_with_a_documented_code(json_inputs, kind, data):
-    # 0, 2 or 3, or 1 from a campaign whose WGN check failed; never an
-    # exception, and with warnings as errors no warning either
+    # 0, 2 or 3, or 1 from a campaign whose WGN check failed or from analyze
+    # against a baseline whose check failed; never an exception, and with
+    # warnings as errors no warning either
     document, run = JSON_RUNS[kind]
     path = json_inputs / "input.json"  # beside the records a manifest names
     path.write_bytes(data.draw(st.just(json.dumps(document).encode()) | json_texts(document)))
@@ -872,7 +939,12 @@ def test_any_json_input_exits_with_a_documented_code(json_inputs, kind, data):
         with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
             code = main([*argv, "--out", str(out)])
         event(f"{run[0]} exits {code}")
-        if code == ExitStatus.VALIDATION_FAILED:
+        if code == ExitStatus.VALIDATION_FAILED and run[0] == "analyze":
+            validation = io._read_json(path)["validation"]
+            assert validation["passed"] is False and not out.exists()
+            line = f"failed the WGN check ({validation['exceed_count']} exceedances)"
+            assert line in err.getvalue() and err.getvalue().count("\n") == 1
+        elif code == ExitStatus.VALIDATION_FAILED:
             assert run[0] == "campaign" and "failed the impulse check" in err.getvalue()
             assert json.loads((out / "baseline.json").read_text())["validation"]["passed"] is False
         else:

@@ -207,7 +207,6 @@ def test_manifest_round_trip(tmp_path):
     manifest = io.read_manifest(path)
     assert manifest.in_records == ("in1.csv", "in2.csv")
     assert manifest.offset_db == 12.0
-    assert manifest.wgn_path() == tmp_path / "wgn.csv"
     path2 = tmp_path / "copy.json"
     write_manifest(manifest, path2)
     again = io.read_manifest(path2)
@@ -350,9 +349,11 @@ def test_measurement_report_with_main_burst_round_trips(tmp_path):
 
     record, burst_set = _detected()
     longest, stats_excluding = main_burst(burst_set)
-    stats = replace(measurement_stats(burst_set), main_burst=longest)
+    stats = replace(
+        measurement_stats(burst_set), main_burst=longest, stats_excluding_main=stats_excluding
+    )
     path = tmp_path / "measurement.json"
-    io.write_measurement_report(stats, burst_set, path, stats_excluding_main=stats_excluding)
+    io.write_measurement_report(stats, burst_set, path)
     assert read_measurement_report(path) == stats
 
 
