@@ -56,6 +56,10 @@ class WgnValidation:
     exceed_indices: tuple[int, ...]
     max_level_dbm: float
 
+    def __post_init__(self) -> None:
+        if (count := len(self.exceed_indices)) != self.exceed_count:
+            raise ConfigError(f"exceed_count {self.exceed_count} is not the {count} exceed_indices")
+
 
 def compute_rms_level(record: SampleRecord) -> LevelDbm:
     """r.m.s. level of a record in dBm.

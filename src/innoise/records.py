@@ -59,11 +59,12 @@ def _plain_digits(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     ``k`` and its sign, for a block whose every line is plain; None for any
     other block.
 
-    A plain line is ``-?[0-9]+\\.[0-9]+`` with at most 18 digits before the
-    point, at most 21 after it and at most 18 from the first non-zero one,
-    as ``repr`` spells every double from 1e-4 up to 1e16 in magnitude, and
-    it ends in LF. So ``m < 10**18``. The steps drop each array once it is
-    spent, as a block's working set bounds the reader's memory.
+    A plain line is ``-?[0-9]+\\.[0-9]+`` with at most 18 digits, leading
+    zeros counted, as ``repr`` spells every double from 0.1 up to 1e16 in
+    magnitude, and it ends in LF. So ``m < 10**18`` by the count alone. A
+    block with a longer line, such as ``repr`` of a level in (-0.1, 0.1),
+    is declined before its digits are gathered. The steps drop each array
+    once it is spent, as a block's working set bounds the reader's memory.
     """
     if not block.endswith(b"\n"):
         return None
@@ -86,26 +87,16 @@ def _plain_digits(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     int_digits = dots - starts - neg
     del starts
     frac_digits = ends - dots - 1
-    if min(int_digits.min(), frac_digits.min()) < 1:
+    if min(int_digits.min(), frac_digits.min()) < 1 or (int_digits + frac_digits).max() > 18:
         return None
     digits = np.frombuffer(b"0" * _PAD + block, np.uint8) ^ np.uint8(48)  # '0'..'9' -> 0..9
     # every 8-byte window of the digit values, one per byte offset
     words = np.ndarray((len(digits) - 7,), "<u8", digits, strides=(1,))
-    # over 18 digits in a line, m < 10**18 holds only where the first are 0s
-    wide = (int_digits + frac_digits).max() > 18
-    if wide and (int_digits.max() > 18 or frac_digits.max() > 21):
-        return None
     marks += _PAD  # dots and ends, as places in digits
     integer = _digits_value(words, dots, int_digits)
     del int_digits
-    kept = np.minimum(frac_digits, 18)  # the fraction digits that m needs
-    if wide and (
-        (integer >= _POW10[18 - kept]).any()
-        or _digits_value(words, ends - 18, frac_digits - kept).any()
-    ):
-        return None
-    integer *= _POW10[kept]
-    integer += _digits_value(words, ends, kept)
+    integer *= _POW10[frac_digits]
+    integer += _digits_value(words, ends, frac_digits)
     return integer, frac_digits, neg
 
 
@@ -114,7 +105,8 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     parsed as arrays; None for any other block.
 
     A line's digits make an integer ``m < 10**18`` and its fraction digits
-    number ``k``; ``float()`` gives m / 10**k rounded once, a tie to even.
+    number ``k <= 17``, as a line holds at most 18 digits and one of them
+    before the point; ``float()`` gives m / 10**k rounded once, a tie to even.
     q = fl(fl(m) / 10**k) is that double where m < 2**53, and within 1.5
     units of m / 10**k elsewhere, so the sample is q or a neighbour. Scaled
     by 10**k, less P = fl(q 10**k), the midpoints around q
@@ -210,10 +202,11 @@ def read_record(path: Path | str) -> SampleRecord:
     The file is read as UTF-8 text with universal newlines, in blocks of
     whole LF-ended lines (``_blocks``). The blank and ``#`` lines that begin
     a block, the header among them, come as a block of their own. A block
-    whose every line is plain, as ``write_record`` spells levels from 1e-4
-    up to 1e16 in magnitude, is parsed as arrays (``_plain_levels``); any
-    other goes by the line rules (``_parse_lines``), which apply the header
-    lines, skip blank lines and name the first bad line.
+    whose every line is plain, of at most 18 digits, as ``write_record``
+    spells levels from 0.1 up to 1e16 in magnitude, is parsed as arrays
+    (``_plain_levels``); any other goes by the line rules
+    (``_parse_lines``), which apply the header lines, skip blank lines and
+    name the first bad line.
 
     Both give each sample the bits ``float()`` gives its line, so the
     levels do not depend on the path, the platform or the block size. A

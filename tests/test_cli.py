@@ -18,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 import innoise
 from innoise import cli, io
 from innoise.cli import ExitStatus, main
-from innoise.model import SampleRecord
+from innoise.model import FormatError, SampleRecord
 from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bursts
 from test_json_readers import BASELINE, EVENT, MANIFEST, json_texts
 
@@ -211,6 +211,27 @@ def test_analyze_refuses_a_baseline_whose_wgn_check_failed(tmp_path, capsys):
         f"analyze: baseline {baseline} failed the WGN check ({count} exceedances); "
         f"not analyzing {in_path}\n"
     )
+    assert not out.exists()
+
+
+def test_analyze_refuses_a_baseline_whose_count_contradicts_its_indices(tmp_path, capsys):
+    # a hand-edited count is a bad file, not a failed WGN check: exit 3 and
+    # one error line naming the validation, before the IN record is read
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps({
+        "rms_dbm": -100.0, "offset_db": 13.0, "threshold_dbm": -87.0,
+        "validation": {
+            "passed": False, "exceed_count": -3, "exceed_indices": [7, 9], "max_level_dbm": -80.0,
+        },
+    }))
+    with pytest.raises(FormatError, match="^baseline.json: validation: exceed_count -3 is not"):
+        io.read_baseline_report(baseline)
+    out = tmp_path / "an_out"
+    argv = ["analyze", str(tmp_path / "missing.csv"), "--baseline", str(baseline), "--out", str(out)]
+    assert main(argv) == ExitStatus.BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: baseline.json: validation: exceed_count -3 is not the 2 exceed_indices\n"
     assert not out.exists()
 
 
@@ -448,6 +469,69 @@ def test_apd_keeps_its_bytes_when_a_record_is_permuted_or_joined_to_itself(data)
         expected = _apd_bytes(directory, "drawn", records, flags)
         assert _apd_bytes(directory, "permuted", permuted, flags) == expected
         assert _apd_bytes(directory, "doubled", doubled, flags) == expected
+
+
+# the threshold of a hand-written baseline, samples exactly at it among any
+# levels, and a quiet level 20 dB below it
+THRESHOLD_DBM = -87.0
+IN_LEVELS = st.sampled_from([THRESHOLD_DBM, -100.0, -60.0]) | st.floats(-120.0, -60.0)
+QUIET_DBM = THRESHOLD_DBM - 20.0
+# runs of such levels, each followed by up to 8 samples below the threshold,
+# so that a record holds several bursts
+IN_RECORDS = st.lists(
+    st.tuples(st.lists(IN_LEVELS, min_size=1, max_size=6), st.integers(0, 8)), min_size=1, max_size=8
+).map(lambda runs: [v for levels, gap in runs for v in levels + [-100.0] * gap])
+RATES = st.sampled_from([8001.0, 1000.0]) | st.floats(1.0, 1e7)
+# the keys of a measurement report that hold a time, at any depth
+TIME_KEYS = {"duration_ms", "start_ms", "avg_duration_ms", "avg_separation_ms"}
+
+
+def _measurement(directory, name, levels, rate):
+    """The parsed measurement.json and the measurement.csv bytes that
+    ``analyze --main-burst`` writes for a record of ``levels`` at ``rate``."""
+    record, out, baseline = Path(directory, f"{name}.csv"), Path(directory, name), Path(directory, "b.json")
+    io.write_record(SampleRecord(levels, rate), record)
+    baseline.write_text(json.dumps({"rms_dbm": THRESHOLD_DBM - 13.0, "threshold_dbm": THRESHOLD_DBM}))
+    argv = ["analyze", str(record), "--baseline", str(baseline), "--main-burst", "--out", str(out)]
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(argv) == ExitStatus.OK
+    return json.loads((out / "measurement.json").read_text()), (out / "measurement.csv").read_bytes()
+
+
+def _halved_times(report):
+    """``report`` with every time in it halved, at any depth."""
+    if isinstance(report, list):
+        return [_halved_times(value) for value in report]
+    if isinstance(report, dict):
+        return {k: v / 2 if k in TIME_KEYS else _halved_times(v) for k, v in report.items()}
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(levels=IN_RECORDS, rate=RATES, k=st.integers(1, 50))
+def test_analyze_report_under_quiet_padding_and_a_doubled_rate(levels, rate, k):
+    # quiet padding: samples far below the threshold start no pulse and join
+    # no burst, so k of them at both ends move every burst k samples later
+    # and keep every duration, separation and amplitude and the summary
+    # bytes; doubled rate: a time in ms is a sample count times 1000 / rate,
+    # and halving a double is exact, so each time and its means halve bit
+    # for bit, and the amplitudes, counts and ratios keep their bits
+    with tempfile.TemporaryDirectory() as directory:
+        report, summary = _measurement(directory, "drawn", levels, rate)
+        quiet = [QUIET_DBM] * k
+        padded, padded_summary = _measurement(directory, "padded", quiet + levels + quiet, rate)
+        doubled, _ = _measurement(directory, "doubled", levels, 2 * rate)
+    expected = _halved_times(report)
+    expected.update(record_id=doubled["record_id"], sample_rate_hz=2 * rate)
+    assert doubled == expected
+    assert padded_summary == summary
+    period = 1000.0 / rate
+    starts = [round(row["start_ms"] / period) for row in report["bursts"]]
+    assert [row["start_ms"] for row in report["bursts"]] == [i * period for i in starts]
+    report["record_id"] = padded["record_id"]
+    for row, index in zip(report["bursts"], starts):
+        row["start_ms"] = (index + k) * period
+    assert padded == report
 
 
 def test_apd_non_utf8_record_exits_3(tmp_path, capsys):

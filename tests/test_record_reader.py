@@ -183,7 +183,8 @@ DOUBLE_ROUNDING_HAZARDS = [
 def tier(request, monkeypatch):
     """With the plain tier, or with it declining every block, so that the
     reader hands each line to ``float()`` as it does a record that holds a
-    level below 1e-4 or in exponent notation. Forced off, it checks that
+    line of over 18 digits, such as ``repr`` of a level below 0.1, or one in
+    exponent notation. Forced off, it checks that
     the line rules received sample lines, so a patch that missed the
     reader's own binding fails rather than passing on the plain tier."""
     if request.param:
@@ -203,6 +204,10 @@ def tier(request, monkeypatch):
 
 def _plain(lines):
     return records._plain_levels("".join(f"{line}\n" for line in lines).encode())
+
+
+def _n_digits(line):
+    return sum(map(str.isdigit, line))
 
 
 def _assert_parses_like_float(path, lines, tier, plain=True):
@@ -230,10 +235,15 @@ def test_plain_tier_reads_repr_of_doubles_exactly(tmp_path, tier):
     values = _signed(rng, 10 ** rng.uniform(-4.0, 16.0, 20_000))
     values = values[np.abs(values) < 1e16]
     # from 1e-4 up, repr spells a double in at most 17 significant digits;
-    # below 0.1 up to 4 leading zeros come first, which the tier does not count
+    # below 0.1 up to 4 leading zeros come first, and the tier counts them:
+    # it declines a block holding a line of more than 18 digits
     large = np.abs(values) >= 0.1
     _assert_parses_like_float(tmp_path / "a.csv", map(repr, values[large].tolist()), tier)
-    _assert_parses_like_float(tmp_path / "b.csv", map(repr, values.tolist()), tier)
+    small = list(map(repr, values[~large].tolist()))
+    short = [line for line in small if _n_digits(line) <= 18]
+    assert 0 < len(short) < len(small)
+    _assert_parses_like_float(tmp_path / "b.csv", short, tier)
+    _assert_parses_like_float(tmp_path / "c.csv", map(repr, values.tolist()), tier, plain=False)
 
 
 def test_plain_tier_reads_decimals_of_2_to_18_digits_exactly(tmp_path, tier):
@@ -294,7 +304,13 @@ def test_plain_tier_corrects_the_naive_quotient(tmp_path):
         power = abs(_naive(line))
         assert math.frexp(power)[0] == 0.5 and abs(float(line)) == np.nextafter(power, 0)
     lines = NAIVE_LOW + NAIVE_HIGH + TIES_TO_EVEN + BELOW_POWERS_OF_2
-    _assert_parses_like_float(tmp_path / "rec.csv", lines, tier=True)
+    # the tier declines a line of more than 18 digits, and float() reads it
+    wide = [line for line in lines if _n_digits(line) > 18]
+    assert len(wide) == 4
+    taken = [line for line in lines if line not in wide]
+    _assert_parses_like_float(tmp_path / "rec.csv", taken, tier=True)
+    for line in wide:
+        _assert_parses_like_float(tmp_path / "wide.csv", [line], tier=True, plain=False)
 
 
 @pytest.mark.parametrize("line", [
@@ -341,15 +357,23 @@ def test_error_names_the_line_in_any_newline_convention(tmp_path, monkeypatch, n
             read(path)
 
 
-def test_plain_tier_counts_digits_from_the_first_non_zero_one(tmp_path, tier):
-    # repr of a level in [1e-4, 0.1): up to 4 zeros, then up to 17 digits
+def test_plain_tier_counts_leading_zeros_as_digits(tmp_path, tier):
+    # repr of a level in [1e-4, 0.1): up to 4 zeros, then up to 17 digits;
+    # the tier takes a line of at most 18 digits, its zeros among them
     taken = [
+        "-0.01844736280968114", "0.0001234567890123", "0.00000000000000001",
+        "-0.00000000000000000", "0.10000000000000000",
+    ]
+    assert max(map(_n_digits, taken)) == 18
+    _assert_parses_like_float(tmp_path / "a.csv", taken, tier)
+    # more than 18 digits, though the first six have at most 18 from the
+    # first non-zero one
+    declined = [
         "-0.018447362809681143", "0.00012345678901234567", "0.000123456789012345678",
         "0.0000000000000000001", "-0.000000000000000000000", "0.100000000000000000",
+        "0.1234567890123456789", "1.00000000000000000001", "0.0000000000000000000001",
     ]
-    _assert_parses_like_float(tmp_path / "a.csv", taken, tier)
-    # 19 digits from the first non-zero one, or 22 after the point
-    for line in ["0.1234567890123456789", "1.00000000000000000001", "0.0000000000000000000001"]:
+    for line in declined:
         _assert_parses_like_float(tmp_path / "b.csv", taken + [line], tier, plain=False)
 
 

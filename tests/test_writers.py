@@ -192,11 +192,11 @@ def test_record_round_trips_every_level_bit_for_bit(tmp_path_factory, exact, lev
         plain_levels = record_csv._plain_levels if exact else lambda block: None
         with mock.patch.object(record_csv, "_plain_levels", plain_levels):
             assert record_csv.read_record(path).levels.tobytes() == record.levels.tobytes()
-    # a zero or a level of 1e-4 or more in magnitude is written as a plain
-    # line, which the reader parses as arrays
+    # a zero or a level of 0.1 or more in magnitude is written as a plain
+    # line of at most 18 digits, which the reader parses as arrays
     body = b"".join(line for line in path.read_bytes().splitlines(True) if line[:1] != b"#")
     plain = record_csv._plain_levels(body)
-    if all(v == 0 or abs(v) >= 1e-4 for v in levels):
+    if all(v == 0 or abs(v) >= 0.1 for v in levels):
         assert plain is not None and plain.tobytes() == record.levels.tobytes()
 
 
