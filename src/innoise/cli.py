@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 from enum import IntEnum
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import io
 from .apd import DEFAULT_GRID_DB, apd_pair, compute_apd
@@ -40,7 +40,7 @@ class ExitStatus(IntEnum):
     OK = 0
     VALIDATION_FAILED = 1  # WGN record contains impulses
     IO_ERROR = 2
-    BAD_INPUT = 3  # malformed file or configuration
+    BAD_INPUT = 3  # malformed file, configuration or argument
     INTERNAL_ERROR = 4  # any other exception: a bug, or a record too big for memory
 
 
@@ -178,8 +178,16 @@ def _write_outputs(out: Path, outputs: list[Output]) -> None:
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals, a subcommand's too, raise
+    ConfigError for ``main`` to report, in place of usage text and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="innoise",
         description="Measure and characterize radio impulsive noise from a specific source.",
     )
@@ -240,9 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: it costs about as much as a short command
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         status, outputs, message = args.func(args)
         if outputs:
             _write_outputs(Path(args.out), outputs)

@@ -3,9 +3,9 @@ the arrays of the measurement report and the ground truth) goes through one
 writer, ``_write_table``, which lays out a block of rows at a time with no
 call per row, never the whole text at once. It spells a float as the bytes
 of its ``repr``, built with double and integer array arithmetic that rounds
-alike on every platform (``_shortest``; a few values go to ``repr()``
-itself), once per run of consecutive values in a column that are equal bit
-for bit (``-0.0`` and ``0.0`` differ): an exact-grid APD column changes
+alike on every platform (``_shortest``, or ``repr()`` outside [1e-4, 1e16)
+and at ties), once per run of consecutive values in a column that are equal
+bit for bit (``-0.0`` and ``0.0`` differ): an exact-grid APD column changes
 only at its own record's levels. All the float columns of a block are
 spelled in one ``_shortest`` call, since each call has a fixed cost.
 """
@@ -120,11 +120,10 @@ def _shortest_digits(
 ) -> tuple[np.ndarray, ...]:
     """The shortest decimal between lo and hi nearest X, given ``_scaled``, as
     a 17-digit integer; whether a multiple of 10 and of 100 lies between lo
-    and hi; and ``ok`` cleared where a rounded value decides the result."""
-    low, high = np.floor(lo), np.floor(hi)
-    ok &= (lo != low) & (hi != high) & (whole >= 10**16) & (whole < 10**17)
+    and hi; and ``ok`` cleared where X is misplaced or lands on a tie."""
+    ok &= (whole >= 10**16) & (whole < 10**17)
     # relative to floor(X), the integers between lo and hi are low + 1 .. high
-    low, high = low.astype(np.int64), high.astype(np.int64)
+    low, high = np.floor(lo).astype(np.int64), np.floor(hi).astype(np.int64)
     span = high - low
     unit = whole - whole // 100 * 100  # floor(X) % 100
     r100 = unit + high
@@ -138,7 +137,7 @@ def _shortest_digits(
     nearest = np.where(tens, 10 * up - unit, frac > 0.5)
     digits = whole + np.where(hundreds, high - r100, nearest)
     tie = np.where(tens, place == 5, frac == 0.5)
-    ok &= (hundreds | ~tie) & (span > 0) & (digits < 10**17)
+    ok &= hundreds | ~tie
     return digits, tens, hundreds
 
 
@@ -150,26 +149,27 @@ def _shortest(values: np.ndarray) -> np.ndarray:
     nearest to x of those. Scaled by 10**(16 - e10), with e10 =
     floor(log10(|x|)), |x| becomes X in [1e16, 1e17), and those decimals
     become the integers strictly between lo and hi, the scaled midpoints
-    between x and its neighbouring doubles (``_scaled``). Both midpoints lie
-    over 0.55 from X, and at most 23 integers lie between them. Their
-    shortest is a multiple of the largest power of ten among them: a
-    multiple of 100 is the only one, a multiple of 10 the nearer of two
-    around X, and else the integer nearest X (``_shortest_digits``).
+    between x and its neighbouring doubles (``_scaled``). Their shortest is
+    a multiple of the largest power of ten among them: a multiple of 100 is
+    the only one, a multiple of 10 the nearer of two around X, and else the
+    integer nearest X (``_shortest_digits``). X, lo and hi lie on the side
+    of every integer and half that their exact values do, or land on it
+    (``_scaled``). The double and integer steps round alike on every
+    platform and SIMD path, so the bytes do too.
 
-    X, lo and hi lie on the side of every integer and half that their exact
-    values do, or land on it (``_scaled``). These values go to ``repr()``
-    instead: one whose lo or hi lands on an integer, whose X lands halfway
-    between the two nearest candidates, or whose e10 estimate
-    (``np.log10``) is off; and any value outside [1e-4, 1e16) (zeros, NaN
-    and infinities among them). The double and integer steps round alike
-    on every platform and SIMD path, so the bytes do too.
+    ``repr()`` itself spells any value outside [1e-4, 1e16), zeros, NaN and
+    infinities among them, and one whose e10 estimate (``np.log10``) is off
+    or whose X ties between the two nearest candidates. No other needs it:
 
-    Declining a landed lo or hi changes no spelling, so no test can see
-    it. Below 2**52 an exact scaled midpoint lies at least 2**-47 from
-    every integer, farther than its two roundings move it, so it never
-    lands. From 2**52 on, X is 10x, a multiple of 10, and the midpoints are
-    10x -+ 5 or, from 2**53 with x even, 10x -+ 10: no multiple of 100,
-    and farther from X than X is, so a landed one is never chosen.
+    - Half a gap is at least 2**-54 of a double, so each midpoint lies at
+      least 0.555 from X: at least one integer and at most 23 lie between.
+    - A midpoint lands on an integer only from 2**52 on (below, an exact one
+      lies at least 2**-47 from every integer, farther than its roundings
+      move it). There X = 10x is a multiple of 10 and the midpoints are
+      10x -+ 5 or 10x -+ 10, no multiple of 100, so neither is chosen.
+    - The digits stay below 10**17: 10**p is a double for p >= 0 and
+      fl(10**p) > 10**p for p = -4 .. -1, so no double in [1e-4, 1e16) has
+      10**(e10 + 1) in its rounding interval.
     """
     a = np.abs(values)
     ok = (a >= 1e-4) & (a < 1e16)

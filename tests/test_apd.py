@@ -55,6 +55,12 @@ def test_uniform_grid_spacing_and_coverage():
     assert np.allclose(np.diff(levels), 0.1)
     assert curve.exceedance[0] == pytest.approx(2 / 3)
     assert curve.exceedance[-1] == 0.0
+    # (hi - lo) / 0.01 rounds to 6665 steps, whose last point,
+    # -61.96000000000001, lies just below the top sample: the grid takes one
+    # more step, so the curve ends where no sample exceeds it
+    curve = checked(compute_apd(_rec([-128.61, -100.0, -61.96]), grid_db=0.01))
+    assert curve.levels_dbm.size == 6667
+    assert curve_points(curve)[-2:] == [(-61.96000000000001, 1 / 3), (-61.95000000000001, 0.0)]
 
 
 def test_grid_spacing_must_be_positive():

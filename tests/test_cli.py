@@ -715,6 +715,18 @@ FAILING_RUNS = {
     "simulate past numpy's largest array": (
         ["simulate", "--n", str(2**63), "--mean-dbm", "-100", "--seed", "1"], ExitStatus.BAD_INPUT
     ),
+    "simulate negative event start": (
+        [*SIMULATE, "--events", "negative_start.json"], ExitStatus.BAD_INPUT
+    ),
+    # an argument the parser refuses is a bad configuration too
+    "baseline float flag not a number": (
+        ["baseline", "wgn.csv", "--offset-db", "abc"], ExitStatus.BAD_INPUT
+    ),
+    "simulate int flag not an integer": (
+        ["simulate", "--n", "1.5", "--mean-dbm", "-100", "--seed", "1"], ExitStatus.BAD_INPUT
+    ),
+    "analyze missing argument": (["analyze", "wgn.csv"], ExitStatus.BAD_INPUT),
+    "unknown command": (["bogus"], ExitStatus.BAD_INPUT),
 }
 
 # the file a case's error line names: below 1e-3 Hz, the durations overflow
@@ -740,6 +752,11 @@ NAMED_FILES = {
     "simulate 1e14 samples": "n = 100000000000000 samples do not fit in memory",
     "simulate past numpy's largest array": "n = 9223372036854775808 samples",
     "simulate event past int64": f"event 0 spans [{10**30}, {10**30 + 4}] outside record",
+    "simulate negative event start": "negative_start.json: events[0]: event start must be >= 0",
+    "baseline float flag not a number": "argument --offset-db: invalid float value: 'abc'",
+    "simulate int flag not an integer": "argument --n: invalid int value: '1.5'",
+    "analyze missing argument": "the following arguments are required: --baseline",
+    "unknown command": "argument command: invalid choice: 'bogus'",
 }
 
 
@@ -802,6 +819,9 @@ def _failing_inputs(directory):
     (directory / "past_int64.json").write_text(
         f'[{{"start_idx": {10**30}, "length_samples": 5, "level_offset_db": 25.0}}]'
     )
+    (directory / "negative_start.json").write_text(
+        '[{"start_idx": -5, "length_samples": 5, "level_offset_db": 25.0}]'
+    )
 
 
 @pytest.mark.parametrize("case", FAILING_RUNS)
@@ -810,7 +830,8 @@ def test_failing_run_creates_no_out(tmp_path, monkeypatch, capsys, case):
     _failing_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == expected
-    assert f"error: {NAMED_FILES.get(case, '')}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {NAMED_FILES.get(case, '')}") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 

@@ -75,9 +75,10 @@ def test_detection_runs_python_per_merge_not_per_pulse():
         assert lines <= LINES_PER_MERGE * pairs + LINES_FIXED, (pairs, lines)
 
 
-# _shortest hands a value in [1e-4, 1e16) to repr() only where a rounded step
-# lands on an integer or half. 0 of 100,000 levels were measured on each set
-# below (804 and 651 with the long double products it had before).
+# _shortest hands a value in [1e-4, 1e16) to repr() only where its scaled
+# value lands on a tie or its decade is misjudged. 0 of 100,000 levels were
+# measured on each set below (804 and 651 with the long double products it
+# had before).
 MAX_REPR_FALLBACKS = 10
 
 
@@ -95,6 +96,9 @@ def test_levels_are_rarely_spelled_by_repr():
     assert _repr_fallbacks(np.array([0.0, 1e20])) == 2
     assert _repr_fallbacks(wgn) <= MAX_REPR_FALLBACKS
     assert _repr_fallbacks(uniform) <= MAX_REPR_FALLBACKS
+    # from 2**52 on the scaled midpoints between neighbouring doubles are
+    # integers; _shortest spells these values itself, not by a repr() call each
+    assert _repr_fallbacks(np.random.default_rng(1).uniform(2.0**52, 1e16, 10_000)) == 0
 
 
 def _calls(run, *args) -> int:

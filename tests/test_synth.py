@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from innoise.baseline import compute_rms_level, derive_threshold, validate_wgn
 from innoise.bursts import detect_bursts
-from innoise.model import ConfigError, DomainError
+from innoise.model import ConfigError, DomainError, SampleRecord, mean_power_dbm
 from innoise.synth import BURST_SHAPES, DECAY_DB, BurstEventSpec, generate_wgn, inject_bursts
 from segment_oracle import brute_force_segment
 from synth_oracle import inject_bursts_oracle
@@ -61,6 +61,23 @@ def test_inject_decaying_event_ramps_down():
     assert np.all(np.diff(segment) < 0)
 
 
+def test_inject_decaying_event_ends_at_its_stop_level():
+    # as np.linspace ends at its stop, a ramp's last sample is offset -
+    # DECAY_DB, where (length - 1) * step + offset may miss it by an ulp. The
+    # offset is searched for, as the record's mean level may differ in its
+    # last bit with the SIMD path (ROADMAP item 1)
+    record = SampleRecord(np.full(400, -100.0), 8001.0)
+    base, length = mean_power_dbm(record.levels), 95
+
+    def misses(offset):
+        stop = offset - DECAY_DB
+        return base + ((length - 1) * ((stop - offset) / (length - 1)) + offset) != base + stop
+
+    offset = next(k / 1000 for k in range(1, 2000) if misses(k / 1000))
+    injected, _ = inject_bursts(record, [BurstEventSpec(100, length, offset, "decaying")])
+    assert injected.levels[100 + length - 1] == base + (offset - DECAY_DB)
+
+
 def test_inject_empty_event_list_is_identity():
     record = generate_wgn(500, -100.0, seed=2)
     unchanged, spans = inject_bursts(record, [])
@@ -90,6 +107,11 @@ def test_inject_rejects_bad_event_lists():
         BurstEventSpec(0, 0, 20.0)
     with pytest.raises(ConfigError):
         BurstEventSpec(0, 5, 20.0, shape="sawtooth")
+    with pytest.raises(ConfigError, match="event start must be >= 0, got -1"):
+        BurstEventSpec(-1, 5, 20.0)
+    for offset in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="level_offset_db must be finite"):
+            BurstEventSpec(0, 5, offset)
 
 
 def test_ground_truth_recovered_when_offsets_dominate():

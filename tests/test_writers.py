@@ -51,9 +51,9 @@ SHORT_DECIMALS = st.builds(
 )
 # Doubles from 2**50 up to 2**54, where the scaled value X = |x| 10**(16 - e10)
 # or a scaled midpoint between x and a neighbour lands exactly on a half or an
-# integer, the cases that _shortest must hand to repr(): in [2**50, 2**51) X
-# ends in .5 where x ends in .25 or .75, in [2**51, 2**52) the midpoints end in
-# .5 and from 2**52 on they are integers
+# integer: in [2**50, 2**51) X ends in .5 where x ends in .25 or .75, which
+# _shortest hands to repr(), in [2**51, 2**52) the midpoints end in .5 and
+# from 2**52 on they are integers, which it spells itself
 LANDING = st.builds(
     lambda whole, part, sign: sign * (whole + part),
     st.integers(50, 53).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
@@ -172,6 +172,32 @@ def test_write_table_spells_hard_values_as_repr(tmp_path_factory, table, rows):
     with mock.patch.object(numtext, "_ROWS_PER_WRITE", rows), path.open("wb") as fh:
         numtext._write_table(fh, "", pieces, columns, sep=sep, tail="")
     assert path.read_bytes() == table_text_oracle("", pieces, columns, sep=sep, tail="").encode()
+
+
+def _bit_neighbours(values, k):
+    """Every double within ``k`` bit patterns of each of ``values``."""
+    bits = np.asarray(values, np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-k, k + 1)).view(np.float64).ravel()
+
+
+def test_write_table_spells_the_edges_of_the_array_spelling_as_repr(tmp_path):
+    # from 2**52 on a scaled midpoint may land on an integer, next to a
+    # power of ten the digits come nearest 10**17, and a power of two has a
+    # narrower gap below it than above: each must still be spelled as repr()
+    rng = np.random.default_rng(35)
+    signs = (1.0, -1.0)
+    sets = {
+        "from 2**52": rng.choice(signs, 10**5) * rng.uniform(2.0**52, 1e16, 10**5),
+        "near 10**p": _bit_neighbours(
+            [s * float(f"1e{p}") for p in range(-4, 17) for s in signs], 40
+        ),
+        "near 2**e": _bit_neighbours([s * 2.0**e for e in range(-13, 53) for s in signs], 1),
+    }
+    for name, values in sets.items():
+        path = tmp_path / "edges.txt"
+        with path.open("wb") as fh:
+            numtext._write_table(fh, "", ["", ""], [values])
+        assert path.read_text().split("\n") == [repr(v) for v in values.tolist()] + [""], name
 
 
 @pytest.mark.parametrize("exact", TIERS)
