@@ -18,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 import innoise
 from innoise import cli, io
 from innoise.cli import ExitStatus, main
-from innoise.model import FormatError, SampleRecord
+from innoise.model import SampleRecord
 from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bursts
 from test_json_readers import BASELINE, EVENT, MANIFEST, json_texts
 
@@ -211,27 +211,6 @@ def test_analyze_refuses_a_baseline_whose_wgn_check_failed(tmp_path, capsys):
         f"analyze: baseline {baseline} failed the WGN check ({count} exceedances); "
         f"not analyzing {in_path}\n"
     )
-    assert not out.exists()
-
-
-def test_analyze_refuses_a_baseline_whose_count_contradicts_its_indices(tmp_path, capsys):
-    # a hand-edited count is a bad file, not a failed WGN check: exit 3 and
-    # one error line naming the validation, before the IN record is read
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "rms_dbm": -100.0, "offset_db": 13.0, "threshold_dbm": -87.0,
-        "validation": {
-            "passed": False, "exceed_count": -3, "exceed_indices": [7, 9], "max_level_dbm": -80.0,
-        },
-    }))
-    with pytest.raises(FormatError, match="^baseline.json: validation: exceed_count -3 is not"):
-        io.read_baseline_report(baseline)
-    out = tmp_path / "an_out"
-    argv = ["analyze", str(tmp_path / "missing.csv"), "--baseline", str(baseline), "--out", str(out)]
-    assert main(argv) == ExitStatus.BAD_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: baseline.json: validation: exceed_count -3 is not the 2 exceed_indices\n"
     assert not out.exists()
 
 
@@ -658,11 +637,20 @@ FAILING_RUNS = {
         ["baseline", "wgn.csv", "--max-exceed-fraction", "nan"], ExitStatus.BAD_INPUT
     ),
     "baseline overflow": (["baseline", "huge.csv"], ExitStatus.BAD_INPUT),
+    "baseline level outside the range": (["baseline", "hot.csv"], ExitStatus.BAD_INPUT),
+    "baseline threshold outside the range": (
+        ["baseline", "wgn.csv", "--offset-db", "1e308"], ExitStatus.BAD_INPUT
+    ),
     "analyze missing baseline": (
         ["analyze", "wgn.csv", "--baseline", "nope.json"], ExitStatus.IO_ERROR
     ),
     "analyze malformed baseline": (
         ["analyze", "wgn.csv", "--baseline", "broken.json"], ExitStatus.BAD_INPUT
+    ),
+    # a hand-edited count is a bad file, not a failed WGN check, refused
+    # before the IN record is read
+    "analyze miscounted baseline": (
+        ["analyze", "missing.csv", "--baseline", "miscount.json"], ExitStatus.BAD_INPUT
     ),
     "analyze overflow": (
         ["analyze", "huge.csv", "--baseline", "baseline.json", "--plot-data"], ExitStatus.BAD_INPUT
@@ -736,6 +724,10 @@ FAILING_RUNS = {
 # [-3000, 2900] dBm, whose linear powers could sum past the float range, is
 # named with the sample's line
 NAMED_FILES = {
+    "baseline level outside the range": "hot.csv: line 3: 3000.0 dBm",
+    "baseline threshold outside the range": "threshold rms_dbm + offset_db = 1e+308 dBm",
+    "analyze miscounted baseline": "miscount.json: validation: exceed_count -3 is not the 2 "
+    "exceed_indices\n",
     "analyze rate 1e-24": "rate_1e-24.csv",
     "analyze rate 1e-305": "rate_1e-305.csv",
     "campaign rate 1e-160": "rate_1e-160_a.csv",
@@ -777,7 +769,14 @@ def _failing_inputs(directory):
     (directory / "baseline.json").write_text(
         '{"rms_dbm": -100.0, "offset_db": 13.0, "threshold_dbm": -87.0}'
     )
+    (directory / "hot.csv").write_text("# sample_rate_hz=8001\n-100.0\n3000\n-100.0\n")
     (directory / "broken.json").write_text("{broken")
+    (directory / "miscount.json").write_text(json.dumps({
+        "rms_dbm": -100.0, "offset_db": 13.0, "threshold_dbm": -87.0,
+        "validation": {
+            "passed": False, "exceed_count": -3, "exceed_indices": [7, 9], "max_level_dbm": -80.0,
+        },
+    }))
     (directory / "bad_manifest.json").write_text(json.dumps({
         "wgn_record": "wgn.csv", "in_records": ["in.csv"], "event": "e",
         "frequency_khz": 1910.0, "offset_db": "abc",
@@ -830,8 +829,8 @@ def test_failing_run_creates_no_out(tmp_path, monkeypatch, capsys, case):
     _failing_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == expected
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {NAMED_FILES.get(case, '')}") and err.count("\n") == 1, err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {NAMED_FILES.get(case, '')}") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 

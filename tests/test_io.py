@@ -309,6 +309,8 @@ def test_baseline_report_malformed(tmp_path):
         ('{"rms_dbm": -90.0, "threshold_dbm": -77.0, "validation": {"passed": true}}', "exceed_count"),
         ('{"rms_dbm": -90.0, "threshold_dbm": -77.0, "validation": {"passed": 1, "exceed_count": 0,'
          ' "exceed_indices": [], "max_level_dbm": -95.0}}', "passed"),
+        ('{"rms_dbm": -90.0, "threshold_dbm": -77.0, "validation": {"passed": false, "exceed_count": -3,'
+         ' "exceed_indices": [7, 9], "max_level_dbm": -70.0}}', "^baseline.json: validation: exceed_count -3 is not"),
         ("[]", "expected a JSON object"),
     ]:
         path.write_text(text)
