@@ -3,26 +3,25 @@
 Pipeline: ``extract_pulses`` finds maximal runs of above-threshold samples,
 ``combine_pulses`` merges nearby runs into bursts under the rule that more
 than 50% of all samples inside a burst must exceed the threshold, and
-``detect_bursts`` chains the two and adds each burst's amplitude. The
-result is one ``BurstSet``: a table of read-only numpy columns
-(``start_idx``, ``end_idx``, ``above_count``, ``amplitude_dbm``) from which
-span counts, durations, start times and separations are derived.
+``detect_bursts`` chains the two and adds each burst's amplitude from
+``model.span_power_dbm``. The result is one ``BurstSet``: a table of
+read-only numpy columns (``start_idx``, ``end_idx``, ``above_count``,
+``amplitude_dbm``) from which span counts, durations, start times and
+separations are derived.
 
-The work is array steps, except where the rule or an exact sum needs
-Python: one step per merged pulse in ``combine_pulses``, and one
-``math.fsum`` call per span of two or more samples in
-``_span_amplitudes``. A record of one-sample bursts takes neither.
+The work is array steps, except where the >50% rule needs Python: one step
+per merged pulse in ``combine_pulses``. Levels become powers, and powers
+dB values, only in ``model``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baseline import Baseline
-from .model import DomainError, LevelDbm, SampleRecord, checked_sample_rate
+from .model import DomainError, LevelDbm, SampleRecord, checked_sample_rate, span_power_dbm
 
 _COLUMNS = {
     "start_idx": np.int64,
@@ -158,32 +157,6 @@ def combine_pulses(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return spans, above[1:][closes] - above[:-1][opens]
 
 
-def _span_amplitudes(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """dB value of the mean linear power of each inclusive span.
-
-    Bit-identical to ``mw_to_dbm(math.fsum(powers) / count)`` of each span,
-    one IEEE operation at a time, with no Python call per span. A
-    one-sample span's sum is its power. ``math.fsum`` is mapped over the
-    spans of two or more samples only, and ``math.log10`` over every mean;
-    the division and the scaling by 10 are numpy's. Only in-span samples
-    are converted to linear power. A SampleRecord's levels keep every
-    mean > 0 and finite.
-    """
-    counts = end - start + 1
-    bounds = np.cumsum(counts)
-    first = bounds - counts  # each span's first power
-    inside = np.repeat(start - first, counts) + np.arange(counts.sum())
-    powers = np.power(10.0, levels[inside] / 10.0)
-    sums = powers[first]
-    long = np.flatnonzero(counts > 1)
-    if long.size:
-        listed = powers.tolist()
-        spans = map(listed.__getitem__, map(slice, first[long].tolist(), bounds[long].tolist()))
-        sums[long] = np.fromiter(map(math.fsum, spans), np.float64, count=long.size)
-    mean = sums / counts
-    return 10.0 * np.fromiter(map(math.log10, mean.tolist()), np.float64, count=mean.size)
-
-
 def detect_bursts(record: SampleRecord, baseline: Baseline, record_id: str = "") -> BurstSet:
     """The bursts of ``record`` above ``baseline``: none when no sample exceeds it."""
     threshold = baseline.threshold_dbm
@@ -193,7 +166,7 @@ def detect_bursts(record: SampleRecord, baseline: Baseline, record_id: str = "")
         start_idx=start,
         end_idx=end,
         above_count=above_count,
-        amplitude_dbm=_span_amplitudes(record.levels, start, end),
+        amplitude_dbm=span_power_dbm(record.levels, start, end),
         threshold_dbm=threshold,
         record_id=record_id,
         sample_rate_hz=record.sample_rate_hz,

@@ -335,12 +335,7 @@ def read_event_specs(path: Path | str) -> list[BurstEventSpec]:
     name = path.name
     if not isinstance(data, list):
         raise FormatError(f"{name}: expected a JSON list of events")
-    try:
-        return [_from_json(BurstEventSpec, e, name) for e in data]
-    except FormatError:  # only a refused event's message spells its index
-        for i, e in enumerate(data):
-            _from_json(BurstEventSpec, e, f"{name}: events[{i}]")
-        raise
+    return [_from_json(BurstEventSpec, e, f"{name}: events[{i}]") for i, e in enumerate(data)]
 
 
 def write_ground_truth(

@@ -2,7 +2,8 @@
 
 Levels travel through the pipeline in dBm (receiver-native). Wherever a
 "linear average" is required it is taken over linear power in milliwatts
-and converted back to dB, never over the dB values themselves.
+and converted back to dB, never over the dB values themselves: here, and
+in no other analysis module, for the r.m.s. level and the burst amplitudes.
 
 Every level lies in [LEVEL_MIN_DBM, LEVEL_MAX_DBM], far beyond any receiver:
 each linear power is a normal double in [1e-300, 1e290] mW, and as an array
@@ -189,3 +190,32 @@ def mean_power_dbm(levels: np.ndarray) -> LevelDbm:
         total += block << (least - _FREXP_MIN)
     # int / int is the true quotient rounded once; this one is a power of 2
     return mw_to_dbm(total / (1 << (53 - _FREXP_MIN)) / levels.size)
+
+
+def span_power_dbm(levels: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """``mean_power_dbm(levels[s:e + 1])`` of each inclusive span [s, e], to
+    the bit, as both round the exact sum once. A span of more than
+    ``_POWER_BLOCK`` samples is that call, so no array holds all its powers.
+    The others take no Python call each: only their samples become powers, a
+    one-sample span's sum is its power, ``math.fsum`` is mapped over those of
+    two or more and ``math.log10`` over every mean; the rest is numpy's."""
+    counts = end - start + 1
+    wide = counts > _POWER_BLOCK
+    if wide.any():
+        db = np.empty(counts.size)
+        db[~wide] = span_power_dbm(levels, start[~wide], end[~wide])
+        for i in np.flatnonzero(wide).tolist():
+            db[i] = mean_power_dbm(levels[start[i] : end[i] + 1])
+        return db
+    bounds = np.cumsum(counts)
+    first = bounds - counts  # each span's first power
+    inside = np.repeat(start - first, counts) + np.arange(counts.sum())
+    powers = np.power(10.0, levels[inside] / 10.0)
+    sums = powers[first]
+    long = np.flatnonzero(counts > 1)
+    if long.size:
+        listed = powers.tolist()
+        spans = map(listed.__getitem__, map(slice, first[long].tolist(), bounds[long].tolist()))
+        sums[long] = np.fromiter(map(math.fsum, spans), np.float64, count=long.size)
+    mean = sums / counts
+    return 10.0 * np.fromiter(map(math.log10, mean.tolist()), np.float64, count=mean.size)

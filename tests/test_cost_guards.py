@@ -24,15 +24,17 @@ from innoise.synth import BURST_SHAPES, BurstEventSpec, generate_wgn, inject_bur
 BASE = derive_threshold(-80.0)  # threshold -67 dBm
 LOW, HIGH = -90.0, -50.0
 
-# detect_bursts may run at most this many lines of innoise.bursts per merged
-# pulse, plus a fixed number. 5 a merge and 6 a merged pair were measured
-# (Python 3.11), and 76 lines on a record without merges.
+# detect_bursts may run at most this many lines of innoise.bursts and
+# innoise.model per merged pulse, plus a fixed number. 5 a merge and 6 a
+# merged pair were measured (Python 3.11), and 81 lines on a record without
+# merges, 90 with one merge.
 LINES_PER_MERGE = 8
 LINES_FIXED = 100
 
 
 def _detect_lines(levels) -> int:
-    """Python lines of ``innoise.bursts`` that ``detect_bursts`` executes."""
+    """Python lines of ``innoise.bursts`` and of ``innoise.model``, where the
+    amplitudes are computed, that ``detect_bursts`` executes."""
     record = SampleRecord(levels=np.asarray(levels, dtype=float), sample_rate_hz=1000.0)
     count = 0
 
@@ -42,7 +44,7 @@ def _detect_lines(levels) -> int:
         return line
 
     def call(frame, event, arg):
-        return line if frame.f_code.co_filename == bursts.__file__ else None
+        return line if frame.f_code.co_filename in (bursts.__file__, model.__file__) else None
 
     previous = sys.gettrace()
     sys.settrace(call)
@@ -375,6 +377,24 @@ def test_writers_and_rms_level_peak_in_bounded_memory(tmp_path, n):
     burst_set = bursts.detect_bursts(dense, BASE)
     c, d = PLOT_PEAK_BYTES
     peak = _traced_peak(io.write_plot_data, dense, burst_set, tmp_path / "plot.csv")
+    assert peak <= c * n + d, (n, peak)
+
+
+# detect_bursts on a record that is one burst holds the above-threshold mask
+# and its edges, about 3 B a sample, or one block of model._POWER_BLOCK
+# powers, their exponents and parts, whichever is larger: at most c B a
+# sample plus d. Measured (Python 3.11, numpy 2.4) at 100,000, 300,000 and
+# 1,000,000 samples: 1.58, 1.58 and 3.00 MB. The span's powers gathered in
+# one array and listed for math.fsum would add 56 B a sample.
+ONE_BURST_PEAK_BYTES = (4, 2_000_000)
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_detection_of_one_long_burst_peaks_at_a_few_bytes_a_sample(n):
+    record = SampleRecord(np.random.default_rng(1).normal(HIGH, 3.0, n), 8001.0)
+    c, d = ONE_BURST_PEAK_BYTES
+    peak = _traced_peak(bursts.detect_bursts, record, BASE)
+    assert len(bursts.detect_bursts(record, BASE)) == 1
     assert peak <= c * n + d, (n, peak)
 
 

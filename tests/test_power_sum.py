@@ -1,4 +1,5 @@
-"""mean_power_dbm's exact power sum, bit for bit against math.fsum.
+"""mean_power_dbm's and span_power_dbm's exact power sums, bit for bit
+against math.fsum.
 
 ``math.fsum`` rounds the exact sum of the powers once, to nearest and a tie
 to even; it is the oracle here and nowhere in the library.
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from innoise import model
-from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, mean_power_dbm, mw_to_dbm
+from innoise.model import LEVEL_MAX_DBM, LEVEL_MIN_DBM, mean_power_dbm, mw_to_dbm, span_power_dbm
 
 LEVELS = st.floats(min_value=LEVEL_MIN_DBM, max_value=LEVEL_MAX_DBM)
 
@@ -100,3 +101,26 @@ def test_exact_sum_rounds_a_half_unit_tie_as_fsum(level, data, rng):
     order = np.arange(levels.size)
     rng.shuffle(order)
     assert_fsum_bits(levels, order)
+
+
+@given(
+    st.lists(LEVELS, min_size=1, max_size=60),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), max_size=8),
+)
+@settings(max_examples=300)
+def test_span_amplitudes_have_the_fsum_bits_on_both_sides_of_the_block(levels, gaps):
+    # spans of 1 to 12 samples, apart or adjacent; at 1 and 3 samples a
+    # block each span of two or more, or of four or more, is mean_power_dbm's
+    levels = np.array(levels)
+    start, end, last = [], [], -1
+    for gap, length in gaps:
+        if last + gap + length >= levels.size:
+            break
+        start.append(last + gap + 1)
+        last += gap + length
+        end.append(last)
+    start, end = np.array(start, np.int64), np.array(end, np.int64)
+    expected = [fsum_mean_power_dbm(levels[s : e + 1]).hex() for s, e in zip(start, end)]
+    for block in (1, 3, model._POWER_BLOCK):
+        with mock.patch.object(model, "_POWER_BLOCK", block):
+            assert [a.hex() for a in span_power_dbm(levels, start, end)] == expected, block
