@@ -27,8 +27,9 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, np.subtract(x, hi, out=c)
 
 
-_POW10_F = np.array([float(10**k) for k in range(22)])  # each an exact double
+_POW10_F = np.array([float(10**k) for k in range(21)])  # each an exact double
 _POW10_HI, _POW10_LO = _split(_POW10_F)
+_DECADE_STARTS = np.array([float(f"1e{p}") for p in range(-4, 17)])  # fl(10**p), p = -4 .. 16
 
 # rows of a per-row table formatted and written at a time
 _ROWS_PER_WRITE = 4096
@@ -66,7 +67,7 @@ _CELL_MASKS = _cell_masks()
 
 
 def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Dekker's product of positive doubles ``a`` and 10**k, 0 <= k <= 21,
+    """Dekker's product of positive doubles ``a`` and 10**k, 1 <= k <= 20,
     each split into halves of 26 bits: P = fl(a 10**k) and E = a 10**k - P,
     exact unless a split or partial product overflows or underflows; then
     the midpoints between a and its neighbours (the bit patterns next to
@@ -100,10 +101,9 @@ def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, ...]:
 
     ``_times_pow10`` gives P = fl(a 10**k) and E = a 10**k - P exactly, as no
     split or partial product overflows or underflows: for a in [1e-4, 1e16)
-    and k in [1, 20] (or 0 and 21, where ``np.log10`` misjudges e10 by one),
-    each is below 2**100, and each but 0 is at least 2**-66, a's last bit
-    times an integer. P < 2**60 and |E| <= 64; floor(X) = P + floor(E) where
-    X >= 2**53, and the sum is at most X elsewhere, so an X below 1e16 shows.
+    and k in [1, 20], each is below 2**100, and each but 0 is at least 2**-66,
+    a's last bit times an integer. P < 2**60, |E| <= 64 and X >= 10**16 >
+    2**53, so floor(X) = P + floor(E) (tests/test_exactness_claims.py).
     a's gap to a neighbour is a power of 2, so a midpoint's distance from
     X, the gap times 10**k / 2, is exact. So X, lo and hi less floor(X) are
     exact values rounded at most twice, after adding E and that distance
@@ -120,8 +120,7 @@ def _shortest_digits(
 ) -> tuple[np.ndarray, ...]:
     """The shortest decimal between lo and hi nearest X, given ``_scaled``, as
     a 17-digit integer; whether a multiple of 10 and of 100 lies between lo
-    and hi; and ``ok`` cleared where X is misplaced or lands on a tie."""
-    ok &= (whole >= 10**16) & (whole < 10**17)
+    and hi; and ``ok`` cleared where X lands on a tie."""
     # relative to floor(X), the integers between lo and hi are low + 1 .. high
     low, high = np.floor(lo).astype(np.int64), np.floor(hi).astype(np.int64)
     span = high - low
@@ -158,8 +157,8 @@ def _shortest(values: np.ndarray) -> np.ndarray:
     platform and SIMD path, so the bytes do too.
 
     ``repr()`` itself spells any value outside [1e-4, 1e16), zeros, NaN and
-    infinities among them, and one whose e10 estimate (``np.log10``) is off
-    or whose X ties between the two nearest candidates. No other needs it:
+    infinities among them, and one whose X ties between the two nearest
+    candidates. No other needs it:
 
     - Half a gap is at least 2**-54 of a double, so each midpoint lies at
       least 0.555 from X: at least one integer and at most 23 lie between.
@@ -167,16 +166,17 @@ def _shortest(values: np.ndarray) -> np.ndarray:
       lies at least 2**-47 from every integer, farther than its roundings
       move it). There X = 10x is a multiple of 10 and the midpoints are
       10x -+ 5 or 10x -+ 10, no multiple of 100, so neither is chosen.
-    - The digits stay below 10**17: 10**p is a double for p >= 0 and
-      fl(10**p) > 10**p for p = -4 .. -1, so no double in [1e-4, 1e16) has
-      10**(e10 + 1) in its rounding interval.
+    - e10 is exact and the digits stay below 10**17: 10**p is a double for
+      p >= 0 and fl(10**p) > 10**p for p = -4 .. -1, so fl(10**p), the double
+      10**p rounds to, is the least >= 10**p; and floor((e - 1) log10 2), e the
+      frexp exponent of |x|, is e10 or e10 - 1 (tests/test_exactness_claims.py).
     """
     a = np.abs(values)
     ok = (a >= 1e-4) & (a < 1e16)
     a[~ok] = 1.0
-    e10 = np.floor(np.log10(a)).astype(np.intp)
+    e10 = np.floor((np.frexp(a)[1] - 1) * 0.3010299956639812).astype(np.intp)
+    e10 += a >= _DECADE_STARTS.take(e10 + 5)  # from the least double of the next decade on
     digits, tens, hundreds = _shortest_digits(*_scaled(a, e10), ok)
-    digits[~ok] = 10**16
     # the 17 digits in groups of 1, 4, 4, 4 and 4
     upper = digits // 10**8
     lower = digits - upper * 10**8

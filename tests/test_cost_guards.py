@@ -78,9 +78,8 @@ def test_detection_runs_python_per_merge_not_per_pulse():
 
 
 # _shortest hands a value in [1e-4, 1e16) to repr() only where its scaled
-# value lands on a tie or its decade is misjudged. 0 of 100,000 levels were
-# measured on each set below (804 and 651 with the long double products it
-# had before).
+# value lands on a tie. 0 of 100,000 levels were measured on each set below
+# (804 and 651 with the long double products it had before).
 MAX_REPR_FALLBACKS = 10
 
 

@@ -75,8 +75,6 @@ def _powers_and_logarithms(path: Path) -> set[tuple[str, str]]:
 
 # Where a module other than model may take a power or a logarithm, and why.
 POWER_OR_LOG_OUTSIDE_MODEL = {
-    # it only guesses each value's decade, and a wrong guess goes to repr()
-    ("numtext", "_shortest", "np.log10"),
     # the generator's own array conversion, until ROADMAP item 1 step 1
     # replaces it: model's dB<->mW conversions are scalar, and a scalar call
     # does not always round as numpy's array one does, so going through them

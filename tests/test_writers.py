@@ -200,6 +200,18 @@ def test_write_table_spells_the_edges_of_the_array_spelling_as_repr(tmp_path):
         assert path.read_text().split("\n") == [repr(v) for v in values.tolist()] + [""], name
 
 
+def test_shortest_spells_every_decade_edge_itself():
+    # fl(10**p) and the double below it lie in different decades, which the
+    # frexp exponent and the table of fl(10**p) tell apart; only 1e16, past
+    # the positional range, goes to repr()
+    starts = [float(f"1e{p}") for p in range(-3, 17)]
+    edges = [1e-4, *starts, *np.nextafter(starts, 0).tolist()]
+    with mock.patch.object(numtext, "_repr_cells", wraps=numtext._repr_cells) as spy:
+        cells = numtext._shortest(np.array(edges))
+    assert [cell.tobytes().replace(b"\0", b"").decode() for cell in cells] == list(map(repr, edges))
+    assert [v for call in spy.call_args_list for v in call.args[0].tolist()] == [1e16]
+
+
 @pytest.mark.parametrize("exact", TIERS)
 @settings(max_examples=200, deadline=None)
 @given(
