@@ -66,8 +66,8 @@ def cmd_baseline(args: argparse.Namespace) -> Plan:
     verdict = "PASS" if validation.passed else f"FAIL ({validation.exceed_count} exceedances)"
     status = ExitStatus.OK if validation.passed else ExitStatus.VALIDATION_FAILED
     return status, [output], (
-        f"baseline: rms {base.rms_dbm:.2f} dBm, threshold {base.threshold_dbm:.2f} dBm "
-        f"(+{base.offset_db:g} dB), WGN check {verdict}"
+        f"baseline: rms {io._fmt2(base.rms_dbm)} dBm, threshold {io._fmt2(base.threshold_dbm)} "
+        f"dBm (+{base.offset_db:g} dB), WGN check {verdict}"
     )
 
 
@@ -134,7 +134,7 @@ def cmd_campaign(args: argparse.Namespace) -> Plan:
     outputs.append(("campaign.json", partial(io.write_campaign_report, characterization)))
     return ExitStatus.OK, outputs, (
         f"campaign: {characterization.n_measurements} measurements, "
-        f"mean {characterization.mean_n_bursts:.2f} bursts"
+        f"mean {io._fmt2(characterization.mean_n_bursts)} bursts"
     )
 
 

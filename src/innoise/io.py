@@ -19,9 +19,9 @@ plot CSV         time_ms, level_dbm, burst_id per sample, for replotting.
 APD CSV          level_dbm plus one exceedance column per curve.
 
 All writers are deterministic (identical inputs give byte-identical files)
-and JSON numbers use the shortest round-trip representation, so a read of
-what was written reproduces the in-memory values exactly. The human-facing
-CSV tables round to 2 decimals; the JSON keeps full precision. ``records``
+and JSON numbers use the shortest round-trip representation, so a read of what was
+written reproduces the in-memory values exactly. The summary CSVs and the CLI's lines
+round to 2 decimals one way (``_fmt2``): the shortest decimal, half-up. ``records``
 reads and writes the record CSV; ``numtext`` writes every per-row table.
 """
 
@@ -115,13 +115,13 @@ def _read_json(path: Path) -> Any:
         raise FormatError(f"{path.name}: invalid JSON: {exc}") from exc
 
 
-# One codec for every JSON type: a dataclass is an object with one key per
-# field, in field order. None is omitted on write and a missing key reads as
-# the field's default; a field without a default is a required key. A
-# read checks each key's type in ``_json_value``, the type's constructor the
-# rest; a write checks nothing, so its floats must be finite already (as
-# json.dumps spells inf Infinity, which is not JSON). A float key takes an int
-# or a float below _FLOAT_BOUND in magnitude, the least int float() makes inf.
+# One codec for every JSON type: a dataclass is an object with one key per field,
+# in field order. None is omitted on write and a missing key reads as the field's
+# default; a field without a default is a required key. A read checks each key's
+# type in ``_json_value``, the type's constructor the rest; a write checks nothing,
+# so its floats must be finite already (as json.dumps spells inf Infinity, which is
+# not JSON). A float key takes an int or a float below _FLOAT_BOUND in magnitude, the
+# least int float() refuses with an OverflowError (tests/test_exactness_claims.py).
 _FLOAT_BOUND = 2**1024 - 2**970
 
 
@@ -179,8 +179,8 @@ def _json_value(hint: Any, value: Any, where: str, name: str) -> Any:
 
 
 def _fmt2(value: float | None) -> str:
-    # round the shortest decimal form half-up, so e.g. a mean whose nearest
-    # double sits just below x.xx5 still prints the way the number reads
+    # the one 2-decimal rule of the summary CSVs and the printed lines: the shortest
+    # decimal (repr) rounded half-up: 2.125 reads 2.13, and 2.675, a double below it, 2.68
     if value is None:
         return ""
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
@@ -294,12 +294,12 @@ def write_plot_data(record: SampleRecord, burst_set: BurstSet, path: Path | str)
             f"({n} samples); was the set derived from this record?"
         )
     tags = np.zeros(n, dtype=f"S{len(str(len(burst_set)))}")  # empty outside the bursts
-    spans = zip(burst_set.start_idx.tolist(), burst_set.end_idx.tolist())
-    for i, (start, end) in enumerate(spans, start=1):
-        tags[start : end + 1] = str(i).encode()
-    # entry i is the double float(i) * (1000.0 / rate), the index converted exactly
-    time_ms = np.arange(n) * (1000.0 / record.sample_rate_hz)
-    columns = [time_ms, record.levels, tags]
+    counts = burst_set.span_count  # each burst's samples, listed as in model.span_power_dbm
+    inside = np.repeat(burst_set.start_idx - (np.cumsum(counts) - counts), counts)
+    inside += np.arange(inside.size)
+    tags[inside] = np.repeat(np.arange(1, len(counts) + 1).astype(tags.dtype), counts)
+    # time_ms's entry i is the double float(i) * (1000.0 / rate), the index converted exactly
+    columns = [np.arange(n) * (1000.0 / record.sample_rate_hz), record.levels, tags]
     with Path(path).open("wb") as fh:
         numtext._write_table(fh, "time_ms,level_dbm,burst_id\n", ("", ",", ",", ""), columns)
 

@@ -5,9 +5,9 @@ Levels travel through the pipeline in dBm (receiver-native). Wherever a
 and converted back to dB, never over the dB values themselves: here, and
 in no other analysis module, for the r.m.s. level and the burst amplitudes.
 
-Every level lies in [LEVEL_MIN_DBM, LEVEL_MAX_DBM], far beyond any receiver:
-each linear power is a normal double in [1e-300, 1e290] mW, and as an array
-holds under 2^60 doubles, every sum of them is below 1.2e308 mW.
+Every level lies in [LEVEL_MIN_DBM, LEVEL_MAX_DBM], far beyond any receiver: each
+linear power is a normal double in [1e-300, 1e290] mW, and as an array holds under
+2^60 doubles, every sum of them is below 1.2e308 mW (tests/test_exactness_claims.py).
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ class SampleRecord:
 def checked_sample_rate(rate_hz: float) -> float:
     """``rate_hz`` as a float; DomainError unless it is finite and >= 1e-3 Hz.
 
-    The floor bounds a duration of n samples by n * 10^6 ms, so durations,
-    their means and deviations stay finite and fit the 2-decimal tables.
-    """
+    The floor bounds a duration of n < 2^60 samples by n * 10^6 ms, so durations,
+    their means and deviations stay finite and below 10^26: ``io._fmt2`` spells
+    them within decimal's 28 digits (tests/test_exactness_claims.py)."""
     rate_hz = float(rate_hz)
     if not (math.isfinite(rate_hz) and rate_hz >= 1e-3):
         raise DomainError(f"sample_rate_hz must be finite and >= 0.001 Hz, got {rate_hz}")
@@ -149,11 +149,11 @@ def mw_to_dbm(power: PowerMw) -> LevelDbm:
     return 10.0 * math.log10(power)
 
 
-# How many samples mean_power_dbm converts to linear power at a time: no
-# array holds every sample's power, and a bucket of one block's parts holds
-# at most 2**16 integers below 2**27, so its float sum, below 2**43, is exact.
+# How many samples mean_power_dbm converts to linear power at a time: no array holds
+# every sample's power, and a bucket of one block's parts holds at most 2**16 integers
+# below 2**27, so its float sum, below 2**43, is exact (tests/test_exactness_claims.py).
 _POWER_BLOCK = 1 << 16
-# np.frexp's exponent of the least positive double, 2**-1074 = 0.5 * 2**-1073
+# np.frexp's exponent of 2**-1074 = 0.5 * 2**-1073, the least positive double (same tests)
 _FREXP_MIN = -1073
 
 

@@ -158,7 +158,8 @@ def _shortest(values: np.ndarray) -> np.ndarray:
 
     ``repr()`` itself spells any value outside [1e-4, 1e16), zeros, NaN and
     infinities among them, and one whose X ties between the two nearest
-    candidates. No other needs it:
+    candidates. No other needs it (each reason checked in
+    tests/test_exactness_claims.py):
 
     - Half a gap is at least 2**-54 of a double, so each midpoint lies at
       least 0.555 from X: at least one integer and at most 23 lie between.
@@ -168,9 +169,8 @@ def _shortest(values: np.ndarray) -> np.ndarray:
       10x -+ 5 or 10x -+ 10, no multiple of 100, so neither is chosen.
     - e10 is exact and the digits stay below 10**17: 10**p is a double for
       p >= 0 and fl(10**p) > 10**p for p = -4 .. -1, so fl(10**p), the double
-      10**p rounds to, is the least >= 10**p; and floor((e - 1) log10 2), e the
-      frexp exponent of |x|, is e10 or e10 - 1 (tests/test_exactness_claims.py).
-    """
+      10**p rounds to, is the least >= 10**p; and floor((e - 1) log10 2), e
+      the frexp exponent of |x|, is e10 or e10 - 1."""
     a = np.abs(values)
     ok = (a >= 1e-4) & (a < 1e16)
     a[~ok] = 1.0

@@ -104,15 +104,15 @@ def _plain_levels(block: bytes) -> np.ndarray | None:
     """The samples of a block whose every line is plain (``_plain_digits``),
     parsed as arrays; None for any other block.
 
-    A line's digits make an integer ``m < 10**18`` and its fraction digits
-    number ``k <= 17``, as a line holds at most 18 digits and one of them
-    before the point; ``float()`` gives m / 10**k rounded once, a tie to even.
-    q = fl(fl(m) / 10**k) is that double where m < 2**53, and within 1.5
-    units of m / 10**k elsewhere, so the sample is q or a neighbour. Scaled
-    by 10**k, less P = fl(q 10**k), the midpoints around q
-    (``numtext._times_pow10``) are multiples of 2**(j + k - 2), 2**j being q's last
-    bit, below 2**51 times that, so exact, and so is m - P: m is set against
-    them exactly. (At q = 0 the midpoint below is NaN and moves nothing.)
+    A line's digits make an integer ``m < 10**18`` and its fraction digits number
+    ``k <= 17``, as a line holds at most 18 digits and one of them before the point;
+    ``float()`` gives m / 10**k rounded once, a tie to even. q = fl(fl(m) / 10**k)
+    is that double where m < 2**53, and within 1.5 units of m / 10**k elsewhere,
+    so the sample is q or a neighbour. Scaled by 10**k, less P = fl(q 10**k), the
+    midpoints around q (``numtext._times_pow10``) are multiples of 2**(j + k - 2),
+    2**j being q's last bit, below 2**51 times that, so exact; so is m - P, as
+    fl(m) - P plus m - fl(m), an int8 (at most 64): m is set against them exactly
+    (tests/test_exactness_claims.py). At q = 0 the NaN midpoint below moves nothing.
 
     The steps write into spent arrays where they can, and k comes as intp,
     the index type the power tables are gathered fastest with.

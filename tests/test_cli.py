@@ -64,6 +64,29 @@ def test_baseline_fails_on_impulsive_record_but_still_writes(tmp_path, capsys):
     assert 1000 in payload["validation"]["exceed_indices"]
 
 
+@pytest.mark.parametrize("seed, level", [(7, None), (11, None), (12, None), (None, -100.125),
+                                         (None, -100.005)])
+def test_baseline_prints_its_levels_as_the_summary_csvs_round_them(tmp_path, capsys, seed, level):
+    # a WGN record, or one of a constant level, whose r.m.s. level is that
+    # level: -100.125 is a double and a tie, which ":.2f" rounds to even,
+    # -100.12, and -100.005's double lies above it, which ":.2f" rounds to
+    # -100.00; the rule of the CSVs rounds the shortest decimal half-up
+    wgn = tmp_path / "wgn.csv"
+    if level is None:
+        _write_wgn(wgn, seed=seed)
+    else:
+        io.write_record(SampleRecord(np.full(1_000, level), 8001.0), wgn)
+    out = tmp_path / "out"
+    assert main(["baseline", str(wgn), "--out", str(out)]) == ExitStatus.OK
+    payload = json.loads((out / "baseline.json").read_text())
+    rms, threshold = io._fmt2(payload["rms_dbm"]), io._fmt2(payload["threshold_dbm"])
+    line = capsys.readouterr().out
+    assert line.startswith(f"baseline: rms {rms} dBm, threshold {threshold} dBm (+13 dB)"), line
+    if level is not None:
+        assert payload["rms_dbm"] == level
+        assert rms == {-100.125: "-100.13", -100.005: "-100.01"}[level]
+
+
 def test_baseline_missing_file_exits_2(tmp_path):
     assert main(["baseline", str(tmp_path / "nope.csv")]) == ExitStatus.IO_ERROR
 
@@ -316,6 +339,24 @@ def test_campaign_single_measurement_omits_deviations(tmp_path):
     assert "sd_duration_ms" not in payload
     rows = dict(line.split(",") for line in (out / "campaign.csv").read_text().splitlines()[1:])
     assert rows["Standard Deviation of Duration (ms)"] == ""
+
+
+def test_campaign_prints_the_mean_burst_count_its_csv_holds(tmp_path, capsys):
+    # 17 bursts in 8 records: the mean 2.125 is a double and a tie, which
+    # ":.2f" rounds to even, 2.12; campaign.csv's rule rounds it half-up
+    _write_wgn(tmp_path / "wgn.csv", seed=7)
+    names = [f"in{i}.csv" for i in range(8)]
+    for i, (name, count) in enumerate(zip(names, [3, 2, 2, 2, 2, 2, 2, 2])):
+        events = [BurstEventSpec(1_000 + 5_000 * k, 6, 24.0) for k in range(count)]
+        _write_in(tmp_path / name, events, seed=60 + i)
+    manifest = {"wgn_record": "wgn.csv", "in_records": names, "event": "e", "frequency_khz": 1910}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "camp"
+    assert main(["campaign", str(tmp_path / "manifest.json"), "--out", str(out)]) == ExitStatus.OK
+    assert json.loads((out / "campaign.json").read_text())["mean_n_bursts"] == 2.125
+    rows = dict(line.split(",") for line in (out / "campaign.csv").read_text().splitlines()[1:])
+    assert rows["Number of Bursts"] == "2.13"
+    assert capsys.readouterr().out == "campaign: 8 measurements, mean 2.13 bursts\n"
 
 
 def test_campaign_fails_fast_on_dirty_wgn(tmp_path):

@@ -32,10 +32,9 @@ LINES_PER_MERGE = 8
 LINES_FIXED = 100
 
 
-def _detect_lines(levels) -> int:
-    """Python lines of ``innoise.bursts`` and of ``innoise.model``, where the
-    amplitudes are computed, that ``detect_bursts`` executes."""
-    record = SampleRecord(levels=np.asarray(levels, dtype=float), sample_rate_hz=1000.0)
+def _lines(modules, run, *args) -> int:
+    """Python lines of the innoise ``modules`` that ``run(*args)`` executes."""
+    files = {module.__file__ for module in modules}
     count = 0
 
     def line(frame, event, arg):
@@ -44,15 +43,22 @@ def _detect_lines(levels) -> int:
         return line
 
     def call(frame, event, arg):
-        return line if frame.f_code.co_filename in (bursts.__file__, model.__file__) else None
+        return line if frame.f_code.co_filename in files else None
 
     previous = sys.gettrace()
     sys.settrace(call)
     try:
-        bursts.detect_bursts(record, BASE)
+        run(*args)
     finally:
         sys.settrace(previous)
     return count
+
+
+def _detect_lines(levels) -> int:
+    """Python lines of ``innoise.bursts`` and of ``innoise.model``, where the
+    amplitudes are computed, that ``detect_bursts`` executes."""
+    record = SampleRecord(levels=np.asarray(levels, dtype=float), sample_rate_hz=1000.0)
+    return _lines((bursts, model), bursts.detect_bursts, record, BASE)
 
 
 def _pulse_every_third_sample(n):
@@ -75,6 +81,20 @@ def test_detection_runs_python_per_merge_not_per_pulse():
     for pairs in (10, 100, 1_000):
         lines = _detect_lines(np.tile([HIGH, LOW, HIGH] + [LOW] * 5, pairs))
         assert lines <= LINES_PER_MERGE * pairs + LINES_FIXED, (pairs, lines)
+
+
+def _plot_lines(tmp_path, n) -> int:
+    """Python lines of ``innoise.io`` that ``write_plot_data`` executes on
+    ``n`` samples with a burst on every third."""
+    dense = SampleRecord(_pulse_every_third_sample(n), 8001.0)
+    burst_set = bursts.detect_bursts(dense, BASE)
+    return _lines((io,), io.write_plot_data, dense, burst_set, tmp_path / "plot.csv")
+
+
+def test_plot_writer_tags_the_bursts_without_a_python_line_per_burst(tmp_path):
+    # 1,000 and 10,000 bursts: 11 lines at both sizes measured (Python 3.11);
+    # a slice assignment per burst ran 2,010 and 20,010
+    assert _plot_lines(tmp_path, 3_000) == _plot_lines(tmp_path, 30_000)
 
 
 # _shortest hands a value in [1e-4, 1e16) to repr() only where its scaled
@@ -354,10 +374,11 @@ def test_apd_pair_calls_python_a_fixed_number_of_times_in_bounded_memory(n):
 # on. A list or array of the whole record or table would add 8 to 40 B a
 # sample.
 PEAK_BYTES = {"write_record": 1_500_000, "write_apd_csv": 3_000_000, "compute_rms_level": 4_000_000}
-# write_plot_data builds its time_ms and burst_id columns whole, and a list
-# of each burst's start and end: at most c B a sample plus d. Measured at
+# write_plot_data builds its time_ms and burst_id columns whole, and the
+# index of each in-burst sample: at most c B a sample plus d. Measured at
 # 10,000, 100,000 and 1,000,000 samples of a burst on every third sample:
-# 2.01, 4.40 and 35.40 MB, 27 to 33 B a sample past the first 10,000.
+# 1.94, 3.60 and 27.40 MB, 18 to 26 B a sample past the first 10,000 (2.01,
+# 4.40 and 35.40 MB with a slice assignment and two Python ints per burst).
 PLOT_PEAK_BYTES = (40, 2_500_000)
 
 

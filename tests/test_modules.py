@@ -1,6 +1,7 @@
 """How the modules sit beside each other: the import layers numtext <-
-records <- io, one function object per public name, and every conversion
-between levels and linear powers in model."""
+records <- io, one function object per public name, every conversion
+between levels and linear powers in model, and every two-decimal number
+spelled by io._fmt2."""
 
 import ast
 import re
@@ -96,3 +97,32 @@ def test_levels_become_powers_and_powers_levels_only_in_model():
     assert {what for _, what in _powers_and_logarithms(Path(model.__file__))} >= {
         "np.power", "math.log10", "10.0 **"
     }
+
+
+def _fixed_point_specs(source: str) -> list[tuple[int, str]]:
+    """(line, spec) for each f-string format spec in ``source`` whose
+    presentation type, its last character, is fixed point: ``f`` or ``F``,
+    as in ``:.2f``. A nested field in a spec reads as ``{}``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            parts = node.format_spec.values
+            spec = "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
+            if spec.endswith(("f", "F")):
+                found.append((node.lineno, spec))
+    return found
+
+
+def test_two_decimal_numbers_are_spelled_only_by_the_summary_csvs_rule():
+    # io._fmt2 spells every 2-decimal number the program shows, in the
+    # summary CSVs and the printed lines alike; ":.2f" rounds the double
+    # half-even, so a mean of 2.125 would print 2.12 where the CSV holds 2.13
+    found = [
+        (path.stem, line, spec)
+        for path in sorted(Path(innoise.__file__).parent.glob("*.py"))
+        for line, spec in _fixed_point_specs(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+    # the check sees a fixed-point spec however it is written, and no other
+    specs = _fixed_point_specs('f"{a:.2f} {b:>9,.3F} {c:.{n}f} {d:g} {e:f<4} {f!r:>5}"')
+    assert [spec for _, spec in specs] == [".2f", ">9,.3F", ".{}f"]
